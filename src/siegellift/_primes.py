@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
+    # Every LocalFactor checks its prime, so the same few hundred primes come
+    # back thousands of times.  The memo sits behind a plain function so that
+    # call tracing (perfbench/tracer.py wraps plain functions) still sees it.
+    return _is_prime(n)
+
+
+@lru_cache(maxsize=4096)
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

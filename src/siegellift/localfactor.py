@@ -5,11 +5,12 @@ A local factor at a prime p is the reciprocal polynomial
     P(T) = c_0 + c_1 T + ... + c_d T^d,   c_0 = 1,  T standing for p^(-s),
 
 whose inverse roots are the Satake/Frobenius eigenvalues of the local
-representation: P(T) = prod_j (1 - alpha_j T).  Everything is computed in
-exact rational arithmetic (arithmetic normalization): a pure factor of
-motivic weight w has inverse roots of absolute value p^(w/2), so its
-coefficients are plain integers and purity is a checkable coefficient
-symmetry, never a floating-point statement.
+representation: P(T) = prod_j (1 - alpha_j T).  Everything is exact
+(arithmetic normalization): a pure factor of motivic weight w has inverse
+roots of absolute value p^(w/2), so its coefficients are plain integers and
+purity is a checkable coefficient symmetry, never a floating-point
+statement.  The algebra runs on Python ints; a ``Fraction`` appears only
+where a division leaves a remainder, which integral inputs never cause.
 
 The single internal intermediate is the sequence of power sums
 s_m = sum_j alpha_j^m.  Newton's identities convert both ways:
@@ -19,7 +20,9 @@ s_m = sum_j alpha_j^m.  Newton's identities convert both ways:
 
 Direct sums multiply polynomials (power sums add), tensor products
 multiply power sums, and the plethysm functors are cycle-index
-polynomials evaluated at s_{jm}:
+polynomials evaluated at s_{jm}.  For integral inputs the divisions by k
+below and by 2, 6, 24 are exact (power sums of algebraic integers are
+integers; Macdonald, Symmetric Functions, I.2 and I.8):
 
     Sym^2: (s_m^2 + s_{2m}) / 2          Lambda^2: (s_m^2 - s_{2m}) / 2
     Sym^3: (s_m^3 + 3 s_m s_{2m} + 2 s_{3m}) / 6
@@ -51,11 +54,24 @@ Coeff = Union[int, Fraction]
 
 def _exact(value: Coeff) -> Coeff:
     """Normalize integral Fractions back to int."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return value
     return int(value)
+
+
+def _div(a: Coeff, k: int) -> Coeff:
+    """Exact a / k: the int quotient when k divides a, else the Fraction."""
+    q, r = divmod(a, k)
+    return q if r == 0 else Fraction(a) / k
+
+
+def _pow(p: int, j: int) -> Coeff:
+    """Exact p^j: an int for j >= 0, a Fraction below (``p**j`` is a float)."""
+    return p**j if j >= 0 else Fraction(p) ** j
 
 
 class CombineMode(Enum):
@@ -173,20 +189,20 @@ def one(p: int, degree: int = 0, weight: int = 0) -> LocalFactor:
 
 def tate_factor(p: int, j: int, weight: Optional[int] = None) -> LocalFactor:
     """Degree-1 factor 1 - p^j T.  Pure of weight 2j unless overridden."""
-    return LocalFactor(p, 2 * j if weight is None else weight, (1, -(p**j)))
+    return LocalFactor(p, 2 * j if weight is None else weight, (1, -_pow(p, j)))
 
 
 def power_sums(f: LocalFactor, count: int) -> PowerSums:
     """First ``count`` power sums of the inverse roots (Newton identities)."""
     if count < 1:
         raise InputError("power_sums needs count >= 1")
-    c = f.coeffs
+    c, d = f.coeffs, f.degree
     s: list[Coeff] = []
     for k in range(1, count + 1):
-        acc = Fraction(-k * c[k]) if k <= f.degree else Fraction(0)
-        for i in range(1, min(k, f.degree + 1)):
-            acc -= Fraction(c[i]) * Fraction(s[k - i - 1])
-        s.append(_exact(acc))
+        acc = -k * c[k] if k <= d else 0
+        for i in range(1, min(k, d + 1)):
+            acc -= c[i] * s[k - i - 1]
+        s.append(acc)
     return PowerSums(f.prime, tuple(s))
 
 
@@ -199,29 +215,30 @@ def from_power_sums(
         raise DegreeError(f"need {degree} power sums, got {len(values)}")
     c: list[Coeff] = [1]
     for k in range(1, degree + 1):
-        acc = Fraction(values[k - 1])
+        acc = values[k - 1]
         for i in range(1, k):
-            acc += Fraction(c[i]) * Fraction(values[k - i - 1])
-        c.append(_exact(-acc / k))
+            acc += c[i] * values[k - i - 1]
+        c.append(_div(-acc, k))
     return LocalFactor(p, weight, tuple(c))
 
 
 def _poly_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out: list[Coeff] = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
             if y != 0:
-                out[i + j] += Fraction(x) * Fraction(y)
+                out[i + j] += x * y
     return [_exact(v) for v in out]
 
 
 def _check_integral(result: LocalFactor, *sources: LocalFactor) -> LocalFactor:
     # Plethysm/sum/tensor of integral factors is integral (companion-matrix
     # construction); a violation here is an internal bug, not bad input.
-    if all(f.is_integral for f in sources):
-        assert result.is_integral, f"integrality lost: {result.coeffs}"
+    # Raised explicitly so that it also holds under ``python -O``.
+    if all(f.is_integral for f in sources) and not result.is_integral:
+        raise AssertionError(f"integrality lost: {result.coeffs}")
     return result
 
 
@@ -244,7 +261,7 @@ def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
             return LocalFactor(a.prime, a.weight + b.weight, (1,))
         sa = power_sums(a, d).values
         sb = power_sums(b, d).values
-        mixed = [Fraction(x) * Fraction(y) for x, y in zip(sa, sb)]
+        mixed = [x * y for x, y in zip(sa, sb)]
         return _check_integral(
             from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight), a, b
         )
@@ -266,31 +283,32 @@ def plethysm(f: LocalFactor, functor: Functor) -> LocalFactor:
     if d_out == 0:
         return LocalFactor(f.prime, weight, (1,))
     need = d_out * _FUNCTOR_WEIGHT[functor]
-    s = (Fraction(0),) + tuple(Fraction(v) for v in power_sums(f, need).values)
+    s = (0,) + power_sums(f, need).values
     out: list[Coeff] = []
     for m in range(1, d_out + 1):
         if functor is Functor.SYM2:
-            val = (s[m] ** 2 + s[2 * m]) / 2
+            val = _div(s[m] ** 2 + s[2 * m], 2)
         elif functor is Functor.EXT2:
-            val = (s[m] ** 2 - s[2 * m]) / 2
+            val = _div(s[m] ** 2 - s[2 * m], 2)
         elif functor is Functor.SYM3:
-            val = (s[m] ** 3 + 3 * s[m] * s[2 * m] + 2 * s[3 * m]) / 6
+            val = _div(s[m] ** 3 + 3 * s[m] * s[2 * m] + 2 * s[3 * m], 6)
         else:  # SYM4
-            val = (
+            val = _div(
                 s[m] ** 4
                 + 6 * s[m] ** 2 * s[2 * m]
                 + 3 * s[2 * m] ** 2
                 + 8 * s[m] * s[3 * m]
-                + 6 * s[4 * m]
-            ) / 24
+                + 6 * s[4 * m],
+                24,
+            )
         out.append(val)
     return _check_integral(from_power_sums(f.prime, d_out, out, weight=weight), f)
 
 
 def tate_twist(f: LocalFactor, j: int) -> LocalFactor:
     """Substitute T -> p^j T: c_i -> c_i p^(ij), weight -> weight + 2j."""
-    q = Fraction(f.prime) ** j
-    coeffs = tuple(_exact(Fraction(c) * q**i) for i, c in enumerate(f.coeffs))
+    q = _pow(f.prime, j)
+    coeffs = tuple(c * q**i for i, c in enumerate(f.coeffs))
     return LocalFactor(f.prime, f.weight + 2 * j, coeffs)
 
 
@@ -307,10 +325,10 @@ def exact_divide(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     d_q = a.degree - b.degree
     q: list[Coeff] = []
     for k in range(d_q + 1):
-        acc = Fraction(a.coeffs[k])
+        acc = a.coeffs[k]
         for i in range(1, min(k, b.degree) + 1):
-            acc -= Fraction(b.coeffs[i]) * Fraction(q[k - i])
-        q.append(_exact(acc))  # b.coeffs[0] == 1, no division needed
+            acc -= b.coeffs[i] * q[k - i]
+        q.append(acc)  # b.coeffs[0] == 1, no division needed
     product = _poly_mul(q, b.coeffs)
     product += [0] * (a.degree + 1 - len(product))
     if tuple(product) != a.coeffs:
@@ -329,11 +347,15 @@ def is_selfdual_pure(f: LocalFactor) -> PurityReport:
     d, w = f.degree, f.weight
     if (d * w) % 2 != 0:
         raise InputError("purity symmetry needs degree * weight even")
-    p = Fraction(f.prime)
     sign = None
     for i in range(d + 1):
-        lhs = Fraction(f.coeffs[i]) * p ** ((d - 2 * i) * w // 2)
-        rhs = Fraction(f.coeffs[d - i])
+        # move a negative power of p to the other side to stay integral
+        e = (d - 2 * i) * w // 2
+        lhs, rhs = f.coeffs[i], f.coeffs[d - i]
+        if e >= 0:
+            lhs *= f.prime**e
+        else:
+            rhs *= f.prime**-e
         if sign is None:
             if lhs == rhs:
                 sign = 1

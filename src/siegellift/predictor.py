@@ -24,7 +24,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._primes import factorize, is_squarefree, primes_upto, smallest_prime_factors
@@ -566,11 +565,11 @@ class LObject:
 def _inverse_series(f: LocalFactor, terms: int) -> List:
     """Coefficients of 1/P(T) up to T^(terms-1) (geometric recursion)."""
     c = f.coeffs
-    b = [Fraction(1)]
+    b: List = [1]
     for j in range(1, terms):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, min(j, f.degree) + 1):
-            acc -= Fraction(c[i]) * b[j - i]
+            acc -= c[i] * b[j - i]
         b.append(acc)
     return [int(v) if v.denominator == 1 else v for v in b]
 

@@ -19,6 +19,8 @@ from siegellift import (
     tate_factor,
     tate_twist,
 )
+from siegellift import localfactor
+from siegellift._primes import _is_prime
 from siegellift.errors import (
     DegreeError,
     InexactDivisionError,
@@ -26,6 +28,7 @@ from siegellift.errors import (
     PrimeMismatchError,
     WeightMismatchError,
 )
+from siegellift.predictor import _inverse_series
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +328,228 @@ def test_constant_coefficient_enforced():
 def test_json_roundtrip():
     f = LocalFactor(5, 8, (1, 1054, 390625 * 625))
     assert LocalFactor.from_json(f.to_json()) == f
+
+
+def test_from_power_sums_remainder_gives_fraction():
+    # s = (1, 0): c_1 = -1, c_2 = -(0 - 1)/2 = 1/2, a remainder the int path keeps
+    f = from_power_sums(3, 2, (1, 0))
+    assert f.coeffs == (1, -1, Fraction(1, 2))
+    assert type(f.coeffs[2]) is Fraction and not f.is_integral
+
+
+def test_tate_twist_negative_gives_fractions():
+    f = LocalFactor(5, 1, (1, -3, 5))
+    got = tate_twist(f, -1)
+    assert got.coeffs == (1, Fraction(-3, 5), Fraction(1, 5))
+    assert all(type(c) is Fraction for c in got.coeffs[1:])
+    assert tate_factor(3, -1).coeffs == (1, Fraction(-1, 3))
+
+
+def test_integrality_check_is_not_an_assert_statement(monkeypatch):
+    # must hold under ``python -O`` too, which strips bare asserts
+    monkeypatch.setattr(
+        localfactor, "from_power_sums",
+        lambda p, d, sums, weight=0: LocalFactor(p, weight, (1, Fraction(1, 2))),
+    )
+    f = LocalFactor(5, 1, (1, -3))
+    with pytest.raises(AssertionError, match="integrality lost"):
+        combine(f, f, CombineMode.TENSOR)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the int-first library against a Fraction-only oracle
+# (the Newton identities and cycle-index formulas written out in Fraction)
+
+def ref_power_sums(c, count):
+    d = len(c) - 1
+    s = []
+    for k in range(1, count + 1):
+        acc = Fraction(-k * c[k]) if k <= d else Fraction(0)
+        for i in range(1, min(k, d + 1)):
+            acc -= Fraction(c[i]) * s[k - i - 1]
+        s.append(acc)
+    return s
+
+
+def ref_from_power_sums(s, degree):
+    c = [Fraction(1)]
+    for k in range(1, degree + 1):
+        acc = Fraction(s[k - 1])
+        for i in range(1, k):
+            acc += c[i] * s[k - i - 1]
+        c.append(-acc / k)
+    return c
+
+
+REF_FUNCTORS = {  # functor: (weight, output degree, cycle-index polynomial)
+    Functor.SYM2: (2, lambda d: d * (d + 1) // 2, lambda s, m: (s[m] ** 2 + s[2 * m]) / 2),
+    Functor.EXT2: (2, lambda d: d * (d - 1) // 2, lambda s, m: (s[m] ** 2 - s[2 * m]) / 2),
+    Functor.SYM3: (
+        3, lambda d: 4, lambda s, m: (s[m] ** 3 + 3 * s[m] * s[2 * m] + 2 * s[3 * m]) / 6
+    ),
+    Functor.SYM4: (
+        4,
+        lambda d: 5,
+        lambda s, m: (
+            s[m] ** 4 + 6 * s[m] ** 2 * s[2 * m] + 3 * s[2 * m] ** 2
+            + 8 * s[m] * s[3 * m] + 6 * s[4 * m]
+        ) / 24,
+    ),
+}
+
+
+def ref_plethysm(c, functor):
+    w, degree, cycle_index = REF_FUNCTORS[functor]
+    d_out = degree(len(c) - 1)
+    if d_out == 0:
+        return [Fraction(1)]
+    s = [Fraction(0)] + ref_power_sums(c, d_out * w)
+    return ref_from_power_sums([cycle_index(s, m) for m in range(1, d_out + 1)], d_out)
+
+
+def ref_tensor(a, b):
+    d = (len(a) - 1) * (len(b) - 1)
+    if d == 0:
+        return [Fraction(1)]
+    mixed = [x * y for x, y in zip(ref_power_sums(a, d), ref_power_sums(b, d))]
+    return ref_from_power_sums(mixed, d)
+
+
+def ref_sum(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def ref_divide(a, b):
+    q = []
+    for k in range(len(a) - len(b) + 1):
+        acc = Fraction(a[k])
+        for i in range(1, min(k, len(b) - 1) + 1):
+            acc -= Fraction(b[i]) * q[k - i]
+        q.append(acc)
+    return q
+
+
+def ref_twist(c, p, j):
+    return [Fraction(x) * Fraction(p) ** (i * j) for i, x in enumerate(c)]
+
+
+def ref_inverse_series(c, terms):
+    b = [Fraction(1)]
+    for j in range(1, terms):
+        b.append(-sum(Fraction(c[i]) * b[j - i] for i in range(1, min(j, len(c) - 1) + 1)))
+    return b
+
+
+def ref_purity(c, p, w):
+    d = len(c) - 1
+    sign = None
+    for i in range(d + 1):
+        lhs = Fraction(c[i]) * Fraction(p) ** ((d - 2 * i) * w // 2)
+        rhs = Fraction(c[d - i])
+        if sign is None:
+            if lhs == rhs:
+                sign = 1
+            elif lhs == -rhs:
+                sign = -1
+            else:
+                return (False, None, i)
+        elif lhs != sign * rhs:
+            return (False, sign, i)
+    return (True, sign, None)
+
+
+def normalized(values):
+    return tuple(int(v) if v.denominator == 1 else v for v in map(Fraction, values))
+
+
+def assert_same(got, want, integral):
+    """Equal coefficients of equal type; ints only when the inputs are."""
+    want = normalized(want)
+    assert tuple(got) == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    if integral:
+        assert all(type(v) is int for v in got)
+
+
+DIFF_PRIMES = (2, 3, 5, 7, 11, 101)
+
+
+def random_factor(rng, p, degree, weight, coeff):
+    coeffs = [1] + [coeff() for _ in range(degree)]
+    shape = rng.random()
+    if shape < 0.2 and degree >= 2:
+        coeffs[2] = 0  # c_2 = 0, as at supersingular primes
+    elif shape < 0.4 and degree >= 1:
+        coeffs[-1] = 0  # degenerate: honest degree below nominal
+    return LocalFactor(p, weight, tuple(coeffs))
+
+
+def check_against_oracle(rng, coeff, integral):
+    p = rng.choice(DIFF_PRIMES)
+    d = rng.randrange(1, 5)
+    f = random_factor(rng, p, d, 1, coeff)
+    g = random_factor(rng, p, rng.randrange(1, 5), 1, coeff)
+    e2 = random_factor(rng, p, 2, 1, coeff)
+    c = f.coeffs
+
+    assert_same(power_sums(f, 8).values, ref_power_sums(c, 8), integral)
+    sums = tuple(coeff() for _ in range(d))
+    assert_same(from_power_sums(p, d, sums).coeffs, ref_from_power_sums(sums, d), False)
+    for functor in (Functor.SYM2, Functor.EXT2):
+        assert_same(plethysm(f, functor).coeffs, ref_plethysm(c, functor), integral)
+    for functor in (Functor.SYM3, Functor.SYM4):
+        assert_same(plethysm(e2, functor).coeffs, ref_plethysm(e2.coeffs, functor), integral)
+    assert_same(combine(f, g, CombineMode.TENSOR).coeffs, ref_tensor(c, g.coeffs), integral)
+    product = combine(f, g, CombineMode.SUM)
+    assert_same(product.coeffs, ref_sum(c, g.coeffs), integral)
+    assert_same(exact_divide(product, g).coeffs, ref_divide(product.coeffs, g.coeffs), integral)
+    j = rng.randrange(1, 4)
+    assert_same(tate_twist(f, j).coeffs, ref_twist(c, p, j), integral)
+    assert_same(tate_twist(f, -j).coeffs, ref_twist(c, p, -j), False)
+    assert_same(_inverse_series(f, 9), ref_inverse_series(c, 9), integral)
+    for h in (f, e2, plethysm(e2, Functor.SYM3), tate_twist(f, 1)):
+        if h.degree * h.weight % 2:
+            continue  # the symmetry is only defined for d * w even
+        rep = is_selfdual_pure(h)
+        assert (rep.ok, rep.sign, rep.failing_index) == ref_purity(h.coeffs, p, h.weight)
+
+
+def test_integral_core_matches_fraction_oracle():
+    rng = random.Random(31415)
+    for _ in range(300):
+        check_against_oracle(rng, lambda: rng.randrange(-30, 31), integral=True)
+
+
+def test_rational_inputs_match_fraction_oracle():
+    rng = random.Random(27182)
+    for _ in range(60):
+        check_against_oracle(
+            rng, lambda: Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3, 4))),
+            integral=False,
+        )
+
+
+def test_pure_factors_match_fraction_oracle():
+    # pure factors exercise the purity check's success branch with both signs
+    rng = random.Random(16180)
+    for _ in range(100):
+        p = rng.choice(DIFF_PRIMES)
+        bound = int(2 * p**0.5)
+        e = LocalFactor(p, 1, (1, -rng.randrange(-bound, bound + 1), p))
+        for h in (e, plethysm(e, Functor.SYM3), plethysm(e, Functor.SYM4),
+                  tate_factor(p, rng.randrange(-2, 3))):
+            rep = is_selfdual_pure(h)
+            assert rep.ok
+            assert (rep.ok, rep.sign, rep.failing_index) == ref_purity(h.coeffs, p, h.weight)
+
+
+def test_memoised_primality_still_rejects_nonprimes():
+    for _ in range(2):  # the second check is answered from the memo
+        with pytest.raises(InputError):
+            LocalFactor(91, 0, (1,))
+    assert LocalFactor(89, 0, (1,)).prime == 89
+    assert _is_prime.cache_info().maxsize is not None  # bounded
