@@ -1,9 +1,9 @@
 """Byte-identity fence: CLI stdout against outputs stored in tests/data/golden.
 
-The files were written by the CLI before the integer-first rewrite of the
-exact core; a refactor that changes any byte of them changes the output
-contract.  Regenerate a file only for an intended output change, with the
-command in GOLDEN, e.g.
+Each file holds the stdout of the command next to its name in GOLDEN; a
+change that alters any byte of them changes the output contract.  Every
+file is checked at ``--jobs 1`` and ``--jobs 2``.  Regenerate a file only
+for an intended output change, with its command, e.g.
 
     PYTHONPATH=src python -m siegellift.cli lcoeffs --curve 0,-1,1,0,0 \\
         --transfer sym3 --X 500 --format csv > tests/data/golden/lcoeffs_11a3_sym3_X500.csv
@@ -18,19 +18,41 @@ from siegellift.cli import main
 DATA = Path(__file__).parent / "data"
 
 CURVE = ["--curve", "0,-1,1,0,0"]  # Cremona 11a3
+CHI = ["--D", "-4", "--m", "2"]
+DELTA = ["--eigenfile", str(DATA / "delta_weight12.txt")]
 
 GOLDEN = {
     "predict_11a3_sym3.json": ["predict", *CURVE, "--pmax", "50", "--format", "json"],
     "predict_11a3_tensor_D-4_m2.json": [
-        "predict", *CURVE, "--D", "-4", "--m", "2", "--pmax", "50", "--format", "json",
+        "predict", *CURVE, *CHI, "--pmax", "50", "--format", "json",
     ],
-    "predict_delta.json": [
-        "predict", "--eigenfile", str(DATA / "delta_weight12.txt"), "--pmax", "50",
-        "--format", "json",
+    "predict_delta.json": ["predict", *DELTA, "--pmax", "50", "--format", "json"],
+    "predict_11a3_sym3.txt": ["predict", *CURVE, "--pmax", "50"],
+    "predict_11a3_tensor_D-4_m2.txt": ["predict", *CURVE, *CHI, "--pmax", "50"],
+    "verify_11a3_sym3-ext2.txt": ["verify", "--identity", "sym3-ext2", *CURVE, "--pmax", "50"],
+    "verify_11a3_tensor-square.txt": [
+        "verify", "--identity", "tensor-square", *CURVE, "--pmax", "50",
+    ],
+    "verify_11a3_sym2-ind_D-4_m2.txt": [
+        "verify", "--identity", "sym2-ind", *CURVE, *CHI, "--pmax", "50",
+    ],
+    "verify_11a3_tensor-ext2_D-4_m2.txt": [
+        "verify", "--identity", "tensor-ext2", *CURVE, *CHI, "--pmax", "50",
     ],
     "lcoeffs_11a3_sym3_X500.csv": [
         "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "500", "--format", "csv",
     ],
+    "lcoeffs_11a3_tensor_D-4_m2_X500.csv": [
+        "lcoeffs", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "--format", "csv",
+    ],
+    "lcoeffs_11a3_none_X500.csv": [
+        "lcoeffs", *CURVE, "--transfer", "none", "--X", "500", "--format", "csv",
+    ],
+    "eval_11a3_tensor_D-4_m2_X500_s5.txt": [
+        "eval", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "-s", "5",
+    ],
+    "factor_delta.csv": ["factor", *DELTA, "--pmax", "50", "--format", "csv"],
+    "sym3_delta.csv": ["sym3", *DELTA, "--pmax", "50", "--format", "csv"],
 }
 
 
