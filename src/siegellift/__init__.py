@@ -61,6 +61,7 @@ from .predictor import (
     EvalResult,
     Identity,
     LevelRule,
+    LocalData,
     LObject,
     ReportEntry,
     SiegelPrediction,
@@ -74,6 +75,7 @@ from .predictor import (
     identity_report,
     lambda2_sym3_objects,
     level,
+    local_data,
     predict_siegel,
     sym3_object,
     tensor_object,

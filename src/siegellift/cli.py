@@ -2,9 +2,9 @@
 
 Thin wrappers over the library: every command parses its inputs, calls one
 library routine, and renders the result.  Output is byte-deterministic for
-fixed inputs (prime-ascending ordering everywhere, sorted JSON keys);
-``--jobs`` fans per-prime work out to a thread pool without changing a
-single output byte.
+fixed inputs (prime-ascending ordering everywhere, sorted JSON keys).
+``--jobs N`` (N >= 1) is accepted and checked for compatibility; every run
+is serial.
 
 Exit codes: 0 success / all checks OK; 1 any verification FAIL or a
 non-symplectic factor; 2 invalid input or I/O failure.
@@ -20,7 +20,6 @@ from typing import List, Optional
 from ._primes import is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
 from .heckechar import AntiCycChar, ImagQuadField, induced_factor
-from .localfactor import Functor, plethysm
 from .modform import CurveData, local_factor_gl2, parse_eigenfile, reduction_at
 from .predictor import (
     Identity,
@@ -29,6 +28,7 @@ from .predictor import (
     eval_partial,
     gl2_object,
     identity_report,
+    local_data,
     predict_siegel,
     sym3_object,
     tensor_object,
@@ -143,9 +143,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_sym3(args) -> int:
     source = _load_source(args)
-    factors = [
-        (p, plethysm(local_factor_gl2(source, p), Functor.SYM3)) for p in _primes_from(args)
-    ]
+    factors = [(p, local_data(source, None, p).spin) for p in _primes_from(args)]
     _emit(args, _factor_rows(args, factors))
     return 0
 
@@ -170,11 +168,7 @@ def _cmd_verify(args) -> int:
         if args.curve or args.eigenfile:
             source = _load_source(args)
         chi = _load_char(args, required=False)
-        if ident in (Identity.SYM3_EXT2, Identity.TENSOR_EXT2, Identity.TENSOR_SQ) and source is None:
-            raise InputError(f"{name} needs --curve or --eigenfile")
-        if ident in (Identity.SYM2_IND, Identity.TENSOR_EXT2) and chi is None:
-            raise InputError(f"{name} needs --D and --m")
-        report = identity_report(ident, args.pmax, source=source, chi=chi, jobs=args.jobs)
+        report = identity_report(ident, args.pmax, source=source, chi=chi)
     _emit(args, _to_json(report.to_json()) if args.format == "json" else report.to_text())
     return 0 if report.ok else 1
 
@@ -182,7 +176,7 @@ def _cmd_verify(args) -> int:
 def _cmd_predict(args) -> int:
     source = _load_source(args)
     chi = _load_char(args, required=False)
-    prediction = predict_siegel(source, chi=chi, pmax=args.pmax, jobs=args.jobs)
+    prediction = predict_siegel(source, chi=chi, pmax=args.pmax)
     _emit(args, _to_json(prediction.to_json()) if args.format == "json" else prediction.to_text())
     return 0 if prediction.verification.ok else 1
 
@@ -250,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="per-prime worker threads")
+    common.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility (N >= 1); runs are serial"
+    )
 
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--curve", help="Weierstrass coefficients a1,a2,a3,a4,a6[,N]")

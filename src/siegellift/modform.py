@@ -2,10 +2,12 @@
 
 Curves are given by integral Weierstrass coefficients (a1,a2,a3,a4,a6),
 assumed minimal at every prime dividing the discriminant (documented input
-contract; no minimalization is performed here).  Good-prime Hecke
-eigenvalues a_p = p + 1 - #E(F_p) come from exhaustive point enumeration
-or an O(p) quadratic-character sum; bad primes are classified by the
-singular point of the reduction.
+contract; no minimalization is performed here).  A supplied conductor is
+checked against the reduction at each prime; this rejects a model that is
+not minimal at a prime of good or multiplicative reduction, where it
+reduces to a cusp.  Good-prime Hecke eigenvalues a_p = p + 1 - #E(F_p)
+come from exhaustive point enumeration or an O(p) quadratic-character sum;
+bad primes are classified by the singular point of the reduction.
 
 Newforms of weight k >= 2 arrive as eigenvalue files:
 
@@ -69,6 +71,11 @@ class CurveData:
             raise SingularModelError(f"singular Weierstrass model {self.ainvs}")
 
     @property
+    def weight(self) -> int:
+        """Classical weight of the attached newform."""
+        return 2
+
+    @property
     def ainvs(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
@@ -112,6 +119,20 @@ class ReductionData:
     prime: int
     kind: ReductionKind
     ap: int
+
+    @property
+    def regime(self) -> str:
+        """"good", "multiplicative" or "additive"."""
+        if self.kind in (ReductionKind.SPLIT_MULT, ReductionKind.NONSPLIT_MULT):
+            return "multiplicative"
+        return self.kind.value
+
+    def factor(self, k: int) -> LocalFactor:
+        """Degree-2 local factor of weight k-1: 1 - a_p T + p^(k-1) T^2 when
+        good, else 1 - a_p T at nominal degree 2 (a_p = 0 when additive)."""
+        p = self.prime
+        c2 = p ** (k - 1) if self.kind is ReductionKind.GOOD else 0
+        return LocalFactor(p, k - 1, (1, -self.ap, c2))
 
 
 @dataclass
@@ -248,11 +269,53 @@ def reduction_bad(curve: CurveData, p: int) -> ReductionData:
     return ReductionData(p, ReductionKind.NONSPLIT_MULT, -1)
 
 
-def reduction_at(curve: CurveData, p: int) -> ReductionData:
-    """Reduction data at any prime (good primes included)."""
-    if curve.discriminant % p != 0:
-        return ReductionData(p, ReductionKind.GOOD, ap_good(curve, p))
-    return reduction_bad(curve, p)
+def reduction_at(source: Union[CurveData, NewformData], p: int) -> ReductionData:
+    """Reduction data of a curve or newform at any prime: the one place where
+    good, multiplicative and additive reduction are told apart.
+
+    A curve is good at p not dividing its discriminant; otherwise its
+    singular point decides (:func:`reduction_bad`).  A newform is good at
+    p not dividing its level N, multiplicative (split when a_p > 0) at
+    p || N and additive (a_p = 0) at p^2 | N.  A supplied conductor or
+    level must agree with the local data at p.
+    """
+    if isinstance(source, CurveData):
+        if source.discriminant % p != 0:
+            red = ReductionData(p, ReductionKind.GOOD, ap_good(source, p))
+        else:
+            red = reduction_bad(source, p)
+        if source.conductor is not None:
+            _check_conductor(source.conductor, red)
+        return red
+    if not isinstance(source, NewformData):
+        raise InputError(f"unsupported source {type(source).__name__}")
+    n, table = source.level, source.eigenvalues
+    if n % (p * p) != 0 and p not in table:
+        raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
+    if n % p != 0:
+        return ReductionData(p, ReductionKind.GOOD, table[p])
+    if n % (p * p) == 0:
+        red, want = ReductionData(p, ReductionKind.ADDITIVE, 0), 0
+    else:
+        kind = ReductionKind.SPLIT_MULT if table[p] > 0 else ReductionKind.NONSPLIT_MULT
+        red, want = ReductionData(p, kind, table[p]), p ** (source.weight - 2)
+    # Steinberg twisted by an unramified character at p || N, a_p = 0 at
+    # p^2 | N; a nebentypus ramified at p changes a_p, so it is not checked
+    ap = table.get(p, 0)
+    if ap * ap != want and (source.character is CharacterKind.TRIVIAL or source.character_disc % p):
+        raise EigenfileError(f"a_{p} = {ap} contradicts the level {n}: a_p^2 must be {want}")
+    return red
+
+
+def _check_conductor(n: int, red: ReductionData) -> None:
+    # the conductor exponent of a minimal model is 0, 1 or >= 2 as the
+    # reduction is good, multiplicative or additive; a non-minimal model
+    # reduces to a cusp, so it shows as additive
+    p = red.prime
+    exponent = 0 if n % p else 1 if n % (p * p) else 2
+    if exponent != {"good": 0, "multiplicative": 1, "additive": 2}[red.regime]:
+        error = InputError if red.regime == "good" else NonMinimalModelError
+        raise error(f"{red.regime} reduction at p={p} contradicts the conductor {n}")
 
 
 def local_factor_gl2(source: Union[CurveData, NewformData], p: int) -> LocalFactor:
@@ -261,36 +324,7 @@ def local_factor_gl2(source: Union[CurveData, NewformData], p: int) -> LocalFact
     Good p: 1 - a_p T + p^(k-1) T^2.  Multiplicative p: 1 - a_p T at nominal
     degree 2.  Additive p: the trivial factor.
     """
-    if isinstance(source, CurveData):
-        red = reduction_at(source, p)
-        k = 2
-        regime = (
-            "good"
-            if red.kind is ReductionKind.GOOD
-            else "additive" if red.kind is ReductionKind.ADDITIVE else "multiplicative"
-        )
-        ap = red.ap
-    elif isinstance(source, NewformData):
-        k = source.weight
-        if source.level % p != 0:
-            regime = "good"
-        elif source.level % (p * p) != 0:
-            regime = "multiplicative"  # p || N: a_p taken from the table
-        else:
-            regime = "additive"
-        if regime == "additive":
-            ap = 0
-        else:
-            if p not in source.eigenvalues:
-                raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
-            ap = source.eigenvalues[p]
-    else:
-        raise InputError(f"unsupported source {type(source).__name__}")
-    if regime == "good":
-        return LocalFactor(p, k - 1, (1, -ap, p ** (k - 1)))
-    if regime == "additive":
-        return LocalFactor(p, k - 1, (1, 0, 0))
-    return LocalFactor(p, k - 1, (1, -ap, 0))
+    return reduction_at(source, p).factor(source.weight)
 
 
 def parse_eigenfile(source: Union[str, Path, TextIO]) -> NewformData:

@@ -21,10 +21,9 @@ ramified primes yield SKIPPED rows with a reason.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ._primes import factorize, is_squarefree, primes_upto, smallest_prime_factors
 from .archimedean import ArchParam, Classification, classify, from_newform, sym3_arch, tensor_arch
@@ -51,14 +50,7 @@ from .localfactor import (
     tate_factor,
     tate_twist,
 )
-from .modform import (
-    CharacterKind,
-    CurveData,
-    NewformData,
-    ReductionKind,
-    local_factor_gl2,
-    reduction_at,
-)
+from .modform import CharacterKind, CurveData, NewformData, reduction_at
 
 Source = Union[CurveData, NewformData]
 
@@ -139,21 +131,44 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# local regime bookkeeping
+# per-prime local data
 
-def _gl2_regime(source: Source, p: int) -> str:
-    if isinstance(source, CurveData):
-        kind = reduction_at(source, p).kind
-        if kind is ReductionKind.GOOD:
-            return "good"
-        if kind is ReductionKind.ADDITIVE:
-            return "additive"
-        return "multiplicative"
-    if source.level % p != 0:
-        return "good"
-    if source.level % (p * p) != 0:
-        return "multiplicative"
-    return "additive"
+_RAMIFIED = "skipped (ramified in K)"
+
+
+@dataclass(frozen=True)
+class LocalData:
+    """Everything the per-prime outputs are read from, built once per prime
+    by :func:`local_data`."""
+
+    prime: int
+    regime: str  # "good", "multiplicative" or "additive"
+    ramified: bool  # p ramifies in the field of chi; False without chi
+    eta: LocalFactor  # degree-2 factor of the curve or newform
+    ind: Optional[LocalFactor]  # Ind chi_p; None without chi
+    spin: Optional[LocalFactor]  # Sym^3 eta, or eta x Ind chi at good unramified p
+    skip: str  # reason on skipped rows; "" at good unramified p
+
+
+def _ramified(chi: AntiCycChar, p: int) -> bool:
+    return splitting(chi.field, p) is Splitting.RAMIFIED
+
+
+def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
+    """Local data at p of the symmetric cube of ``source`` (no character)
+    or of its tensor product with the induction of ``chi``."""
+    red = reduction_at(source, p)
+    eta = red.factor(source.weight)
+    ramified = chi is not None and _ramified(chi, p)
+    if red.regime != "good":
+        skip = f"skipped ({red.regime} reduction)"
+    else:
+        skip = _RAMIFIED if ramified else ""
+    if chi is None:
+        return LocalData(p, red.regime, False, eta, None, plethysm(eta, Functor.SYM3), skip)
+    ind = induced_factor(chi, p)
+    spin = None if skip else combine(eta, ind, CombineMode.TENSOR)
+    return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +180,12 @@ def _check_tensor_square(f: LocalFactor) -> Tuple[LocalFactor, LocalFactor]:
     return lhs, rhs
 
 
-def _check_sym3_ext2(eta_p: LocalFactor) -> Tuple[LocalFactor, LocalFactor]:
-    j = eta_p.weight  # = k - 1
-    lhs = plethysm(plethysm(eta_p, Functor.SYM3), Functor.EXT2)
+def _check_sym3_ext2(ld: LocalData) -> Tuple[LocalFactor, LocalFactor]:
+    j = ld.eta.weight  # = k - 1
+    lhs = plethysm(ld.spin, Functor.EXT2)
     rhs = combine(
-        tate_twist(plethysm(eta_p, Functor.SYM4), j),
-        tate_factor(eta_p.prime, 3 * j, weight=6 * j),
+        tate_twist(plethysm(ld.eta, Functor.SYM4), j),
+        tate_factor(ld.prime, 3 * j, weight=6 * j),
         CombineMode.SUM,
     )
     return lhs, rhs
@@ -187,17 +202,49 @@ def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     )
 
 
-def _check_sym2_ind(chi: AntiCycChar, p: int) -> Tuple[LocalFactor, LocalFactor]:
-    lhs = plethysm(induced_factor(chi, p), Functor.SYM2)
-    return lhs, _sym2_ind_rhs(chi, p)
-
-
-def _check_tensor_ext2(eta_p: LocalFactor, chi: AntiCycChar, p: int) -> Tuple[LocalFactor, LocalFactor]:
-    ind = induced_factor(chi, p)
-    lhs = plethysm(combine(eta_p, ind, CombineMode.TENSOR), Functor.EXT2)
-    piece1 = combine(plethysm(eta_p, Functor.SYM2), plethysm(ind, Functor.EXT2), CombineMode.TENSOR)
-    piece2 = combine(plethysm(eta_p, Functor.EXT2), _sym2_ind_rhs(chi, p), CombineMode.TENSOR)
+def _check_tensor_ext2(ld: LocalData, chi: AntiCycChar) -> Tuple[LocalFactor, LocalFactor]:
+    lhs = plethysm(ld.spin, Functor.EXT2)
+    piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
+    piece2 = combine(plethysm(ld.eta, Functor.EXT2), _sym2_ind_rhs(chi, ld.prime), CombineMode.TENSOR)
     return lhs, combine(piece1, piece2, CombineMode.SUM)
+
+
+def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> ReportEntry:
+    if lhs == rhs:
+        return ReportEntry(p, name.value, Status.OK, "", lhs, rhs)
+    return ReportEntry(p, name.value, Status.FAIL, "exact mismatch", lhs, rhs)
+
+
+def _sym2_ind_entry(chi: AntiCycChar, p: int, ramified: bool, ind: LocalFactor) -> ReportEntry:
+    if ramified:
+        return ReportEntry(p, Identity.SYM2_IND.value, Status.SKIPPED, _RAMIFIED)
+    return _compared(Identity.SYM2_IND, p, plethysm(ind, Functor.SYM2), _sym2_ind_rhs(chi, p))
+
+
+def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -> ReportEntry:
+    """The row of a source identity at ld.prime, read off the shared record."""
+    if ld.skip:
+        return ReportEntry(ld.prime, name.value, Status.SKIPPED, ld.skip)
+    if name is Identity.TENSOR_SQ:
+        return _compared(name, ld.prime, *_check_tensor_square(ld.eta))
+    if name is Identity.SYM3_EXT2:
+        return _compared(name, ld.prime, *_check_sym3_ext2(ld))
+    return _compared(name, ld.prime, *_check_tensor_ext2(ld, chi))
+
+
+def _require_inputs(
+    name: Identity,
+    source: Optional[Source],
+    chi: Optional[AntiCycChar],
+    factor: Optional[LocalFactor] = None,
+) -> None:
+    missing = []
+    if source is None and factor is None and name is not Identity.SYM2_IND:
+        missing.append("a curve or newform source")
+    if chi is None and name in (Identity.SYM2_IND, Identity.TENSOR_EXT2):
+        missing.append("a character")
+    if missing:
+        raise InputError(f"{name.value} needs " + " and ".join(missing))
 
 
 def verify_identity(
@@ -209,57 +256,17 @@ def verify_identity(
     factor: Optional[LocalFactor] = None,
 ) -> ReportEntry:
     """Check one identity at one prime; failures and skips are report rows."""
-    ident = name.value
-    if name is Identity.TENSOR_SQ:
-        if factor is None:
-            if source is None:
-                raise InputError("tensor-square needs a factor or a source")
-            regime = _gl2_regime(source, p)
-            if regime != "good":
-                return ReportEntry(p, ident, Status.SKIPPED, f"skipped ({regime} reduction)")
-            factor = local_factor_gl2(source, p)
-        elif factor.prime != p:
-            raise InputError(f"factor is at prime {factor.prime}, entry requested at {p}")
-        lhs, rhs = _check_tensor_square(factor)
-    elif name is Identity.SYM3_EXT2:
-        if source is None:
-            raise InputError("sym3-ext2 needs a curve or newform source")
-        regime = _gl2_regime(source, p)
-        if regime != "good":
-            return ReportEntry(p, ident, Status.SKIPPED, f"skipped ({regime} reduction)")
-        lhs, rhs = _check_sym3_ext2(local_factor_gl2(source, p))
-    elif name is Identity.SYM2_IND:
-        if chi is None:
-            raise InputError("sym2-ind needs a character")
-        if splitting(chi.field, p) is Splitting.RAMIFIED:
-            return ReportEntry(p, ident, Status.SKIPPED, "skipped (ramified in K)")
-        lhs, rhs = _check_sym2_ind(chi, p)
-    elif name is Identity.TENSOR_EXT2:
-        if source is None or chi is None:
-            raise InputError("tensor-ext2 needs a source and a character")
-        regime = _gl2_regime(source, p)
-        if regime != "good":
-            return ReportEntry(p, ident, Status.SKIPPED, f"skipped ({regime} reduction)")
-        if splitting(chi.field, p) is Splitting.RAMIFIED:
-            return ReportEntry(p, ident, Status.SKIPPED, "skipped (ramified in K)")
-        lhs, rhs = _check_tensor_ext2(local_factor_gl2(source, p), chi, p)
-    else:
+    if not isinstance(name, Identity):
         raise InputError(f"unknown identity {name!r}")
-    status = Status.OK if lhs == rhs else Status.FAIL
-    return ReportEntry(p, ident, status, "" if status is Status.OK else "exact mismatch", lhs, rhs)
-
-
-def _run_prime_tasks(
-    tasks: Sequence[Tuple[int, Callable[[], List[ReportEntry]]]], jobs: int
-) -> List[ReportEntry]:
-    """Run per-prime closures, possibly concurrently; merge in prime order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda task: (task[0], task[1]()), tasks))
-    else:
-        results = [(p, fn()) for p, fn in tasks]
-    results.sort(key=lambda item: item[0])
-    return [entry for _, entries in results for entry in entries]
+    _require_inputs(name, source, chi, factor)
+    if name is Identity.SYM2_IND:
+        return _sym2_ind_entry(chi, p, _ramified(chi, p), induced_factor(chi, p))
+    if name is Identity.TENSOR_SQ and factor is not None:
+        if factor.prime != p:
+            raise InputError(f"factor is at prime {factor.prime}, entry requested at {p}")
+        return _compared(name, p, *_check_tensor_square(factor))
+    twist = chi if name is Identity.TENSOR_EXT2 else None
+    return _identity_entry(name, local_data(source, twist, p), twist)
 
 
 def identity_report(
@@ -268,14 +275,12 @@ def identity_report(
     *,
     source: Optional[Source] = None,
     chi: Optional[AntiCycChar] = None,
-    jobs: int = 1,
 ) -> VerifyReport:
     """Run one identity at every prime p <= pmax."""
-    tasks = [
-        (p, (lambda pp=p: [verify_identity(name, pp, source=source, chi=chi)]))
-        for p in primes_upto(pmax)
-    ]
-    return VerifyReport(tuple(_run_prime_tasks(tasks, jobs)))
+    _require_inputs(name, source, chi)
+    return VerifyReport(
+        tuple(verify_identity(name, p, source=source, chi=chi) for p in primes_upto(pmax))
+    )
 
 
 def ap_match_report(curve: CurveData, newform: NewformData, pmax: Optional[int] = None) -> VerifyReport:
@@ -412,24 +417,21 @@ def _source_label(source: Source) -> str:
     return f"newform k={source.weight} N={source.level}"
 
 
-def _source_weight_and_level(source: Source) -> Tuple[int, int]:
-    """(classical weight k, conductor N); curves may need N derived."""
-    if isinstance(source, NewformData):
-        return source.weight, source.level
-    if source.conductor is not None:
-        return 2, source.conductor
-    # minimal model contract: conductor exponent is 1 at multiplicative
-    # primes; anything additive needs the caller to supply N
-    n = 1
-    for p, _ in factorize(abs(source.discriminant)):
-        red = reduction_at(source, p)
-        if red.kind is ReductionKind.ADDITIVE:
-            raise InputError(
-                "conductor required: additive reduction at "
-                f"{p} prevents deriving it from the discriminant"
-            )
-        n *= p
-    return 2, n
+def _conductor(source: Source) -> int:
+    """Conductor N of the source; curves may need it derived."""
+    n = source.level if isinstance(source, NewformData) else source.conductor
+    if n is None:
+        # minimal model contract: conductor exponent is 1 at multiplicative
+        # primes; anything additive needs the caller to supply N
+        n = 1
+        for p, _ in factorize(abs(source.discriminant)):
+            if reduction_at(source, p).regime == "additive":
+                raise InputError(
+                    "conductor required: additive reduction at "
+                    f"{p} prevents deriving it from the discriminant"
+                )
+            n *= p
+    return n
 
 
 def _iwahori_note(m: int) -> str:
@@ -447,11 +449,10 @@ def predict_siegel(
     source: Source,
     chi: Optional[AntiCycChar] = None,
     pmax: int = 50,
-    jobs: int = 1,
 ) -> SiegelPrediction:
     """Bundle the predicted genus-2 Siegel form data for a symmetric-cube
     transfer (no character) or a twisted-tensor transfer (with character)."""
-    k, conductor = _source_weight_and_level(source)
+    k, conductor = source.weight, _conductor(source)
     character = source.character if isinstance(source, NewformData) else CharacterKind.TRIVIAL
     notes: List[str] = []
     if chi is None:
@@ -475,44 +476,25 @@ def predict_siegel(
     spin: Dict[int, LocalFactor] = {}
     std: Dict[int, LocalFactor] = {}
     entries: List[ReportEntry] = []
-
-    def sym3_tasks(p: int) -> List[ReportEntry]:
-        out = []
-        regime = _gl2_regime(source, p)
-        eta_p = local_factor_gl2(source, p)
-        pi_p = plethysm(eta_p, Functor.SYM3)
-        spin[p] = pi_p
-        out.append(verify_identity(Identity.SYM3_EXT2, p, source=source))
-        if regime == "good":
-            out.append(verify_identity(Identity.TENSOR_SQ, p, factor=pi_p))
-            std[p] = degree5_factor(pi_p)
-            out.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
+    regimes = set()
+    for p in primes_upto(pmax):
+        ld = local_data(source, chi, p)
+        regimes.add(ld.regime)
+        if chi is None:
+            entries.append(_identity_entry(Identity.SYM3_EXT2, ld, None))
         else:
-            out.append(ReportEntry(p, "r5-extract", Status.SKIPPED, f"skipped ({regime} reduction)"))
-        return out
-
-    def tensor_tasks(p: int) -> List[ReportEntry]:
-        out = []
-        regime = _gl2_regime(source, p)
-        ram = splitting(chi.field, p) is Splitting.RAMIFIED
-        out.append(verify_identity(Identity.SYM2_IND, p, chi=chi))
-        out.append(verify_identity(Identity.TENSOR_EXT2, p, source=source, chi=chi))
-        if regime == "good" and not ram:
-            pi_p = combine(local_factor_gl2(source, p), induced_factor(chi, p), CombineMode.TENSOR)
-            spin[p] = pi_p
-            out.append(verify_identity(Identity.TENSOR_SQ, p, factor=pi_p))
-            std[p] = degree5_factor(pi_p)
-            out.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
+            entries.append(_sym2_ind_entry(chi, p, ld.ramified, ld.ind))
+            entries.append(_identity_entry(Identity.TENSOR_EXT2, ld, chi))
+        if ld.spin is not None:
+            spin[p] = ld.spin
+        if ld.skip:
+            entries.append(ReportEntry(p, "r5-extract", Status.SKIPPED, ld.skip))
         else:
-            reason = "ramified in K" if ram else f"{regime} reduction"
-            out.append(ReportEntry(p, "r5-extract", Status.SKIPPED, f"skipped ({reason})"))
-        return out
+            entries.append(verify_identity(Identity.TENSOR_SQ, p, factor=ld.spin))
+            std[p] = degree5_factor(ld.spin)
+            entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 
-    worker = sym3_tasks if chi is None else tensor_tasks
-    tasks = [(p, (lambda pp=p: worker(pp))) for p in primes_upto(pmax)]
-    entries = _run_prime_tasks(tasks, jobs)
-
-    if transfer == "sym3" and any(e.reason.endswith("(multiplicative reduction)") for e in entries):
+    if transfer == "sym3" and "multiplicative" in regimes:
         notes.append(
             "level at multiplicative primes follows the squarefree rule (exponent 1); the "
             "symmetric-cube Weil-Deligne parameter classically has conductor exponent 3 "
@@ -661,19 +643,15 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
 
 def gl2_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
     """Degree-2 Euler product of the curve/newform, all p <= pmax."""
-    k = 2 if isinstance(source, CurveData) else source.weight
-    factors = {p: local_factor_gl2(source, p) for p in primes_upto(pmax)}
-    return LObject(label or _source_label(source), k - 1, factors)
+    factors = {p: local_data(source, None, p).eta for p in primes_upto(pmax)}
+    return LObject(label or _source_label(source), source.weight - 1, factors)
 
 
 def sym3_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
     """Symmetric-cube Euler product (degree 4); multiplicative primes carry
     the Steinberg line 1 - a_p T, additive primes the trivial factor."""
-    k = 2 if isinstance(source, CurveData) else source.weight
-    factors = {
-        p: plethysm(local_factor_gl2(source, p), Functor.SYM3) for p in primes_upto(pmax)
-    }
-    return LObject(label or f"sym3({_source_label(source)})", 3 * (k - 1), factors)
+    factors = {p: local_data(source, None, p).spin for p in primes_upto(pmax)}
+    return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors)
 
 
 def tensor_object(
@@ -682,16 +660,11 @@ def tensor_object(
     """Tensor Euler product (degree 4).  Local data is unspecified at bad or
     ramified primes; those factors are set to 1, i.e. dropped from the
     product."""
-    k = 2 if isinstance(source, CurveData) else source.weight
-    weight = (k - 1) + chi.weight
+    weight = (source.weight - 1) + chi.weight
     factors = {}
     for p in primes_upto(pmax):
-        if _gl2_regime(source, p) == "good" and splitting(chi.field, p) is not Splitting.RAMIFIED:
-            factors[p] = combine(
-                local_factor_gl2(source, p), induced_factor(chi, p), CombineMode.TENSOR
-            )
-        else:
-            factors[p] = one(p, 4, weight)
+        ld = local_data(source, chi, p)
+        factors[p] = ld.spin if ld.spin is not None else one(p, 4, weight)
     return LObject(label or f"{_source_label(source)} x chi", weight, factors)
 
 
@@ -704,24 +677,17 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     operation chains; at bad primes both sides carry the same factor by
     construction (the identity is an unramified statement).
     """
-    k = 2 if isinstance(source, CurveData) else source.weight
-    j = k - 1
     lhs_factors = {}
     rhs_factors = {}
     for p in primes_upto(bound):
-        eta_p = local_factor_gl2(source, p)
-        lhs_p = plethysm(plethysm(eta_p, Functor.SYM3), Functor.EXT2)
-        lhs_factors[p] = lhs_p
-        if _gl2_regime(source, p) == "good":
-            rhs_factors[p] = combine(
-                tate_twist(plethysm(eta_p, Functor.SYM4), j),
-                tate_factor(p, 3 * j, weight=6 * j),
-                CombineMode.SUM,
-            )
+        ld = local_data(source, None, p)
+        if ld.regime == "good":
+            lhs_factors[p], rhs_factors[p] = _check_sym3_ext2(ld)
         else:
-            rhs_factors[p] = lhs_p
+            lhs_factors[p] = rhs_factors[p] = plethysm(ld.spin, Functor.EXT2)
     label = _source_label(source)
+    weight = 6 * (source.weight - 1)
     return (
-        LObject(f"ext2(sym3({label}))", 6 * j, lhs_factors),
-        LObject(f"sym4({label}) twisted * tate", 6 * j, rhs_factors),
+        LObject(f"ext2(sym3({label}))", weight, lhs_factors),
+        LObject(f"sym4({label}) twisted * tate", weight, rhs_factors),
     )

@@ -172,3 +172,20 @@ def test_curve_inline_json(capsys):
     code = main(["ap", "--curve", '{"a": [0, -1, 1, 0, 0], "conductor": 11}', "--p", "7"])
     out = capsys.readouterr().out
     assert code == 0 and "a_7 = -2" in out
+
+
+def test_level_contradicting_model_rejected(capsys):
+    # 11a3 scaled by u = 2 is not minimal at 2; the conductor 11 says so
+    scaled = "0,-4,8,0,0,11"
+    code, out, err = run(capsys, "predict", "--curve", scaled, "--pmax", "7")
+    assert code == 2 and out == "" and "p=2" in err
+    code, out, err = run(capsys, "ap", "--curve", scaled, "--p", "2")
+    assert code == 2 and out == "" and "p=2" in err
+
+
+def test_verify_missing_inputs_without_primes(capsys):
+    # the check fires before any prime, so also when --pmax leaves none
+    code, _, err = run(capsys, "verify", "--identity", "tensor-ext2", "--curve", CURVE, "--pmax", "1")
+    assert code == 2 and "character" in err
+    code, _, err = run(capsys, "verify", "--identity", "sym3-ext2", "--D", "-4", "--m", "2")
+    assert code == 2 and "source" in err

@@ -19,10 +19,18 @@ from siegellift import (
 from siegellift.errors import (
     BadPrimeError,
     EigenfileError,
+    InputError,
     MissingEigenvalueError,
+    NonMinimalModelError,
     SingularModelError,
 )
-from siegellift.modform import RamanujanBoundWarning, invariants_of_raw, reduction_at
+from siegellift.modform import (
+    CharacterKind,
+    NewformData,
+    RamanujanBoundWarning,
+    invariants_of_raw,
+    reduction_at,
+)
 from siegellift._primes import primes_upto
 
 
@@ -221,3 +229,63 @@ def test_curve_json_interface():
     assert CurveData.from_json(curve.to_json()) == curve
     with pytest.raises(SingularModelError):
         CurveData.from_json({"a": [0, 0, 0, 0, 0]})
+
+
+# ---------------------------------------------------------------------------
+# a supplied conductor or level must agree with the local data
+
+
+def test_scaled_model_with_conductor_rejected():
+    # 11a3 scaled by u = 2: not minimal at 2, where it reduces to a cusp
+    curve = CurveData(0, -4, 8, 0, 0, conductor=11)
+    with pytest.raises(NonMinimalModelError, match="p=2"):
+        reduction_at(curve, 2)
+    with pytest.raises(NonMinimalModelError, match="p=2"):
+        local_factor_gl2(curve, 2)
+    # without a conductor there is nothing to contradict
+    assert reduction_at(CurveData(0, -4, 8, 0, 0), 2).kind is ReductionKind.ADDITIVE
+
+
+def test_multiplicative_prime_must_divide_conductor_once():
+    for n in (1, 121, 11 * 11 * 3):
+        with pytest.raises(NonMinimalModelError, match="p=11"):
+            reduction_at(CurveData(0, -1, 1, 0, 0, conductor=n), 11)
+
+
+def test_good_prime_must_not_divide_conductor():
+    curve = CurveData(0, -1, 1, 0, 0, conductor=22)
+    with pytest.raises(InputError, match="p=2") as info:
+        reduction_at(curve, 2)
+    assert not isinstance(info.value, NonMinimalModelError)
+    assert reduction_at(curve, 11).ap == 1  # the other primes still agree
+
+
+def test_additive_prime_with_square_in_conductor_accepted():
+    curve = CurveData(0, 0, 0, 0, 2, conductor=36)
+    assert reduction_at(curve, 2).kind is ReductionKind.ADDITIVE
+    assert reduction_at(curve, 3).kind is ReductionKind.ADDITIVE
+
+
+def test_newform_steinberg_eigenvalue_checked():
+    assert reduction_at(NewformData(2, 11, eigenvalues={11: 1}), 11).regime == "multiplicative"
+    assert reduction_at(NewformData(4, 5, eigenvalues={5: -5}), 5).ap == -5
+    with pytest.raises(EigenfileError, match="a_11"):
+        reduction_at(NewformData(2, 11, eigenvalues={11: 2}), 11)
+    with pytest.raises(EigenfileError, match="a_5"):
+        local_factor_gl2(NewformData(4, 5, eigenvalues={5: 1}), 5)
+
+
+def test_newform_square_level_needs_zero_eigenvalue():
+    assert reduction_at(NewformData(2, 49, eigenvalues={7: 0}), 7).regime == "additive"
+    assert local_factor_gl2(NewformData(2, 49), 7).coeffs == (1, 0, 0)
+    with pytest.raises(EigenfileError, match="a_7"):
+        reduction_at(NewformData(2, 49, eigenvalues={7: 1}), 7)
+
+
+def test_newform_check_skips_primes_of_the_nebentypus():
+    # the delta character of Q(sqrt(-7)) is ramified at 7, where a_7 has
+    # absolute value 7^((k-1)/2); only the other primes are checked
+    form = NewformData(3, 7, CharacterKind.DELTA, -7, eigenvalues={7: -7, 2: 1})
+    assert reduction_at(form, 7).ap == -7
+    with pytest.raises(EigenfileError, match="a_3"):
+        reduction_at(NewformData(3, 147, CharacterKind.DELTA, -7, eigenvalues={3: 1}), 3)

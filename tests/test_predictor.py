@@ -2,6 +2,7 @@
 Dirichlet expansion."""
 
 import math
+import pickle
 
 import pytest
 
@@ -25,13 +26,16 @@ from siegellift import (
     eval_partial,
     gl2_object,
     identity_report,
+    induced_factor,
     lambda2_sym3_objects,
+    local_data,
     level,
     local_factor_gl2,
     plethysm,
     predict_siegel,
     sym3_object,
     tate_factor,
+    tensor_object,
     verify_identity,
 )
 from siegellift.errors import (
@@ -43,6 +47,7 @@ from siegellift.errors import (
     UnitCompatibilityError,
     UnsupportedLevelError,
 )
+from siegellift.localfactor import one
 from siegellift.predictor import ap_match_report
 from siegellift._primes import primes_upto
 from siegellift.modform import parse_eigenfile
@@ -101,9 +106,9 @@ def test_tensor_square_formal(curve_11a1):
 
 
 def test_identity_report_jobs_deterministic(curve_11a1):
-    serial = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1, jobs=1)
-    threaded = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1, jobs=4)
-    assert serial == threaded
+    serial = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1)
+    again = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1)
+    assert serial == again
     primes = [e.prime for e in serial.entries]
     assert primes == sorted(primes)
 
@@ -113,6 +118,15 @@ def test_verify_identity_needs_inputs(curve_11a1):
         verify_identity(Identity.SYM2_IND, 5)
     with pytest.raises(InputError):
         verify_identity(Identity.TENSOR_EXT2, 5, source=curve_11a1)
+
+
+def test_identity_report_needs_inputs_without_primes(curve_11a1, chi_gauss):
+    # checked once, before any prime: pmax = 1 leaves none
+    with pytest.raises(InputError):
+        identity_report(Identity.SYM3_EXT2, 1, chi=chi_gauss)
+    with pytest.raises(InputError):
+        identity_report(Identity.TENSOR_EXT2, 1, source=curve_11a1)
+    assert identity_report(Identity.SYM2_IND, 1, chi=chi_gauss).entries == ()
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +368,50 @@ def test_ap_match(curve_11a1, delta_path, tmp_path):
 
     with pytest.raises(InputError):
         ap_match_report(curve_11a1, parse_eigenfile(delta_path))  # weight 12 table
+
+
+# ---------------------------------------------------------------------------
+# every consumer reads the same local data
+
+
+def _sources(delta_form):
+    curve = CurveData(0, -1, 1, 0, 0, conductor=11)
+    return {
+        "11a3": (curve, None),
+        "delta": (delta_form, None),
+        "11a3 x chi(-4, 2)": (curve, AntiCycChar(ImagQuadField(-4), 2)),
+        "additive, no conductor": (CurveData(0, 0, 0, 0, 2), None),  # y^2 = x^3 + 2
+    }
+
+
+@pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)", "additive, no conductor"])
+def test_consumers_agree(delta_form, name):
+    source, chi = _sources(delta_form)[name]
+    record = local_data(source, chi, 5)
+    assert pickle.loads(pickle.dumps(record)) == record
+    pmax = 100
+    primes = primes_upto(pmax)
+    etas = {p: local_factor_gl2(source, p) for p in primes}
+    assert gl2_object(source, pmax).factors == etas
+    if name == "additive, no conductor":
+        assert etas[2].coeffs == etas[3].coeffs == (1, 0, 0)
+        with pytest.raises(InputError):
+            predict_siegel(source, pmax=pmax)
+        spins = {p: plethysm(etas[p], Functor.SYM3) for p in primes}
+    else:
+        spins = predict_siegel(source, chi, pmax=pmax).spin_factors
+    if chi is None:
+        assert sym3_object(source, pmax).factors == spins
+        lhs, rhs = lambda2_sym3_objects(source, pmax)
+        assert lhs.factors == rhs.factors
+        for p in primes:
+            if local_data(source, None, p).regime != "good":
+                assert lhs.factors[p] == plethysm(spins[p], Functor.EXT2)
+    else:
+        obj = tensor_object(source, chi, pmax)
+        bad = [p for p in primes if p not in spins]
+        assert bad == [2, 11]  # ramified in Q(i), bad for the curve
+        for p in primes:
+            assert obj.factors[p] == spins.get(p, one(p, 4, obj.weight))
+            if p not in bad:
+                assert spins[p] == combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR)
