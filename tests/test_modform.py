@@ -234,7 +234,6 @@ def test_curve_json_interface():
 # ---------------------------------------------------------------------------
 # a supplied conductor or level must agree with the local data
 
-
 def test_scaled_model_with_conductor_rejected():
     # 11a3 scaled by u = 2: not minimal at 2, where it reduces to a cusp
     curve = CurveData(0, -4, 8, 0, 0, conductor=11)

@@ -373,7 +373,6 @@ def test_ap_match(curve_11a1, delta_path, tmp_path):
 # ---------------------------------------------------------------------------
 # every consumer reads the same local data
 
-
 def _sources(delta_form):
     curve = CurveData(0, -1, 1, 0, 0, conductor=11)
     return {
