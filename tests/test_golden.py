@@ -53,6 +53,25 @@ GOLDEN = {
     ],
     "factor_delta.csv": ["factor", *DELTA, "--pmax", "50", "--format", "csv"],
     "sym3_delta.csv": ["sym3", *DELTA, "--pmax", "50", "--format", "csv"],
+    "ap_11a3.txt": ["ap", *CURVE, "--pmax", "50"],
+    "ap_11a3.json": ["ap", *CURVE, "--pmax", "50", "--format", "json"],
+    "ap_11a3.csv": ["ap", *CURVE, "--pmax", "50", "--format", "csv"],
+    "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
+    "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
+    "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
+    "induce_D-7_m2.json": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "json"],
+    "verify_11a3_sym3-ext2.json": [
+        "verify", "--identity", "sym3-ext2", *CURVE, "--pmax", "50", "--format", "json",
+    ],
+    "verify_11a3_tensor-square.json": [
+        "verify", "--identity", "tensor-square", *CURVE, "--pmax", "50", "--format", "json",
+    ],
+    "verify_11a3_sym2-ind_D-4_m2.json": [
+        "verify", "--identity", "sym2-ind", *CURVE, *CHI, "--pmax", "50", "--format", "json",
+    ],
+    "verify_11a3_tensor-ext2_D-4_m2.json": [
+        "verify", "--identity", "tensor-ext2", *CURVE, *CHI, "--pmax", "50", "--format", "json",
+    ],
 }
 
 
