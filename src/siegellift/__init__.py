@@ -4,7 +4,7 @@ From an elliptic curve over Q or a newform eigenvalue table (optionally
 twisted through an imaginary quadratic field), compute and verify the
 predicted spin (degree-4) and standard (degree-5) Euler factors, levels
 and archimedean types of the associated holomorphic genus-2 Siegel cusp
-forms -- everything in exact big-integer/rational arithmetic.
+forms -- everything in exact big-integer arithmetic.
 """
 
 from .archimedean import ArchParam, Classification, SiegelKind, classify, ext2_arch

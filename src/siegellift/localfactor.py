@@ -9,8 +9,11 @@ representation: P(T) = prod_j (1 - alpha_j T).  Everything is exact
 (arithmetic normalization): a pure factor of motivic weight w has inverse
 roots of absolute value p^(w/2), so its coefficients are plain integers and
 purity is a checkable coefficient symmetry, never a floating-point
-statement.  The algebra runs on Python ints; a ``Fraction`` appears only
-where a division leaves a remainder, which integral inputs never cause.
+statement.  Coefficients are Python ints and nothing else: a coefficient
+of any other type is rejected, and a division that leaves a remainder
+raises ``InputError``.  Only values from outside the package can cause
+one: power sums that are not those of an integral polynomial, or a
+negative Tate twist whose power of p does not divide the coefficients.
 
 The single internal intermediate is the sequence of power sums
 s_m = sum_j alpha_j^m.  Newton's identities convert both ways:
@@ -20,9 +23,9 @@ s_m = sum_j alpha_j^m.  Newton's identities convert both ways:
 
 Direct sums multiply polynomials (power sums add), tensor products
 multiply power sums, and the plethysm functors are cycle-index
-polynomials evaluated at s_{jm}.  For integral inputs the divisions by k
-below and by 2, 6, 24 are exact (power sums of algebraic integers are
-integers; Macdonald, Symmetric Functions, I.2 and I.8):
+polynomials evaluated at s_{jm}.  The divisions by k below and by 2, 6,
+24 are exact, since the inverse roots are algebraic integers (their power
+sums are integers; Macdonald, Symmetric Functions, I.2 and I.8):
 
     Sym^2: (s_m^2 + s_{2m}) / 2          Lambda^2: (s_m^2 - s_{2m}) / 2
     Sym^3: (s_m^3 + 3 s_m s_{2m} + 2 s_{3m}) / 6
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._primes import is_prime
@@ -49,29 +51,12 @@ from .errors import (
     WeightMismatchError,
 )
 
-Coeff = Union[int, Fraction]
-
-
-def _exact(value: Coeff) -> Coeff:
-    """Normalize integral Fractions back to int."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return value
-    return int(value)
-
-
-def _div(a: Coeff, k: int) -> Coeff:
-    """Exact a / k: the int quotient when k divides a, else the Fraction."""
+def _div(a: int, k: int) -> int:
+    """Exact a / k; a remainder means the input was not integral."""
     q, r = divmod(a, k)
-    return q if r == 0 else Fraction(a) / k
-
-
-def _pow(p: int, j: int) -> Coeff:
-    """Exact p^j: an int for j >= 0, a Fraction below (``p**j`` is a float)."""
-    return p**j if j >= 0 else Fraction(p) ** j
+    if r:
+        raise InputError(f"division by {k} leaves a remainder: the result is not integral")
+    return q
 
 
 class CombineMode(Enum):
@@ -102,8 +87,9 @@ _FUNCTOR_WEIGHT = {Functor.SYM2: 2, Functor.EXT2: 2, Functor.SYM3: 3, Functor.SY
 class LocalFactor:
     """Reciprocal Euler polynomial at a prime, with a motivic-weight ledger.
 
-    ``coeffs`` has length degree+1 and starts with 1; trailing zeros mark a
-    degenerate factor whose honest degree is ``effective_degree``.
+    ``coeffs`` has length degree+1, holds ints only and starts with 1;
+    trailing zeros mark a degenerate factor whose honest degree is
+    ``effective_degree``.
     """
 
     prime: int
@@ -113,7 +99,12 @@ class LocalFactor:
     def __post_init__(self):
         if not is_prime(self.prime):
             raise InputError(f"{self.prime} is not prime")
-        coeffs = tuple(_exact(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        bad = [c for c in coeffs if type(c) is not int]
+        if bad:
+            raise InputError(
+                f"local factor coefficients must be int, got {type(bad[0]).__name__} {bad[0]!r}"
+            )
         if not coeffs or coeffs[0] != 1:
             raise InputError("constant coefficient of a local factor must be 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -128,10 +119,6 @@ class LocalFactor:
             if self.coeffs[i] != 0:
                 return i
         return 0
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     def __str__(self):
         terms = ["1"]
@@ -155,7 +142,10 @@ class LocalFactor:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalFactor":
-        coeffs = tuple(Fraction(c) for c in data["coeffs"])
+        try:
+            coeffs = tuple(int(c) if isinstance(c, str) else c for c in data["coeffs"])
+        except ValueError:
+            raise InputError(f"non-integer coefficient in {data['coeffs']!r}") from None
         return cls(int(data["p"]), int(data["weight"]), coeffs)
 
 
@@ -165,9 +155,6 @@ class PowerSums:
 
     prime: int
     values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_exact(v) for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -188,8 +175,8 @@ def one(p: int, degree: int = 0, weight: int = 0) -> LocalFactor:
 
 
 def tate_factor(p: int, j: int, weight: Optional[int] = None) -> LocalFactor:
-    """Degree-1 factor 1 - p^j T.  Pure of weight 2j unless overridden."""
-    return LocalFactor(p, 2 * j if weight is None else weight, (1, -_pow(p, j)))
+    """Degree-1 factor 1 - p^j T, j >= 0.  Pure of weight 2j unless overridden."""
+    return LocalFactor(p, 2 * j if weight is None else weight, (1, -(p**j)))
 
 
 def power_sums(f: LocalFactor, count: int) -> PowerSums:
@@ -197,7 +184,7 @@ def power_sums(f: LocalFactor, count: int) -> PowerSums:
     if count < 1:
         raise InputError("power_sums needs count >= 1")
     c, d = f.coeffs, f.degree
-    s: list[Coeff] = []
+    s: list[int] = []
     for k in range(1, count + 1):
         acc = -k * c[k] if k <= d else 0
         for i in range(1, min(k, d + 1)):
@@ -207,13 +194,17 @@ def power_sums(f: LocalFactor, count: int) -> PowerSums:
 
 
 def from_power_sums(
-    p: int, degree: int, sums: Union[PowerSums, Sequence[Coeff]], weight: int = 0
+    p: int, degree: int, sums: Union[PowerSums, Sequence[int]], weight: int = 0
 ) -> LocalFactor:
-    """Inverse of :func:`power_sums`; needs at least ``degree`` power sums."""
+    """Inverse of :func:`power_sums`; needs at least ``degree`` power sums.
+
+    Raises ``InputError`` when the sums are not those of an integral
+    polynomial (a division by k leaves a remainder).
+    """
     values = sums.values if isinstance(sums, PowerSums) else tuple(sums)
     if len(values) < degree:
         raise DegreeError(f"need {degree} power sums, got {len(values)}")
-    c: list[Coeff] = [1]
+    c: list[int] = [1]
     for k in range(1, degree + 1):
         acc = values[k - 1]
         for i in range(1, k):
@@ -222,24 +213,15 @@ def from_power_sums(
     return LocalFactor(p, weight, tuple(c))
 
 
-def _poly_mul(a: Sequence[Coeff], b: Sequence[Coeff]) -> list[Coeff]:
-    out: list[Coeff] = [0] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out: list[int] = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
             if y != 0:
                 out[i + j] += x * y
-    return [_exact(v) for v in out]
-
-
-def _check_integral(result: LocalFactor, *sources: LocalFactor) -> LocalFactor:
-    # Plethysm/sum/tensor of integral factors is integral (companion-matrix
-    # construction); a violation here is an internal bug, not bad input.
-    # Raised explicitly so that it also holds under ``python -O``.
-    if all(f.is_integral for f in sources) and not result.is_integral:
-        raise AssertionError(f"integrality lost: {result.coeffs}")
-    return result
+    return out
 
 
 def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
@@ -254,7 +236,7 @@ def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
         coeffs = _poly_mul(a.coeffs, b.coeffs)
         # pad in case both operands carried trailing zeros
         coeffs += [0] * (a.degree + b.degree + 1 - len(coeffs))
-        return _check_integral(LocalFactor(a.prime, a.weight, tuple(coeffs)), a, b)
+        return LocalFactor(a.prime, a.weight, tuple(coeffs))
     if mode is CombineMode.TENSOR:
         d = a.degree * b.degree
         if d == 0:
@@ -262,9 +244,7 @@ def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
         sa = power_sums(a, d).values
         sb = power_sums(b, d).values
         mixed = [x * y for x, y in zip(sa, sb)]
-        return _check_integral(
-            from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight), a, b
-        )
+        return from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight)
     raise InputError(f"unknown combine mode {mode!r}")
 
 
@@ -284,7 +264,7 @@ def plethysm(f: LocalFactor, functor: Functor) -> LocalFactor:
         return LocalFactor(f.prime, weight, (1,))
     need = d_out * _FUNCTOR_WEIGHT[functor]
     s = (0,) + power_sums(f, need).values
-    out: list[Coeff] = []
+    out: list[int] = []
     for m in range(1, d_out + 1):
         if functor is Functor.SYM2:
             val = _div(s[m] ** 2 + s[2 * m], 2)
@@ -302,13 +282,17 @@ def plethysm(f: LocalFactor, functor: Functor) -> LocalFactor:
                 24,
             )
         out.append(val)
-    return _check_integral(from_power_sums(f.prime, d_out, out, weight=weight), f)
+    return from_power_sums(f.prime, d_out, out, weight=weight)
 
 
 def tate_twist(f: LocalFactor, j: int) -> LocalFactor:
-    """Substitute T -> p^j T: c_i -> c_i p^(ij), weight -> weight + 2j."""
-    q = _pow(f.prime, j)
-    coeffs = tuple(c * q**i for i, c in enumerate(f.coeffs))
+    """Substitute T -> p^j T: c_i -> c_i p^(ij), weight -> weight + 2j.
+
+    A negative j divides c_i by p^(i|j|) and raises ``InputError`` unless
+    every division is exact, so ``tate_twist(tate_twist(f, j), -j) == f``.
+    """
+    q = f.prime ** abs(j)
+    coeffs = tuple(c * q**i if j >= 0 else _div(c, q**i) for i, c in enumerate(f.coeffs))
     return LocalFactor(f.prime, f.weight + 2 * j, coeffs)
 
 
@@ -323,7 +307,7 @@ def exact_divide(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     if b.degree > a.degree:
         raise DegreeError("divisor degree exceeds dividend degree")
     d_q = a.degree - b.degree
-    q: list[Coeff] = []
+    q: list[int] = []
     for k in range(d_q + 1):
         acc = a.coeffs[k]
         for i in range(1, min(k, b.degree) + 1):

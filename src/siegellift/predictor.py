@@ -472,6 +472,10 @@ def predict_siegel(
         m_level = level(LevelRule.TWIST, conductor, conductor_ind(chi))
         # the induction of chi is the parameter of a weight (2m+1) newform
         arch = tensor_arch(from_newform(k), from_newform(chi.weight + 1))
+    if isinstance(source, CurveData):
+        # the level uses every prime of N, so check N there, not only up to pmax
+        for p, _ in factorize(conductor):
+            reduction_at(source, p)
 
     spin: Dict[int, LocalFactor] = {}
     std: Dict[int, LocalFactor] = {}
@@ -544,16 +548,16 @@ class LObject:
         return max((f.degree for f in self.factors.values()), default=1)
 
 
-def _inverse_series(f: LocalFactor, terms: int) -> List:
+def _inverse_series(f: LocalFactor, terms: int) -> List[int]:
     """Coefficients of 1/P(T) up to T^(terms-1) (geometric recursion)."""
     c = f.coeffs
-    b: List = [1]
+    b: List[int] = [1]
     for j in range(1, terms):
         acc = 0
         for i in range(1, min(j, f.degree) + 1):
             acc -= c[i] * b[j - i]
         b.append(acc)
-    return [int(v) if v.denominator == 1 else v for v in b]
+    return b
 
 
 def dirichlet_coeffs(obj: LObject, bound: int):

@@ -183,6 +183,12 @@ def test_level_contradicting_model_rejected(capsys):
     assert code == 2 and out == "" and "p=2" in err
 
 
+def test_conductor_checked_beyond_pmax(capsys):
+    # 11a3 is good at 13, so N = 143 is wrong there even when --pmax stops at 7
+    code, out, err = run(capsys, "predict", "--curve", CURVE + ",143", "--pmax", "7")
+    assert code == 2 and out == "" and "p=13" in err
+
+
 def test_verify_missing_inputs_without_primes(capsys):
     # the check fires before any prime, so also when --pmax leaves none
     code, _, err = run(capsys, "verify", "--identity", "tensor-ext2", "--curve", CURVE, "--pmax", "1")

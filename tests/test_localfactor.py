@@ -1,8 +1,11 @@
 """Euler-factor algebra against brute-force root-multiset oracles."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -308,16 +311,24 @@ def test_integrality_preserved():
     rng = random.Random(5)
     for _ in range(50):
         f = LocalFactor(3, 2, (1, rng.randrange(-20, 21), rng.randrange(-20, 21)))
-        assert plethysm(f, Functor.SYM3).is_integral
-        assert plethysm(f, Functor.SYM4).is_integral
-        assert plethysm(f, Functor.EXT2).is_integral
-        assert combine(f, f, CombineMode.TENSOR).is_integral
+        for g in (
+            plethysm(f, Functor.SYM3),
+            plethysm(f, Functor.SYM4),
+            plethysm(f, Functor.EXT2),
+            combine(f, f, CombineMode.TENSOR),
+        ):
+            assert all(type(c) is int for c in g.coeffs)
 
 
-def test_rational_intermediates_allowed():
-    f = LocalFactor(2, 1, (1, Fraction(1, 2), 2))
-    assert power_sums(f, 2).values == (Fraction(-1, 2), Fraction(-15, 4))
-    assert not f.is_integral
+@pytest.mark.parametrize(
+    "value",
+    [1.0, 2.7, Fraction(1, 2), Fraction(2, 1), "1", True],
+    ids=["float", "float-fractional", "fraction", "fraction-integral", "str", "bool"],
+)
+def test_non_int_coefficient_rejected(value):
+    # neither converted nor truncated: 2.7 used to become 2
+    with pytest.raises(InputError, match="must be int"):
+        LocalFactor(2, 0, (1, value))
 
 
 def test_constant_coefficient_enforced():
@@ -330,34 +341,40 @@ def test_json_roundtrip():
     assert LocalFactor.from_json(f.to_json()) == f
 
 
-def test_from_power_sums_remainder_gives_fraction():
-    # s = (1, 0): c_1 = -1, c_2 = -(0 - 1)/2 = 1/2, a remainder the int path keeps
-    f = from_power_sums(3, 2, (1, 0))
-    assert f.coeffs == (1, -1, Fraction(1, 2))
-    assert type(f.coeffs[2]) is Fraction and not f.is_integral
+@pytest.mark.parametrize("coeff", ["1/2", "0.5", "x", 2.7])
+def test_from_json_non_integer_coefficient(coeff):
+    with pytest.raises(InputError):
+        LocalFactor.from_json({"p": 2, "weight": 0, "coeffs": ["1", coeff]})
 
 
-def test_tate_twist_negative_gives_fractions():
+def test_from_power_sums_remainder_raises():
+    # s = (1, 0): c_1 = -1, c_2 = -(0 - 1)/2 = 1/2, not the sums of an integral factor
+    with pytest.raises(InputError, match="division by 2"):
+        from_power_sums(3, 2, (1, 0))
+
+
+def test_tate_twist_negative_divides_exactly():
     f = LocalFactor(5, 1, (1, -3, 5))
-    got = tate_twist(f, -1)
-    assert got.coeffs == (1, Fraction(-3, 5), Fraction(1, 5))
-    assert all(type(c) is Fraction for c in got.coeffs[1:])
-    assert tate_factor(3, -1).coeffs == (1, Fraction(-1, 3))
+    with pytest.raises(InputError, match="division by 5"):
+        tate_twist(f, -1)
+    assert tate_twist(LocalFactor(5, 3, (1, -15, 125)), -1) == f
+    with pytest.raises(InputError):
+        tate_factor(3, -1)
 
 
-def test_integrality_check_is_not_an_assert_statement(monkeypatch):
+def test_integrality_check_is_not_an_assert_statement():
     # must hold under ``python -O`` too, which strips bare asserts
-    monkeypatch.setattr(
-        localfactor, "from_power_sums",
-        lambda p, d, sums, weight=0: LocalFactor(p, weight, (1, Fraction(1, 2))),
+    src = Path(localfactor.__file__).parents[1]
+    code = "from siegellift.localfactor import from_power_sums; from_power_sums(3, 2, (1, 0))"
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=src, capture_output=True, text=True, timeout=60
     )
-    f = LocalFactor(5, 1, (1, -3))
-    with pytest.raises(AssertionError, match="integrality lost"):
-        combine(f, f, CombineMode.TENSOR)
+    assert run.returncode != 0
+    assert "InputError: division by 2" in run.stderr
 
 
 # ---------------------------------------------------------------------------
-# differential test: the int-first library against a Fraction-only oracle
+# differential test: the integer library against a Fraction-only oracle
 # (the Newton identities and cycle-index formulas written out in Fraction)
 
 def ref_power_sums(c, count):
@@ -462,17 +479,19 @@ def ref_purity(c, p, w):
     return (True, sign, None)
 
 
-def normalized(values):
-    return tuple(int(v) if v.denominator == 1 else v for v in map(Fraction, values))
+def assert_same(got, want):
+    """Equal coefficients, every one an int."""
+    assert tuple(got) == tuple(want)
+    assert all(type(v) is int for v in got)
 
 
-def assert_same(got, want, integral):
-    """Equal coefficients of equal type; ints only when the inputs are."""
-    want = normalized(want)
-    assert tuple(got) == want
-    assert [type(v) for v in got] == [type(v) for v in want]
-    if integral:
-        assert all(type(v) is int for v in got)
+def assert_same_or_raises(call, want):
+    """``call()`` equals the oracle when the oracle is integral, else raises."""
+    if all(Fraction(v).denominator == 1 for v in want):
+        assert_same(call(), want)
+    else:
+        with pytest.raises(InputError):
+            call()
 
 
 DIFF_PRIMES = (2, 3, 5, 7, 11, 101)
@@ -488,7 +507,7 @@ def random_factor(rng, p, degree, weight, coeff):
     return LocalFactor(p, weight, tuple(coeffs))
 
 
-def check_against_oracle(rng, coeff, integral):
+def check_against_oracle(rng, coeff):
     p = rng.choice(DIFF_PRIMES)
     d = rng.randrange(1, 5)
     f = random_factor(rng, p, d, 1, coeff)
@@ -496,21 +515,21 @@ def check_against_oracle(rng, coeff, integral):
     e2 = random_factor(rng, p, 2, 1, coeff)
     c = f.coeffs
 
-    assert_same(power_sums(f, 8).values, ref_power_sums(c, 8), integral)
+    assert_same(power_sums(f, 8).values, ref_power_sums(c, 8))
     sums = tuple(coeff() for _ in range(d))
-    assert_same(from_power_sums(p, d, sums).coeffs, ref_from_power_sums(sums, d), False)
+    assert_same_or_raises(lambda: from_power_sums(p, d, sums).coeffs, ref_from_power_sums(sums, d))
     for functor in (Functor.SYM2, Functor.EXT2):
-        assert_same(plethysm(f, functor).coeffs, ref_plethysm(c, functor), integral)
+        assert_same(plethysm(f, functor).coeffs, ref_plethysm(c, functor))
     for functor in (Functor.SYM3, Functor.SYM4):
-        assert_same(plethysm(e2, functor).coeffs, ref_plethysm(e2.coeffs, functor), integral)
-    assert_same(combine(f, g, CombineMode.TENSOR).coeffs, ref_tensor(c, g.coeffs), integral)
+        assert_same(plethysm(e2, functor).coeffs, ref_plethysm(e2.coeffs, functor))
+    assert_same(combine(f, g, CombineMode.TENSOR).coeffs, ref_tensor(c, g.coeffs))
     product = combine(f, g, CombineMode.SUM)
-    assert_same(product.coeffs, ref_sum(c, g.coeffs), integral)
-    assert_same(exact_divide(product, g).coeffs, ref_divide(product.coeffs, g.coeffs), integral)
+    assert_same(product.coeffs, ref_sum(c, g.coeffs))
+    assert_same(exact_divide(product, g).coeffs, ref_divide(product.coeffs, g.coeffs))
     j = rng.randrange(1, 4)
-    assert_same(tate_twist(f, j).coeffs, ref_twist(c, p, j), integral)
-    assert_same(tate_twist(f, -j).coeffs, ref_twist(c, p, -j), False)
-    assert_same(_inverse_series(f, 9), ref_inverse_series(c, 9), integral)
+    assert_same(tate_twist(f, j).coeffs, ref_twist(c, p, j))
+    assert_same_or_raises(lambda: tate_twist(f, -j).coeffs, ref_twist(c, p, -j))
+    assert_same(_inverse_series(f, 9), ref_inverse_series(c, 9))
     for h in (f, e2, plethysm(e2, Functor.SYM3), tate_twist(f, 1)):
         if h.degree * h.weight % 2:
             continue  # the symmetry is only defined for d * w even
@@ -521,16 +540,7 @@ def check_against_oracle(rng, coeff, integral):
 def test_integral_core_matches_fraction_oracle():
     rng = random.Random(31415)
     for _ in range(300):
-        check_against_oracle(rng, lambda: rng.randrange(-30, 31), integral=True)
-
-
-def test_rational_inputs_match_fraction_oracle():
-    rng = random.Random(27182)
-    for _ in range(60):
-        check_against_oracle(
-            rng, lambda: Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3, 4))),
-            integral=False,
-        )
+        check_against_oracle(rng, lambda: rng.randrange(-30, 31))
 
 
 def test_pure_factors_match_fraction_oracle():
@@ -540,8 +550,14 @@ def test_pure_factors_match_fraction_oracle():
         p = rng.choice(DIFF_PRIMES)
         bound = int(2 * p**0.5)
         e = LocalFactor(p, 1, (1, -rng.randrange(-bound, bound + 1), p))
-        for h in (e, plethysm(e, Functor.SYM3), plethysm(e, Functor.SYM4),
-                  tate_factor(p, rng.randrange(-2, 3))):
+        factors = [e, plethysm(e, Functor.SYM3), plethysm(e, Functor.SYM4)]
+        j = rng.randrange(-2, 3)
+        if j >= 0:
+            factors.append(tate_factor(p, j))
+        else:  # p^j is not an integer
+            with pytest.raises(InputError):
+                tate_factor(p, j)
+        for h in factors:
             rep = is_selfdual_pure(h)
             assert rep.ok
             assert (rep.ok, rep.sign, rep.failing_index) == ref_purity(h.coeffs, p, h.weight)

@@ -145,7 +145,7 @@ def test_local_factor_purity(curve_11a1):
         if p == 11:
             continue
         f = local_factor_gl2(curve_11a1, p)
-        assert f.weight == 1 and f.is_integral
+        assert f.weight == 1 and all(type(c) is int for c in f.coeffs)
         assert is_selfdual_pure(f).ok
 
 
