@@ -45,6 +45,9 @@ GOLDEN = {
     "lcoeffs_11a3_tensor_D-4_m2_X500.csv": [
         "lcoeffs", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "--format", "csv",
     ],
+    "lcoeffs_11a3_sym3_X5000.csv": [
+        "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "5000", "--format", "csv",
+    ],
     "lcoeffs_11a3_none_X500.csv": [
         "lcoeffs", *CURVE, "--transfer", "none", "--X", "500", "--format", "csv",
     ],
@@ -56,6 +59,11 @@ GOLDEN = {
     "ap_11a3.txt": ["ap", *CURVE, "--pmax", "50"],
     "ap_11a3.json": ["ap", *CURVE, "--pmax", "50", "--format", "json"],
     "ap_11a3.csv": ["ap", *CURVE, "--pmax", "50", "--format", "csv"],
+    "ap_11a3_p5000.csv": ["ap", "--curve", "0,-1,1,0,0,11", "--pmax", "5000", "--format", "csv"],
+    # 15a1 has torsion Z/4 x Z/2, so many point orders are ambiguous
+    "ap_15a1_p5000.csv": [
+        "ap", "--curve", "1,1,1,-10,-10,15", "--pmax", "5000", "--format", "csv",
+    ],
     "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
