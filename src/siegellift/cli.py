@@ -169,7 +169,12 @@ def _cmd_verify(args) -> int:
             source = _load_source(args)
         chi = _load_char(args, required=False)
         report = identity_report(ident, args.pmax, source=source, chi=chi)
-    _emit(args, _to_json(report.to_json()) if args.format == "json" else report.to_text())
+    if args.format == "json":
+        _emit(args, _to_json(report.to_json()))
+    elif args.format == "csv":
+        _emit(args, report.to_csv())
+    else:
+        _emit(args, report.to_text())
     return 0 if report.ok else 1
 
 

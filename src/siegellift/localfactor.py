@@ -146,7 +146,11 @@ class LocalFactor:
             coeffs = tuple(int(c) if isinstance(c, str) else c for c in data["coeffs"])
         except ValueError:
             raise InputError(f"non-integer coefficient in {data['coeffs']!r}") from None
-        return cls(int(data["p"]), int(data["weight"]), coeffs)
+        p, weight = data["p"], data["weight"]
+        for name, value in (("p", p), ("weight", weight)):
+            if type(value) is not int:
+                raise InputError(f"local factor {name} must be int, got {type(value).__name__} {value!r}")
+        return cls(p, weight, coeffs)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,12 @@ contract; no minimalization is performed here).  A supplied conductor is
 checked against the reduction at each prime; this rejects a model that is
 not minimal at a prime of good or multiplicative reduction, where it
 reduces to a cusp.  Good-prime Hecke eigenvalues a_p = p + 1 - #E(F_p)
-come from exhaustive point enumeration or an O(p) quadratic-character sum;
-bad primes are classified by the singular point of the reduction.
+come from point enumeration at p = 2, an O(p) quadratic-character sum up
+to p = 229, and Shanks-Mestre baby-step giant-step (about p^(1/4) group
+operations) above it, with the character sum as its fallback and test
+oracle.  Curve data must be exact integers; a float, string or bool is
+rejected, never truncated.  Bad primes are classified by the singular
+point of the reduction.
 
 Newforms of weight k >= 2 arrive as eigenvalue files:
 
@@ -26,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 from pathlib import Path
 from typing import Dict, Optional, TextIO, Tuple, Union
 
@@ -67,6 +72,12 @@ class CurveData:
     conductor: Optional[int] = None
 
     def __post_init__(self):
+        # exactly int: a float, str or bool is rejected, never truncated
+        bad = [v for v in (*self.ainvs, self.conductor) if v is not None and type(v) is not int]
+        if bad:
+            raise InputError(f"curve data must be integers, got {type(bad[0]).__name__} {bad[0]!r}")
+        if self.conductor is not None and self.conductor < 1:
+            raise InputError(f"conductor must be a positive integer, got {self.conductor}")
         if self.discriminant == 0:
             raise SingularModelError(f"singular Weierstrass model {self.ainvs}")
 
@@ -94,7 +105,7 @@ class CurveData:
         a = data.get("a")
         if not isinstance(a, (list, tuple)) or len(a) != 5:
             raise InputError('curve JSON needs "a": [a1,a2,a3,a4,a6]')
-        return cls(*(int(x) for x in a), conductor=data.get("conductor"))
+        return cls(*a, conductor=data.get("conductor"))
 
 
 def invariants_of_raw(a1, a2, a3, a4, a6):
@@ -198,10 +209,116 @@ def _ap_charsum(curve: CurveData, p: int) -> int:
     return p + 1 - (affine + 1)
 
 
+#: Up to this prime a_p comes from the character sum, which costs at most
+#: about 0.1 ms there.  It is Mestre's bound: for p > 229, E or its quadratic
+#: twist has a point whose order has a single multiple in the Hasse interval.
+_BSGS_MIN_P = 229
+#: Points tried before BSGS gives up and the character sum counts instead.
+_BSGS_POINTS = 20
+
+
+def _ec_add(p: int, a: int, P, Q):
+    # affine chord-and-tangent on y^2 = x^3 + a x + b over F_p; None is O
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(p: int, a: int, n: int, P):
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(p, a, R, P)
+        n >>= 1
+        if n:
+            P = _ec_add(p, a, P, P)
+    return R
+
+
+def _orders_in(p: int, a: int, P, low: int, high: int, m: int):
+    """Every N in [low, high] with N P = O, or None when the order of P is
+    at most 2m.  Baby steps jP (1 <= j <= m) are keyed by x, so one lookup
+    covers +-j; giant steps visit c P at the centres c of windows of width
+    2m + 1 that tile the interval.  An order above 2m puts at most one
+    solution in a window and keeps the baby x-coordinates distinct."""
+    baby = {}
+    Q = None
+    for j in range(1, m + 1):
+        Q = _ec_add(p, a, Q, P)
+        if Q is None or Q[1] == 0 or Q[0] in baby:
+            return None
+        baby[Q[0]] = (j, Q[1])
+    step = _ec_add(p, a, Q, _ec_add(p, a, Q, P))  # (2m + 1) P
+    orders = []
+    c = low + m
+    R = _ec_mul(p, a, c, P)
+    while c - m <= high:
+        if R is None:
+            orders.append(c)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            orders.append(c - j if R[1] == y else c + j)
+        R = _ec_add(p, a, R, step)
+        c += 2 * m + 1
+    return [n for n in orders if n <= high]
+
+
+def _ap_bsgs(curve: CurveData, p: int) -> Optional[int]:
+    """a_p at a good prime p > 3 by Shanks-Mestre baby-step giant-step, or
+    None when the points tried leave it ambiguous.
+
+    On the model y^2 = x^3 + A x + B (A = -27 c4, B = -54 c6), take
+    x = 0, 1, 2, ... with f = x^3 + A x + B != 0.  The point (x f, f^2)
+    lies on y^2 = X^3 + A f^2 X + B f^3, which is E when f is a square
+    mod p and its quadratic twist, of order p + 1 + a_p, when it is not;
+    no square root is needed.  Each order N of the Hasse interval that
+    kills the point gives a candidate chi(f) (p + 1 - N).  The true a_p is
+    always a candidate, so the one left after intersecting is exact.
+    """
+    b2, b4, b6, _, _ = invariants_of_raw(*curve.ainvs)
+    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    A, B = -27 * c4 % p, -54 * c6 % p
+    w = isqrt(4 * p)
+    low, high = p + 1 - w, p + 1 + w
+    m = isqrt(w) + 1
+    candidates = None
+    tried = 0
+    for x in range(p):
+        f = ((x * x + A) * x + B) % p
+        if f == 0:
+            continue
+        orders = _orders_in(p, A * f * f % p, (x * f % p, f * f % p), low, high, m)
+        if orders is not None:
+            sign = 1 if pow(f, (p - 1) // 2, p) == 1 else -1
+            found = {sign * (p + 1 - n) for n in orders}
+            candidates = found if candidates is None else candidates & found
+            if len(candidates) == 1:
+                return candidates.pop()
+        tried += 1
+        if tried == _BSGS_POINTS:
+            break
+    return None
+
+
 @lru_cache(maxsize=None)
 def _ap_good_cached(curve: CurveData, p: int) -> int:
     if p == 2:
         return p + 1 - point_count(curve, p)
+    if p > _BSGS_MIN_P:
+        ap = _ap_bsgs(curve, p)
+        if ap is not None:
+            return ap
     return _ap_charsum(curve, p)
 
 

@@ -129,6 +129,17 @@ class VerifyReport:
         lines.append(f"total: {c['OK']} OK, {c['FAIL']} FAIL, {c['SKIPPED']} SKIPPED")
         return "\n".join(lines)
 
+    def to_csv(self) -> str:
+        """One ``p,identity,status,reason`` row per entry; a reason holding a
+        comma or a quote is quoted as in RFC 4180."""
+        lines = ["p,identity,status,reason"]
+        for e in self.entries:
+            reason = e.reason
+            if "," in reason or '"' in reason:
+                reason = '"' + reason.replace('"', '""') + '"'
+            lines.append(f"{e.prime},{e.identity},{e.status.value},{reason}")
+        return "\n".join(lines)
+
 
 # ---------------------------------------------------------------------------
 # per-prime local data

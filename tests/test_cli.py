@@ -1,6 +1,10 @@
 """CLI contract: thin wrappers, deterministic bytes, exit codes."""
 
+import csv
+import io
 import json
+
+import pytest
 
 from siegellift import dirichlet_coeffs, sym3_object
 from siegellift.cli import main
@@ -82,6 +86,21 @@ def test_verify_corrupted_eigenfile(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert out.index("FAIL") < out.index("\n", out.index("2 ")) or "table a_2" in out
+
+
+def test_verify_csv_quotes_a_reason_with_a_comma(capsys, tmp_path):
+    path = tmp_path / "corrupt.txt"
+    path.write_text("weight 2 level 11 character trivial\n2 2\n3 -1\n")
+    code, out, _ = run(
+        capsys, "verify", "--identity", "ap-match", "--curve", CURVE, "--eigenfile", str(path),
+        "--pmax", "3", "--format", "csv",
+    )
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["p", "identity", "status", "reason"],
+        ["2", "ap-match", "FAIL", "table a_2 = 2, curve gives -2"],
+        ["3", "ap-match", "OK", ""],
+    ]
 
 
 def test_verify_intact_eigenfile(capsys, tmp_path, curve_11a1):
@@ -195,3 +214,22 @@ def test_verify_missing_inputs_without_primes(capsys):
     assert code == 2 and "character" in err
     code, _, err = run(capsys, "verify", "--identity", "sym3-ext2", "--D", "-4", "--m", "2")
     assert code == 2 and "source" in err
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        '{"a": [0, -1, 1, 0, 0.7], "conductor": 11}',  # was truncated to a6 = 0
+        '{"a": [0, -1, 1, 0, 0], "conductor": "11"}',  # was a TypeError traceback
+        '{"a": [0, -1, 1, 0, 0], "conductor": 11.5}',
+        '{"a": [0, -1, 1, 0, 0], "conductor": -11}',
+        '{"a": [0, -1, 1, 0, "0"], "conductor": 11}',
+        '{"a": [0, -1, true, 0, 0], "conductor": 11}',
+        CURVE + ",-11",
+        CURVE + ",0",
+    ],
+)
+def test_curve_data_must_be_exact_integers(capsys, curve):
+    code, out, err = run(capsys, "ap", "--curve", curve, "--p", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -9,6 +9,9 @@ for an intended output change, with its command, e.g.
         --transfer sym3 --X 500 --format csv > tests/data/golden/lcoeffs_11a3_sym3_X500.csv
 """
 
+import csv
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -29,16 +32,6 @@ GOLDEN = {
     "predict_delta.json": ["predict", *DELTA, "--pmax", "50", "--format", "json"],
     "predict_11a3_sym3.txt": ["predict", *CURVE, "--pmax", "50"],
     "predict_11a3_tensor_D-4_m2.txt": ["predict", *CURVE, *CHI, "--pmax", "50"],
-    "verify_11a3_sym3-ext2.txt": ["verify", "--identity", "sym3-ext2", *CURVE, "--pmax", "50"],
-    "verify_11a3_tensor-square.txt": [
-        "verify", "--identity", "tensor-square", *CURVE, "--pmax", "50",
-    ],
-    "verify_11a3_sym2-ind_D-4_m2.txt": [
-        "verify", "--identity", "sym2-ind", *CURVE, *CHI, "--pmax", "50",
-    ],
-    "verify_11a3_tensor-ext2_D-4_m2.txt": [
-        "verify", "--identity", "tensor-ext2", *CURVE, *CHI, "--pmax", "50",
-    ],
     "lcoeffs_11a3_sym3_X500.csv": [
         "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "500", "--format", "csv",
     ],
@@ -68,19 +61,17 @@ GOLDEN = {
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
     "induce_D-7_m2.json": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "json"],
-    "verify_11a3_sym3-ext2.json": [
-        "verify", "--identity", "sym3-ext2", *CURVE, "--pmax", "50", "--format", "json",
-    ],
-    "verify_11a3_tensor-square.json": [
-        "verify", "--identity", "tensor-square", *CURVE, "--pmax", "50", "--format", "json",
-    ],
-    "verify_11a3_sym2-ind_D-4_m2.json": [
-        "verify", "--identity", "sym2-ind", *CURVE, *CHI, "--pmax", "50", "--format", "json",
-    ],
-    "verify_11a3_tensor-ext2_D-4_m2.json": [
-        "verify", "--identity", "tensor-ext2", *CURVE, *CHI, "--pmax", "50", "--format", "json",
-    ],
 }
+VERIFY = {
+    "verify_11a3_sym3-ext2": ["--identity", "sym3-ext2", *CURVE],
+    "verify_11a3_tensor-square": ["--identity", "tensor-square", *CURVE],
+    "verify_11a3_sym2-ind_D-4_m2": ["--identity", "sym2-ind", *CURVE, *CHI],
+    "verify_11a3_tensor-ext2_D-4_m2": ["--identity", "tensor-ext2", *CURVE, *CHI],
+}
+for stem, argv in VERIFY.items():
+    GOLDEN[stem + ".txt"] = ["verify", *argv, "--pmax", "50"]
+    for fmt in ("json", "csv"):
+        GOLDEN[f"{stem}.{fmt}"] = ["verify", *argv, "--pmax", "50", "--format", fmt]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -89,3 +80,14 @@ def test_stdout_matches_golden(capsysbinary, name, jobs):
     code = main([*GOLDEN[name], "--jobs", jobs])
     assert code == 0
     assert capsysbinary.readouterr().out == (DATA / "golden" / name).read_bytes()
+
+
+@pytest.mark.parametrize("stem", sorted(VERIFY))
+def test_verify_csv_rows_match_json(stem):
+    golden = DATA / "golden"
+    rows = list(csv.DictReader(io.StringIO((golden / f"{stem}.csv").read_text())))
+    entries = json.loads((golden / f"{stem}.json").read_text())["entries"]
+    assert rows == [
+        {"p": str(e["p"]), "identity": e["identity"], "status": e["status"], "reason": e["reason"]}
+        for e in entries
+    ]

@@ -12,6 +12,7 @@ from siegellift import (
     invariants_of,
     is_selfdual_pure,
     local_factor_gl2,
+    modform,
     parse_eigenfile,
     point_count,
     reduction_bad,
@@ -25,9 +26,12 @@ from siegellift.errors import (
     SingularModelError,
 )
 from siegellift.modform import (
+    _BSGS_MIN_P,
     CharacterKind,
     NewformData,
     RamanujanBoundWarning,
+    _ap_bsgs,
+    _ap_charsum,
     invariants_of_raw,
     reduction_at,
 )
@@ -92,6 +96,63 @@ def test_charsum_agrees_with_enumeration():
             if curve.discriminant % p == 0:
                 continue
             assert ap_good(curve, p) == p + 1 - point_count(curve, p)
+
+
+# ---------------------------------------------------------------------------
+# Shanks-Mestre baby-step giant-step against the character-sum oracle
+
+
+def assert_bsgs_matches_charsum(curve, pmax):
+    """Above _BSGS_MIN_P the helper must give a_p; at 3 < p <= _BSGS_MIN_P
+    it may instead return None, the marker that sends a_p to the fallback."""
+    for p in primes_upto(pmax):
+        if p <= 3 or curve.discriminant % p == 0:
+            continue
+        got, want = _ap_bsgs(curve, p), _ap_charsum(curve, p)
+        if p > _BSGS_MIN_P:
+            assert got == want, (curve.ainvs, p)
+        else:
+            assert got in (want, None), (curve.ainvs, p)
+
+
+@pytest.mark.parametrize(
+    "ainvs",
+    [
+        (0, -1, 1, 0, 0),  # 11a3
+        (1, 0, 1, 4, -6),  # 14a1
+        (1, 1, 1, -10, -10),  # 15a1, torsion Z/4 x Z/2: many orders ambiguous
+        (0, 1, 1, -2, 0),  # 389a1
+    ],
+)
+def test_bsgs_agrees_with_charsum(ainvs):
+    assert_bsgs_matches_charsum(CurveData(*ainvs), 5000)
+
+
+def test_bsgs_agrees_with_charsum_on_random_curves():
+    rng = random.Random(271828)
+    curves = []
+    while len(curves) < 10:
+        try:
+            curves.append(CurveData(*(rng.randrange(-3, 4) for _ in range(5))))
+        except SingularModelError:
+            continue
+    for curve in curves:
+        assert_bsgs_matches_charsum(curve, 1500)
+
+
+def test_bsgs_ambiguity_falls_back_to_charsum(monkeypatch, curve_11a1):
+    monkeypatch.setattr(modform, "_ap_bsgs", lambda curve, p: None)
+    assert modform._ap_good_cached.__wrapped__(curve_11a1, 1009) == _ap_charsum(curve_11a1, 1009)
+
+
+def test_charsum_off_the_path_above_the_bound(monkeypatch, curve_11a1):
+    def forbidden(curve, p):
+        raise AssertionError(f"character sum called at p={p}")
+
+    monkeypatch.setattr(modform, "_ap_charsum", forbidden)
+    for p in primes_upto(3000):
+        if p > _BSGS_MIN_P:
+            modform._ap_good_cached.__wrapped__(curve_11a1, p)
 
 
 def test_hasse_bound(curve_11a1):
