@@ -57,6 +57,13 @@ GOLDEN = {
     "ap_15a1_p5000.csv": [
         "ap", "--curve", "1,1,1,-10,-10,15", "--pmax", "5000", "--format", "csv",
     ],
+    # bad primes of every kind: 30a1 nonsplit at 2 and 5, split at 3; 42a1
+    # split at 2, nonsplit at 3 and 7; y^2 = x^3 + 2 additive at 2 and 3
+    "ap_30a1.csv": ["ap", "--curve", "1,0,1,1,2,30", "--pmax", "50", "--format", "csv"],
+    "ap_42a1.csv": ["ap", "--curve", "1,1,1,-4,5,42", "--pmax", "50", "--format", "csv"],
+    "ap_0_0_0_0_2.csv": ["ap", "--curve", "0,0,0,0,2", "--pmax", "50", "--format", "csv"],
+    # conductor derived from the reduction types
+    "predict_30a1_sym3.json": ["predict", "--curve", "1,0,1,1,2", "--pmax", "50", "--format", "json"],
     "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
