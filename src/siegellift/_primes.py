@@ -64,20 +64,11 @@ def smallest_prime_factors(bound: int) -> list[int]:
     return spf
 
 
-def factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] with p ascending."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -94,3 +85,20 @@ def factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
 
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
+
+
+def kronecker_at_prime(D: int, p: int) -> int:
+    """0 when p | D, else 1 when D is a square in Z_p and -1 when it is not.
+
+    For odd p this is the Legendre symbol (D|p); at p = 2 an odd D is a
+    square exactly when D = 1 mod 8, which for a discriminant D is the
+    Kronecker symbol (D|2).
+    """
+    if p == 2:
+        if D % 2 == 0:
+            return 0
+        return 1 if D % 8 == 1 else -1
+    r = D % p
+    if r == 0:
+        return 0
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1

@@ -321,6 +321,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     try:
+        if args.format == "csv" and args.command in ("predict", "eval"):
+            raise InputError(f"--format csv is not supported by {args.command}; use text or json")
         return args.func(args)
     except NotSymplecticError as exc:
         print(f"error: {exc}", file=sys.stderr)

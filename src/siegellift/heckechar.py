@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
-from ._primes import is_prime
+from ._primes import is_prime, kronecker_at_prime
 from .errors import InputError, UnitCompatibilityError, UnsupportedFieldError
 from .localfactor import LocalFactor
 
@@ -162,18 +162,6 @@ class AntiCycChar:
     @classmethod
     def from_json(cls, data: dict) -> "AntiCycChar":
         return cls(ImagQuadField(int(data["D"])), int(data["m"]))
-
-
-def kronecker_at_prime(D: int, p: int) -> int:
-    """Kronecker symbol (D|p) for prime p (0 when p | D)."""
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 == 1 else -1
-    r = D % p
-    if r == 0:
-        return 0
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
 
 
 def splitting(field: ImagQuadField, p: int) -> Splitting:

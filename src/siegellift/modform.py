@@ -10,8 +10,9 @@ come from point enumeration at p = 2, an O(p) quadratic-character sum up
 to p = 229, and Shanks-Mestre baby-step giant-step (about p^(1/4) group
 operations) above it, with the character sum as its fallback and test
 oracle.  Curve data must be exact integers; a float, string or bool is
-rejected, never truncated.  Bad primes are classified by the singular
-point of the reduction.
+rejected, never truncated.  At a prime p | discriminant the reduction is
+additive (a_p = 0) when p | c4 and multiplicative otherwise: split
+(a_p = 1) when -c6 is a square in Z_p, nonsplit (a_p = -1) when it is not.
 
 Newforms of weight k >= 2 arrive as eigenvalue files:
 
@@ -29,12 +30,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from pathlib import Path
 from typing import Dict, Optional, TextIO, Tuple, Union
 
-from ._primes import is_prime
+from ._primes import is_prime, kronecker_at_prime
 from .errors import (
     BadPrimeError,
     EigenfileError,
@@ -90,9 +91,15 @@ class CurveData:
     def ainvs(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
+    @cached_property
+    def invariants(self) -> Tuple[int, int, int, int, int, int, int]:
+        """(b2, b4, b6, b8, c4, c6, discriminant), computed once per curve."""
+        b2, b4, b6, b8, disc = invariants_of_raw(*self.ainvs)
+        return b2, b4, b6, b8, b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6, disc
+
     @property
     def discriminant(self) -> int:
-        return invariants_of_raw(*self.ainvs)[4]
+        return self.invariants[6]
 
     def to_json(self) -> dict:
         data = {"a": list(self.ainvs)}
@@ -119,10 +126,8 @@ def invariants_of_raw(a1, a2, a3, a4, a6):
 
 def invariants_of(curve: CurveData) -> Tuple[int, int, int, int, int]:
     """(b2, b4, b6, b8, discriminant) of the Weierstrass model."""
-    inv = invariants_of_raw(*curve.ainvs)
-    if inv[4] == 0:
-        raise SingularModelError("discriminant vanishes")
-    return inv
+    b2, b4, b6, b8, _, _, disc = curve.invariants
+    return b2, b4, b6, b8, disc
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def point_count(curve: CurveData, p: int) -> int:
 def _ap_charsum(curve: CurveData, p: int) -> int:
     # complete the square in y (p odd): the y-count over x is 1 + chi(g(x))
     # with g = 4x^3 + b2 x^2 + 2 b4 x + b6, so a_p = -sum_x chi(g(x)).
-    b2, b4, b6, _, _ = invariants_of_raw(*curve.ainvs)
+    b2, b4, b6 = curve.invariants[:3]
     b2, b4x2, b6 = b2 % p, (2 * b4) % p, b6 % p
     square = bytearray(p)
     for t in range((p // 2) + 1):
@@ -286,8 +291,7 @@ def _ap_bsgs(curve: CurveData, p: int) -> Optional[int]:
     kills the point gives a candidate chi(f) (p + 1 - N).  The true a_p is
     always a candidate, so the one left after intersecting is exact.
     """
-    b2, b4, b6, _, _ = invariants_of_raw(*curve.ainvs)
-    c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+    c4, c6 = curve.invariants[4:6]
     A, B = -27 * c4 % p, -54 * c6 % p
     w = isqrt(4 * p)
     low, high = p + 1 - w, p + 1 + w
@@ -300,7 +304,7 @@ def _ap_bsgs(curve: CurveData, p: int) -> Optional[int]:
             continue
         orders = _orders_in(p, A * f * f % p, (x * f % p, f * f % p), low, high, m)
         if orders is not None:
-            sign = 1 if pow(f, (p - 1) // 2, p) == 1 else -1
+            sign = kronecker_at_prime(f, p)
             found = {sign * (p + 1 - n) for n in orders}
             candidates = found if candidates is None else candidates & found
             if len(candidates) == 1:
@@ -331,67 +335,34 @@ def ap_good(curve: CurveData, p: int) -> int:
     return _ap_good_cached(curve, p)
 
 
-def _singular_points(curve: CurveData, p: int) -> list:
-    # on-curve points where both partials of y^2 + a1xy + a3y - (x^3+...) vanish
-    a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
-    points = []
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        lin = (a1 * x + a3) % p
-        if p == 2:
-            ys = [y for y in range(2) if (y * y + lin * y) % p == rhs]
-        else:
-            # dF/dy = 2y + a1 x + a3 = 0 has the single root y = -lin/2
-            ys = [(-lin * pow(2, p - 2, p)) % p]
-        for y in ys:
-            if (y * y + lin * y) % p != rhs:
-                continue
-            dfdy = (2 * y + lin) % p
-            dfdx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            if dfdy == 0 and dfdx == 0:
-                points.append((x, y))
-    return points
-
-
 def reduction_bad(curve: CurveData, p: int) -> ReductionData:
-    """Classify the reduction at p | discriminant (model assumed minimal at p).
+    """Classify the reduction at p | discriminant.
 
-    Cusp => additive (a_p = 0); node => multiplicative, split iff the two
-    tangent slopes at the node lie in F_p (a_p = 1), else nonsplit (a_p = -1).
+    The reduction is a cusp when p | c4 and a node otherwise (Silverman,
+    AEC, Prop. III.1.4).  Cusp => additive (a_p = 0); node =>
+    multiplicative, split (a_p = 1) when -c6 is a square in Z_p and
+    nonsplit (a_p = -1) when it is not.  A model that is not minimal at p
+    has p | c4, so it shows as additive.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    if curve.discriminant % p != 0:
+    _, _, _, _, c4, c6, disc = curve.invariants
+    if disc % p != 0:
         raise BadPrimeError(f"p={p} does not divide the discriminant; reduction is good")
-    points = _singular_points(curve, p)
-    if len(points) != 1:
-        raise NonMinimalModelError(
-            f"{len(points)} singular points mod {p}; reduction of a minimal model has one"
-        )
-    (x0, y0) = points[0]
-    a1, a2 = curve.a1, curve.a2
-    if p == 2:
-        # tangent cone v^2 + a1 uv + (x0 + a2) u^2 over F_2
-        if a1 % 2 == 0:
-            return ReductionData(p, ReductionKind.ADDITIVE, 0)
-        if (x0 + a2) % 2 == 0:
-            return ReductionData(p, ReductionKind.SPLIT_MULT, 1)
-        return ReductionData(p, ReductionKind.NONSPLIT_MULT, -1)
-    # tangent cone v^2 + a1 uv - (3 x0 + a2) u^2; slope discriminant:
-    disc = (a1 * a1 + 4 * (3 * x0 + a2)) % p
-    if disc == 0:
+    if c4 % p == 0:
         return ReductionData(p, ReductionKind.ADDITIVE, 0)
-    if pow(disc, (p - 1) // 2, p) == 1:
-        return ReductionData(p, ReductionKind.SPLIT_MULT, 1)
-    return ReductionData(p, ReductionKind.NONSPLIT_MULT, -1)
+    # p | disc and p does not divide c4, so p does not divide c6 (c4^3 - c6^2 = 1728 disc)
+    ap = kronecker_at_prime(-c6, p)
+    kind = ReductionKind.SPLIT_MULT if ap == 1 else ReductionKind.NONSPLIT_MULT
+    return ReductionData(p, kind, ap)
 
 
 def reduction_at(source: Union[CurveData, NewformData], p: int) -> ReductionData:
     """Reduction data of a curve or newform at any prime: the one place where
     good, multiplicative and additive reduction are told apart.
 
-    A curve is good at p not dividing its discriminant; otherwise its
-    singular point decides (:func:`reduction_bad`).  A newform is good at
+    A curve is good at p not dividing its discriminant; otherwise c4 and
+    c6 decide (:func:`reduction_bad`).  A newform is good at
     p not dividing its level N, multiplicative (split when a_p > 0) at
     p || N and additive (a_p = 0) at p^2 | N.  A supplied conductor or
     level must agree with the local data at p.

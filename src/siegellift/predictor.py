@@ -429,20 +429,22 @@ def _source_label(source: Source) -> str:
 
 
 def _conductor(source: Source) -> int:
-    """Conductor N of the source; curves may need it derived."""
-    n = source.level if isinstance(source, NewformData) else source.conductor
-    if n is None:
+    """Conductor N of the source.  A curve's supplied N is checked at each
+    p | N (the level uses every prime of N, not only those up to pmax);
+    without one, N is derived from the reduction at each p | discriminant."""
+    if isinstance(source, NewformData):
+        return source.level
+    n = source.conductor
+    primes = [p for p, _ in factorize(abs(source.discriminant) if n is None else n)]
+    for p in primes:
         # minimal model contract: conductor exponent is 1 at multiplicative
         # primes; anything additive needs the caller to supply N
-        n = 1
-        for p, _ in factorize(abs(source.discriminant)):
-            if reduction_at(source, p).regime == "additive":
-                raise InputError(
-                    "conductor required: additive reduction at "
-                    f"{p} prevents deriving it from the discriminant"
-                )
-            n *= p
-    return n
+        if reduction_at(source, p).regime == "additive" and n is None:
+            raise InputError(
+                "conductor required: additive reduction at "
+                f"{p} prevents deriving it from the discriminant"
+            )
+    return math.prod(primes) if n is None else n
 
 
 def _iwahori_note(m: int) -> str:
@@ -483,10 +485,6 @@ def predict_siegel(
         m_level = level(LevelRule.TWIST, conductor, conductor_ind(chi))
         # the induction of chi is the parameter of a weight (2m+1) newform
         arch = tensor_arch(from_newform(k), from_newform(chi.weight + 1))
-    if isinstance(source, CurveData):
-        # the level uses every prime of N, so check N there, not only up to pmax
-        for p, _ in factorize(conductor):
-            reduction_at(source, p)
 
     spin: Dict[int, LocalFactor] = {}
     std: Dict[int, LocalFactor] = {}

@@ -233,3 +233,23 @@ def test_curve_data_must_be_exact_integers(capsys, curve):
     code, out, err = run(capsys, "ap", "--curve", curve, "--p", "7")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--curve", CURVE, "--pmax", "7"],
+        ["eval", "--curve", CURVE, "--X", "50", "-s", "3"],
+    ],
+)
+def test_csv_rejected_where_not_rendered(capsys, argv):
+    # predict and eval have no csv rendering, so csv must not fall back to text
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "csv" in err and argv[0] in err
+
+
+def test_predict_large_prime_discriminant(capsys):
+    # disc = -1047779 is prime: deriving the level classifies one large bad prime
+    code, out, _ = run(capsys, "predict", "--curve", "0,0,1,-1,49", "--pmax", "20")
+    assert code == 0 and "level: 1047779\n" in out

@@ -63,7 +63,9 @@ GOLDEN = {
     "ap_42a1.csv": ["ap", "--curve", "1,1,1,-4,5,42", "--pmax", "50", "--format", "csv"],
     "ap_0_0_0_0_2.csv": ["ap", "--curve", "0,0,0,0,2", "--pmax", "50", "--format", "csv"],
     # conductor derived from the reduction types
-    "predict_30a1_sym3.json": ["predict", "--curve", "1,0,1,1,2", "--pmax", "50", "--format", "json"],
+    "predict_30a1_sym3.json": [
+        "predict", "--curve", "1,0,1,1,2", "--pmax", "50", "--format", "json",
+    ],
     "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],

@@ -2,6 +2,7 @@
 
 import io
 import random
+import time
 
 import pytest
 
@@ -253,26 +254,35 @@ def test_delta_character_header():
     assert form.character_disc == -7
 
 
-def test_singularity_is_unique_for_bad_reduction():
-    # every bad prime of these models yields exactly one singular point,
-    # exercised through reduction_bad not raising
+def test_bad_reduction_matches_point_count():
+    # at p | disc, a_p = p + 1 - #E(F_p) with the singular point counted;
+    # u > 1 scales the model so that it is not minimal at the primes of u
     rng = random.Random(2718)
-    found = 0
-    while found < 8:
+    kind = {1: ReductionKind.SPLIT_MULT, -1: ReductionKind.NONSPLIT_MULT, 0: ReductionKind.ADDITIVE}
+    kinds = {2: set(), 3: set()}
+    models = 0
+    while models < 2000:
+        u = rng.choice((1, 1, 2, 3))
+        ainvs = (rng.randrange(-6, 7) * u**i for i in (1, 2, 3, 4, 6))
         try:
-            curve = CurveData(*(rng.randrange(-3, 4) for _ in range(5)))
+            curve = CurveData(*ainvs)
         except SingularModelError:
             continue
-        disc = abs(curve.discriminant)
-        for p in primes_upto(30):
-            if disc % p == 0:
-                red = reduction_at(curve, p)
-                assert red.kind in (
-                    ReductionKind.SPLIT_MULT,
-                    ReductionKind.NONSPLIT_MULT,
-                    ReductionKind.ADDITIVE,
-                )
-                found += 1
+        models += 1
+        for p in primes_upto(60):
+            if curve.discriminant % p == 0:
+                red, ap = reduction_at(curve, p), p + 1 - point_count(curve, p)
+                assert (red.ap, red.kind) == (ap, kind[ap]), (curve.ainvs, p)
+                kinds.get(p, set()).add(red.kind)
+    assert kinds == {2: set(kind.values()), 3: set(kind.values())}
+
+
+def test_large_bad_prime_is_not_scanned():
+    # disc = -1047779 is prime: the time bound rules out any O(p) work at p
+    start = time.perf_counter()
+    red = reduction_at(CurveData(0, 0, 1, -1, 49), 1047779)
+    assert time.perf_counter() - start < 0.5
+    assert red.kind is ReductionKind.NONSPLIT_MULT and red.ap == -1
 
 
 def test_invariants_raw_consistency():
