@@ -44,10 +44,23 @@ GOLDEN = {
     "lcoeffs_11a3_none_X500.csv": [
         "lcoeffs", *CURVE, "--transfer", "none", "--X", "500", "--format", "csv",
     ],
+    "lcoeffs_11a3_sym3_X500.json": [
+        "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "500", "--format", "json",
+    ],
     "eval_11a3_tensor_D-4_m2_X500_s5.txt": [
         "eval", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "-s", "5",
     ],
+    "eval_11a3_tensor_D-4_m2_X500_s5.json": [
+        "eval", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "-s", "5", "--format", "json",
+    ],
     "factor_delta.csv": ["factor", *DELTA, "--pmax", "50", "--format", "csv"],
+    "factor_delta.json": ["factor", *DELTA, "--pmax", "50", "--format", "json"],
+    "verify_delta_sym3-ext2.json": [
+        "verify", "--identity", "sym3-ext2", *DELTA, "--pmax", "50", "--format", "json",
+    ],
+    "verify_delta_tensor-square.json": [
+        "verify", "--identity", "tensor-square", *DELTA, "--pmax", "50", "--format", "json",
+    ],
     "sym3_delta.csv": ["sym3", *DELTA, "--pmax", "50", "--format", "csv"],
     "ap_11a3.txt": ["ap", *CURVE, "--pmax", "50"],
     "ap_11a3.json": ["ap", *CURVE, "--pmax", "50", "--format", "json"],
