@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,26 +66,58 @@ def smallest_prime_factors(bound: int) -> list[int]:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] with p ascending."""
+    """Prime factorization [(p, e), ...] with p ascending.
+
+    Trial division strips the primes below 1000; what is left is split by
+    Pollard-Brent rho until :func:`is_prime` accepts every part.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    out: list[tuple[int, int]] = []
+    counts: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
+    while d < 1000 and d * d <= n:
+        while n % d == 0:
+            n //= d
+            counts[d] = counts.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    return sorted(counts.items())
 
 
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n))
+def _rho(n: int) -> int:
+    """A proper factor of the composite n with no prime factor below 1000:
+    Pollard's rho on x -> x^2 + c with Brent's cycle search, gcds taken
+    over batches of 128 steps (Brent, BIT 20 (1980) 176-184)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ValueError(f"no factor of {n} found")  # unreachable for composite n
 
 
 def kronecker_at_prime(D: int, p: int) -> int:

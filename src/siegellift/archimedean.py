@@ -18,23 +18,22 @@ b = 1 (and a odd), vector-valued with raw exponent pair (a, b) otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
 
+from ._record import Record, Value, _set
 from .errors import DegreeError, InputError, NonRegularError
 
 
-@dataclass(frozen=True)
-class ArchParam:
-    exponents: Tuple[int, ...]  # stored descending
-    weight: int
+class ArchParam(Value):
+    __slots__ = ("exponents", "weight")
 
-    def __post_init__(self):
-        exps = tuple(sorted(self.exponents, reverse=True))
+    def __init__(self, exponents: Tuple[int, ...], weight: int):
+        exps = tuple(sorted(exponents, reverse=True))  # stored descending
         if any(e <= 0 for e in exps):
             raise InputError(f"exponents must be positive, got {exps}")
-        object.__setattr__(self, "exponents", exps)
+        _set(self, "exponents", exps)
+        _set(self, "weight", weight)
 
     @property
     def size(self) -> int:
@@ -51,13 +50,22 @@ class SiegelKind(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class Classification:
-    regular: bool
-    algebraic: bool
-    siegel_kind: SiegelKind
-    scalar_weight: Optional[int] = None
-    vector_weight: Optional[Tuple[int, int]] = None
+class Classification(Record):
+    __slots__ = ("regular", "algebraic", "siegel_kind", "scalar_weight", "vector_weight")
+
+    def __init__(
+        self,
+        regular: bool,
+        algebraic: bool,
+        siegel_kind: SiegelKind,
+        scalar_weight: Optional[int] = None,
+        vector_weight: Optional[Tuple[int, int]] = None,
+    ):
+        self.regular = regular
+        self.algebraic = algebraic
+        self.siegel_kind = siegel_kind
+        self.scalar_weight = scalar_weight
+        self.vector_weight = vector_weight
 
     def siegel_json(self):
         if self.siegel_kind is SiegelKind.SCALAR:

@@ -17,11 +17,11 @@ inverted by conjugation, which is the anti-cyclotomic condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
 from ._primes import is_prime, kronecker_at_prime
+from ._record import Value, _set
 from .errors import InputError, UnitCompatibilityError, UnsupportedFieldError
 from .localfactor import LocalFactor
 
@@ -34,18 +34,18 @@ class Splitting(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class ImagQuadField:
+class ImagQuadField(Value):
     """Q(sqrt(D)) for a class-number-one fundamental discriminant D < 0."""
 
-    D: int
+    __slots__ = ("D",)
 
-    def __post_init__(self):
-        if self.D not in SUPPORTED_DISCRIMINANTS:
+    def __init__(self, D: int):
+        if D not in SUPPORTED_DISCRIMINANTS:
             raise UnsupportedFieldError(
-                f"D={self.D} is not a class-number-one fundamental discriminant "
+                f"D={D} is not a class-number-one fundamental discriminant "
                 f"(supported: {list(SUPPORTED_DISCRIMINANTS)})"
             )
+        _set(self, "D", D)
 
     @property
     def unit_order(self) -> int:
@@ -79,13 +79,15 @@ class ImagQuadField:
         return tuple(us)
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Value):
     """x + y*w in the ring of integers of an ImagQuadField."""
 
-    field: ImagQuadField
-    x: int
-    y: int
+    __slots__ = ("field", "x", "y")
+
+    def __init__(self, field: ImagQuadField, x: int, y: int):
+        _set(self, "field", field)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
         self._check(other)
@@ -137,20 +139,20 @@ class QuadInt:
         return {"x": str(self.x), "y": str(self.y)}
 
 
-@dataclass(frozen=True)
-class AntiCycChar:
+class AntiCycChar(Value):
     """chi((alpha)) = alpha^(2m): unramified, anti-cyclotomic, weight 2m."""
 
-    field: ImagQuadField
-    m: int
+    __slots__ = ("field", "m")
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise InputError(f"half-weight m must be positive, got {self.m}")
-        if self.field.D == -4 and self.m % 2 != 0:
+    def __init__(self, field: ImagQuadField, m: int):
+        if m < 1:
+            raise InputError(f"half-weight m must be positive, got {m}")
+        if field.D == -4 and m % 2 != 0:
             raise UnitCompatibilityError("D=-4 has units of order 4: m must be even")
-        if self.field.D == -3 and self.m % 3 != 0:
+        if field.D == -3 and m % 3 != 0:
             raise UnitCompatibilityError("D=-3 has units of order 6: m must be divisible by 3")
+        _set(self, "field", field)
+        _set(self, "m", m)
 
     @property
     def weight(self) -> int:

@@ -38,11 +38,11 @@ reports the honest polynomial degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 
 from ._primes import is_prime
+from ._record import Record, Value, _set
 from .errors import (
     DegreeError,
     InexactDivisionError,
@@ -83,8 +83,7 @@ _FUNCTOR_DEGREE = {
 _FUNCTOR_WEIGHT = {Functor.SYM2: 2, Functor.EXT2: 2, Functor.SYM3: 3, Functor.SYM4: 4}
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Value):
     """Reciprocal Euler polynomial at a prime, with a motivic-weight ledger.
 
     ``coeffs`` has length degree+1, holds ints only and starts with 1;
@@ -92,10 +91,16 @@ class LocalFactor:
     ``effective_degree``.
     """
 
-    prime: int
-    weight: int
-    coeffs: tuple
+    __slots__ = ("prime", "weight", "coeffs")
 
+    def __init__(self, prime: int, weight: int, coeffs: Sequence[int]):
+        _set(self, "prime", prime)
+        _set(self, "weight", weight)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
+
+    # the checks live in their own method, which perfbench/tracer.py wraps
+    # to count and size every factor built
     def __post_init__(self):
         if not is_prime(self.prime):
             raise InputError(f"{self.prime} is not prime")
@@ -107,7 +112,7 @@ class LocalFactor:
             )
         if not coeffs or coeffs[0] != 1:
             raise InputError("constant coefficient of a local factor must be 1")
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -153,21 +158,25 @@ class LocalFactor:
         return cls(p, weight, coeffs)
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(Record):
     """s_m = sum of m-th powers of the inverse roots, m = 1..len(values)."""
 
-    prime: int
-    values: tuple
+    __slots__ = ("prime", "values")
+
+    def __init__(self, prime: int, values: tuple):
+        self.prime = prime
+        self.values = values
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(Record):
     """Outcome of the self-duality/purity coefficient symmetry check."""
 
-    ok: bool
-    sign: Optional[int] = None
-    failing_index: Optional[int] = None
+    __slots__ = ("ok", "sign", "failing_index")
+
+    def __init__(self, ok: bool, sign: Optional[int] = None, failing_index: Optional[int] = None):
+        self.ok = ok
+        self.sign = sign
+        self.failing_index = failing_index
 
     def __bool__(self):
         return self.ok

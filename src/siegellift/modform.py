@@ -28,14 +28,14 @@ character of an imaginary quadratic field of discriminant D.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 from typing import Dict, Optional, TextIO, Tuple, Union
 
 from ._primes import is_prime, kronecker_at_prime
+from ._record import Record, Value
 from .errors import (
     BadPrimeError,
     EigenfileError,
@@ -63,24 +63,28 @@ class CharacterKind(Enum):
     DELTA = "delta"
 
 
-@dataclass(frozen=True)
-class CurveData:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    conductor: Optional[int] = None
+class CurveData(Value):
+    """An integral Weierstrass model (a1, a2, a3, a4, a6), optionally with
+    its conductor.  ``invariants`` holds (b2, b4, b6, b8, c4, c6,
+    discriminant), computed once when the curve is built."""
 
-    def __post_init__(self):
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "conductor", "invariants")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, conductor: Optional[int] = None):
         # exactly int: a float, str or bool is rejected, never truncated
-        bad = [v for v in (*self.ainvs, self.conductor) if v is not None and type(v) is not int]
+        bad = [v for v in (a1, a2, a3, a4, a6, conductor) if v is not None and type(v) is not int]
         if bad:
             raise InputError(f"curve data must be integers, got {type(bad[0]).__name__} {bad[0]!r}")
-        if self.conductor is not None and self.conductor < 1:
-            raise InputError(f"conductor must be a positive integer, got {self.conductor}")
-        if self.discriminant == 0:
-            raise SingularModelError(f"singular Weierstrass model {self.ainvs}")
+        if conductor is not None and conductor < 1:
+            raise InputError(f"conductor must be a positive integer, got {conductor}")
+        b2, b4, b6, b8, disc = invariants_of_raw(a1, a2, a3, a4, a6)
+        if disc == 0:
+            raise SingularModelError(f"singular Weierstrass model {(a1, a2, a3, a4, a6)}")
+        c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+        self._fill(a1, a2, a3, a4, a6, conductor, (b2, b4, b6, b8, c4, c6, disc))
+
+    def _args(self) -> tuple:
+        return (self.a1, self.a2, self.a3, self.a4, self.a6, self.conductor)
 
     @property
     def weight(self) -> int:
@@ -90,12 +94,6 @@ class CurveData:
     @property
     def ainvs(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @cached_property
-    def invariants(self) -> Tuple[int, int, int, int, int, int, int]:
-        """(b2, b4, b6, b8, c4, c6, discriminant), computed once per curve."""
-        b2, b4, b6, b8, disc = invariants_of_raw(*self.ainvs)
-        return b2, b4, b6, b8, b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6, disc
 
     @property
     def discriminant(self) -> int:
@@ -130,11 +128,13 @@ def invariants_of(curve: CurveData) -> Tuple[int, int, int, int, int]:
     return b2, b4, b6, b8, disc
 
 
-@dataclass(frozen=True)
-class ReductionData:
-    prime: int
-    kind: ReductionKind
-    ap: int
+class ReductionData(Record):
+    __slots__ = ("prime", "kind", "ap")
+
+    def __init__(self, prime: int, kind: ReductionKind, ap: int):
+        self.prime = prime
+        self.kind = kind
+        self.ap = ap
 
     @property
     def regime(self) -> str:
@@ -151,23 +151,30 @@ class ReductionData:
         return LocalFactor(p, k - 1, (1, -self.ap, c2))
 
 
-@dataclass
-class NewformData:
-    weight: int
-    level: int
-    character: CharacterKind = CharacterKind.TRIVIAL
-    character_disc: Optional[int] = None
-    eigenvalues: Dict[int, int] = field(default_factory=dict)
+class NewformData(Record):
+    __slots__ = ("weight", "level", "character", "character_disc", "eigenvalues")
 
-    def __post_init__(self):
-        if self.weight < 2:
-            raise InputError(f"newform weight must be >= 2, got {self.weight}")
-        if self.level < 1:
-            raise InputError(f"newform level must be positive, got {self.level}")
-        if self.character is CharacterKind.DELTA and self.character_disc is None:
+    def __init__(
+        self,
+        weight: int,
+        level: int,
+        character: CharacterKind = CharacterKind.TRIVIAL,
+        character_disc: Optional[int] = None,
+        eigenvalues: Optional[Dict[int, int]] = None,
+    ):
+        if weight < 2:
+            raise InputError(f"newform weight must be >= 2, got {weight}")
+        if level < 1:
+            raise InputError(f"newform level must be positive, got {level}")
+        if character is CharacterKind.DELTA and character_disc is None:
             raise InputError("delta character needs a declared discriminant")
+        self.weight = weight
+        self.level = level
+        self.character = character
+        self.character_disc = character_disc
+        self.eigenvalues = {} if eigenvalues is None else eigenvalues
         for p, ap in self.eigenvalues.items():
-            _warn_ramanujan(p, ap, self.weight, self.level)
+            _warn_ramanujan(p, ap, weight, level)
 
 
 def _warn_ramanujan(p: int, ap: int, k: int, level: int) -> None:

@@ -21,11 +21,11 @@ ramified primes yield SKIPPED rows with a reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
-from ._primes import factorize, is_squarefree, primes_upto, smallest_prime_factors
+from ._primes import factorize, primes_upto, smallest_prime_factors
+from ._record import Record, Value, _set
 from .archimedean import ArchParam, Classification, classify, from_newform, sym3_arch, tensor_arch
 from .archimedean import to_json as arch_to_json
 from .errors import (
@@ -68,14 +68,19 @@ class Status(Enum):
     SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    prime: int
-    identity: str
-    status: Status
-    reason: str = ""
-    lhs: Optional[LocalFactor] = None
-    rhs: Optional[LocalFactor] = None
+class ReportEntry(Value):
+    __slots__ = ("prime", "identity", "status", "reason", "lhs", "rhs")
+
+    def __init__(
+        self,
+        prime: int,
+        identity: str,
+        status: Status,
+        reason: str = "",
+        lhs: Optional[LocalFactor] = None,
+        rhs: Optional[LocalFactor] = None,
+    ):
+        self._fill(prime, identity, status, reason, lhs, rhs)
 
     def to_json(self) -> dict:
         return {
@@ -88,13 +93,11 @@ class ReportEntry:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    entries: Tuple[ReportEntry, ...]
+class VerifyReport(Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: e.prime))
-        object.__setattr__(self, "entries", ordered)
+    def __init__(self, entries: Tuple[ReportEntry, ...]):
+        _set(self, "entries", tuple(sorted(entries, key=lambda e: e.prime)))
 
     @property
     def ok(self) -> bool:
@@ -147,18 +150,23 @@ class VerifyReport:
 _RAMIFIED = "skipped (ramified in K)"
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Value):
     """Everything the per-prime outputs are read from, built once per prime
     by :func:`local_data`."""
 
-    prime: int
-    regime: str  # "good", "multiplicative" or "additive"
-    ramified: bool  # p ramifies in the field of chi; False without chi
-    eta: LocalFactor  # degree-2 factor of the curve or newform
-    ind: Optional[LocalFactor]  # Ind chi_p; None without chi
-    spin: Optional[LocalFactor]  # Sym^3 eta, or eta x Ind chi at good unramified p
-    skip: str  # reason on skipped rows; "" at good unramified p
+    __slots__ = ("prime", "regime", "ramified", "eta", "ind", "spin", "skip")
+
+    def __init__(
+        self,
+        prime: int,
+        regime: str,  # "good", "multiplicative" or "additive"
+        ramified: bool,  # p ramifies in the field of chi; False without chi
+        eta: LocalFactor,  # degree-2 factor of the curve or newform
+        ind: Optional[LocalFactor],  # Ind chi_p; None without chi
+        spin: Optional[LocalFactor],  # Sym^3 eta, or eta x Ind chi at good unramified p
+        skip: str,  # reason on skipped rows; "" at good unramified p
+    ):
+        self._fill(prime, regime, ramified, eta, ind, spin, skip)
 
 
 def _ramified(chi: AntiCycChar, p: int) -> bool:
@@ -341,15 +349,21 @@ class LevelRule(Enum):
     TWIST = "twist"  # conductor N coprime to induced conductor N': M = N^2 N'^2
 
 
+Factors = List[Tuple[int, int]]  # [(p, e), ...] as from factorize
+
+
+def _sym3_level(conductor: int, factors: Factors) -> int:
+    """The SYM3 rule on N = conductor, given its factorization."""
+    if any(e > 1 for _, e in factors):
+        raise UnsupportedLevelError(f"no level formula for non-squarefree conductor {conductor}")
+    return conductor
+
+
 def level(rule: LevelRule, conductor: int, induced_conductor: Optional[int] = None) -> int:
     if conductor < 1:
         raise InputError(f"conductor must be positive, got {conductor}")
     if rule is LevelRule.SYM3:
-        if not is_squarefree(conductor):
-            raise UnsupportedLevelError(
-                f"no level formula for non-squarefree conductor {conductor}"
-            )
-        return conductor
+        return _sym3_level(conductor, factorize(conductor))
     if rule is LevelRule.TWIST:
         if induced_conductor is None:
             raise InputError("twist level rule needs the induced conductor")
@@ -365,19 +379,37 @@ def level(rule: LevelRule, conductor: int, induced_conductor: Optional[int] = No
 # ---------------------------------------------------------------------------
 # prediction bundles
 
-@dataclass(frozen=True)
-class SiegelPrediction:
-    label: str
-    transfer: str  # "sym3" or "tensor"
-    level: int
-    iwahori_note: str
-    arch: ArchParam
-    classification: Classification
-    spin_factors: Dict[int, LocalFactor]
-    std_factors: Dict[int, LocalFactor]
-    flags: Dict[str, bool]
-    verification: VerifyReport
-    notes: Tuple[str, ...] = ()
+class SiegelPrediction(Record):
+    __slots__ = (
+        "label", "transfer", "level", "iwahori_note", "arch", "classification",
+        "spin_factors", "std_factors", "flags", "verification", "notes",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        transfer: str,  # "sym3" or "tensor"
+        level: int,
+        iwahori_note: str,
+        arch: ArchParam,
+        classification: Classification,
+        spin_factors: Dict[int, LocalFactor],
+        std_factors: Dict[int, LocalFactor],
+        flags: Dict[str, bool],
+        verification: VerifyReport,
+        notes: Tuple[str, ...] = (),
+    ):
+        self.label = label
+        self.transfer = transfer
+        self.level = level
+        self.iwahori_note = iwahori_note
+        self.arch = arch
+        self.classification = classification
+        self.spin_factors = spin_factors
+        self.std_factors = std_factors
+        self.flags = flags
+        self.verification = verification
+        self.notes = notes
 
     def to_json(self) -> dict:
         return {
@@ -428,15 +460,17 @@ def _source_label(source: Source) -> str:
     return f"newform k={source.weight} N={source.level}"
 
 
-def _conductor(source: Source) -> int:
-    """Conductor N of the source.  A curve's supplied N is checked at each
-    p | N (the level uses every prime of N, not only those up to pmax);
-    without one, N is derived from the reduction at each p | discriminant."""
+def _conductor(source: Source) -> Tuple[int, Factors]:
+    """Conductor N of the source and its factorization, the one
+    factorization a prediction makes.  A curve's supplied N is checked at
+    each p | N (the level uses every prime of N, not only those up to
+    pmax); without one, N is derived from the reduction at each
+    p | discriminant."""
     if isinstance(source, NewformData):
-        return source.level
+        return source.level, factorize(source.level)
     n = source.conductor
-    primes = [p for p, _ in factorize(abs(source.discriminant) if n is None else n)]
-    for p in primes:
+    factors = factorize(abs(source.discriminant) if n is None else n)
+    for p, _ in factors:
         # minimal model contract: conductor exponent is 1 at multiplicative
         # primes; anything additive needs the caller to supply N
         if reduction_at(source, p).regime == "additive" and n is None:
@@ -444,11 +478,13 @@ def _conductor(source: Source) -> int:
                 "conductor required: additive reduction at "
                 f"{p} prevents deriving it from the discriminant"
             )
-    return math.prod(primes) if n is None else n
+    if n is None:
+        return math.prod(p for p, _ in factors), [(p, 1) for p, _ in factors]
+    return n, factors
 
 
-def _iwahori_note(m: int) -> str:
-    once = [p for p, e in factorize(m) if e == 1]
+def _iwahori_note(once: List[int]) -> str:
+    """The note on the primes ``once`` that divide the level exactly once."""
     if once:
         plist = ", ".join(str(p) for p in once)
         return (
@@ -465,14 +501,16 @@ def predict_siegel(
 ) -> SiegelPrediction:
     """Bundle the predicted genus-2 Siegel form data for a symmetric-cube
     transfer (no character) or a twisted-tensor transfer (with character)."""
-    k, conductor = source.weight, _conductor(source)
+    k = source.weight
+    conductor, factors = _conductor(source)
     character = source.character if isinstance(source, NewformData) else CharacterKind.TRIVIAL
     notes: List[str] = []
     if chi is None:
         if k % 2 != 0 or character is not CharacterKind.TRIVIAL:
             raise InputError("symmetric-cube transfer needs even weight and trivial character")
         transfer = "sym3"
-        m_level = level(LevelRule.SYM3, conductor)
+        m_level = _sym3_level(conductor, factors)
+        once = [p for p, _ in factors]  # M = N is squarefree
         arch = sym3_arch(from_newform(k))
     else:
         if (k - chi.weight) % 2 != 0:
@@ -483,6 +521,7 @@ def predict_siegel(
             raise InputError("even-weight tensor transfer needs a trivial character")
         transfer = "tensor"
         m_level = level(LevelRule.TWIST, conductor, conductor_ind(chi))
+        once = []  # every prime of M = N^2 N'^2 divides it at least twice
         # the induction of chi is the parameter of a weight (2m+1) newform
         arch = tensor_arch(from_newform(k), from_newform(chi.weight + 1))
 
@@ -518,7 +557,7 @@ def predict_siegel(
         label=_source_label(source) + ("" if chi is None else f" x chi(D={chi.field.D}, m={chi.m})"),
         transfer=transfer,
         level=m_level,
-        iwahori_note=_iwahori_note(m_level),
+        iwahori_note=_iwahori_note(once),
         arch=arch,
         classification=classify(arch),
         spin_factors=spin,
@@ -532,25 +571,30 @@ def predict_siegel(
 # ---------------------------------------------------------------------------
 # finite-support Euler products
 
-@dataclass
-class LObject:
+class LObject(Record):
     """Finite-support model of an Euler product: factors at finitely many
     primes, all of the object's weight."""
 
-    label: str
-    weight: int
-    factors: Dict[int, LocalFactor]
-    arch: Optional[ArchParam] = None
-    level: Optional[int] = None
+    __slots__ = ("label", "weight", "factors", "arch", "level")
 
-    def __post_init__(self):
-        for p, f in self.factors.items():
+    def __init__(
+        self,
+        label: str,
+        weight: int,
+        factors: Dict[int, LocalFactor],
+        arch: Optional[ArchParam] = None,
+        level: Optional[int] = None,
+    ):
+        for p, f in factors.items():
             if f.prime != p:
                 raise InputError(f"factor stored at {p} has prime {f.prime}")
-            if f.weight != self.weight:
-                raise InputError(
-                    f"factor at p={p} has weight {f.weight}, object has {self.weight}"
-                )
+            if f.weight != weight:
+                raise InputError(f"factor at p={p} has weight {f.weight}, object has {weight}")
+        self.label = label
+        self.weight = weight
+        self.factors = factors
+        self.arch = arch
+        self.level = level
 
     @property
     def degree(self) -> int:
@@ -597,10 +641,12 @@ def dirichlet_coeffs(obj: LObject, bound: int):
     return a
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    equal: bool
-    first_mismatch: Optional[int] = None
+class CompareResult(Record):
+    __slots__ = ("equal", "first_mismatch")
+
+    def __init__(self, equal: bool, first_mismatch: Optional[int] = None):
+        self.equal = equal
+        self.first_mismatch = first_mismatch
 
 
 def compare_coeffwise(a: LObject, b: LObject, bound: int) -> CompareResult:
@@ -613,12 +659,14 @@ def compare_coeffwise(a: LObject, b: LObject, bound: int) -> CompareResult:
     return CompareResult(True, None)
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    tail_bound: float
-    s: float
-    terms: int
+class EvalResult(Record):
+    __slots__ = ("value", "tail_bound", "s", "terms")
+
+    def __init__(self, value: float, tail_bound: float, s: float, terms: int):
+        self.value = value
+        self.tail_bound = tail_bound
+        self.s = s
+        self.terms = terms
 
 
 def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:

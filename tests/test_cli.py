@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -253,3 +254,12 @@ def test_predict_large_prime_discriminant(capsys):
     # disc = -1047779 is prime: deriving the level classifies one large bad prime
     code, out, _ = run(capsys, "predict", "--curve", "0,0,1,-1,49", "--pmax", "20")
     assert code == 0 and "level: 1047779\n" in out
+
+
+def test_predict_factors_a_large_conductor_quickly(capsys):
+    # disc = 3 * 124120307 * 169710119; trial division took about 34 s here
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "predict", "--curve=-21,-10,18,-98486,-47847", "--pmax", "5")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and "level: 63193416213859599\n" in out
+    assert "at p = 3, 124120307, 169710119 (exactly dividing the level)" in out

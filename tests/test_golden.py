@@ -79,6 +79,10 @@ GOLDEN = {
     "predict_30a1_sym3.json": [
         "predict", "--curve", "1,0,1,1,2", "--pmax", "50", "--format", "json",
     ],
+    # derived conductor 3 * 124120307 * 169710119: two large primes to factor
+    "predict_N63193416213859599.txt": [
+        "predict", "--curve=-21,-10,18,-98486,-47847", "--pmax", "5",
+    ],
     "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
