@@ -2,13 +2,13 @@
 
 A record is a plain class with ``__slots__`` and a hand-written
 ``__init__`` that checks and normalises its arguments.  ``Record`` gives
-the field-by-field repr.  ``Value`` is for the records that are compared
+the field-by-field repr, and ``_fill``, which sets the slots in order
+for the wider records.  ``Value`` is for the records that are compared
 or hashed (cache keys, factors checked for equality): it is immutable,
 equal to a record of the same class with the same constructor arguments
 ``_args()``, hashed by them, and pickled by them, since the raising
 ``__setattr__`` rules out the default unpickling of slot classes.
-``Value.__init__`` methods set their fields through ``_set`` or, for the
-wider records, ``_fill``.
+``Value.__init__`` methods set their fields through ``_set`` or ``_fill``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
 
+    def _fill(self, *values) -> None:
+        """Set the slots, in order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
@@ -27,18 +32,15 @@ class Record:
 class Value(Record):
     __slots__ = ()
 
-    def _fill(self, *values) -> None:
-        """Set the slots, in order, to ``values``."""
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
-
     def _args(self) -> tuple:
-        """The constructor arguments, by default every slot in order."""
-        return tuple(getattr(self, name) for name in self.__slots__)
+        """The constructor arguments, spelt out by each subclass (a generic
+        loop over the slots costs six times as much, and equality and
+        hashing run in inner loops)."""
+        raise NotImplementedError
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._args() == other._args()
+            return self is other or self._args() == other._args()
         return NotImplemented
 
     def __hash__(self):

@@ -35,6 +35,9 @@ class ArchParam(Value):
         _set(self, "exponents", exps)
         _set(self, "weight", weight)
 
+    def _args(self) -> tuple:
+        return (self.exponents, self.weight)
+
     @property
     def size(self) -> int:
         return len(self.exponents)

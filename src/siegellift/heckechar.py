@@ -47,6 +47,9 @@ class ImagQuadField(Value):
             )
         _set(self, "D", D)
 
+    def _args(self) -> tuple:
+        return (self.D,)
+
     @property
     def unit_order(self) -> int:
         if self.D == -4:
@@ -88,6 +91,9 @@ class QuadInt(Value):
         _set(self, "field", field)
         _set(self, "x", x)
         _set(self, "y", y)
+
+    def _args(self) -> tuple:
+        return (self.field, self.x, self.y)
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
         self._check(other)
@@ -153,6 +159,9 @@ class AntiCycChar(Value):
             raise UnitCompatibilityError("D=-3 has units of order 6: m must be divisible by 3")
         _set(self, "field", field)
         _set(self, "m", m)
+
+    def _args(self) -> tuple:
+        return (self.field, self.m)
 
     @property
     def weight(self) -> int:

@@ -99,6 +99,9 @@ class LocalFactor(Value):
         _set(self, "coeffs", coeffs)
         self.__post_init__()
 
+    def _args(self) -> tuple:
+        return (self.prime, self.weight, self.coeffs)
+
     # the checks live in their own method, which perfbench/tracer.py wraps
     # to count and size every factor built
     def __post_init__(self):

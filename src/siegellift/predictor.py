@@ -82,6 +82,9 @@ class ReportEntry(Value):
     ):
         self._fill(prime, identity, status, reason, lhs, rhs)
 
+    def _args(self) -> tuple:
+        return (self.prime, self.identity, self.status, self.reason, self.lhs, self.rhs)
+
     def to_json(self) -> dict:
         return {
             "p": self.prime,
@@ -98,6 +101,9 @@ class VerifyReport(Value):
 
     def __init__(self, entries: Tuple[ReportEntry, ...]):
         _set(self, "entries", tuple(sorted(entries, key=lambda e: e.prime)))
+
+    def _args(self) -> tuple:
+        return (self.entries,)
 
     @property
     def ok(self) -> bool:
@@ -167,6 +173,9 @@ class LocalData(Value):
         skip: str,  # reason on skipped rows; "" at good unramified p
     ):
         self._fill(prime, regime, ramified, eta, ind, spin, skip)
+
+    def _args(self) -> tuple:
+        return (self.prime, self.regime, self.ramified, self.eta, self.ind, self.spin, self.skip)
 
 
 def _ramified(chi: AntiCycChar, p: int) -> bool:
@@ -399,17 +408,10 @@ class SiegelPrediction(Record):
         verification: VerifyReport,
         notes: Tuple[str, ...] = (),
     ):
-        self.label = label
-        self.transfer = transfer
-        self.level = level
-        self.iwahori_note = iwahori_note
-        self.arch = arch
-        self.classification = classification
-        self.spin_factors = spin_factors
-        self.std_factors = std_factors
-        self.flags = flags
-        self.verification = verification
-        self.notes = notes
+        self._fill(
+            label, transfer, level, iwahori_note, arch, classification,
+            spin_factors, std_factors, flags, verification, notes,
+        )
 
     def to_json(self) -> dict:
         return {
