@@ -47,6 +47,24 @@ GOLDEN = {
     "lcoeffs_11a3_sym3_X500.json": [
         "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "500", "--format", "json",
     ],
+    "lcoeffs_11a3_tensor_D-4_m2_X5000.csv": [
+        "lcoeffs", *CURVE, *CHI, "--transfer", "tensor", "--X", "5000", "--format", "csv",
+    ],
+    # 2 splits in Q(sqrt(-7)); Q(sqrt(-3)) has six units
+    "lcoeffs_11a3_tensor_D-7_m2_X500.csv": [
+        "lcoeffs", *CURVE, "--D", "-7", "--m", "2", "--transfer", "tensor", "--X", "500",
+        "--format", "csv",
+    ],
+    "lcoeffs_11a3_tensor_D-3_m3_X500.csv": [
+        "lcoeffs", *CURVE, "--D", "-3", "--m", "3", "--transfer", "tensor", "--X", "500",
+        "--format", "csv",
+    ],
+    "lcoeffs_delta_sym3_X211.csv": [
+        "lcoeffs", *DELTA, "--transfer", "sym3", "--X", "211", "--format", "csv",
+    ],
+    "eval_11a3_sym3_X5000_s3.json": [
+        "eval", *CURVE, "--transfer", "sym3", "--X", "5000", "-s", "3", "--format", "json",
+    ],
     "eval_11a3_tensor_D-4_m2_X500_s5.txt": [
         "eval", *CURVE, *CHI, "--transfer", "tensor", "--X", "500", "-s", "5",
     ],
