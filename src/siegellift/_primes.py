@@ -5,7 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24; the first
+# four alone are valid below 3 215 031 751 (Jaeschke, Math. Comp. 61 (1993)).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -27,7 +28,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < 3_215_031_751 else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -135,3 +136,19 @@ def kronecker_at_prime(D: int, p: int) -> int:
     if r == 0:
         return 0
     return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, for a a square mod p
+    (Tonelli-Shanks; Cohen, GTM 138, Alg. 1.5.1)."""
+    if a % p == 0:
+        return 0
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r

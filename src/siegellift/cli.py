@@ -193,9 +193,9 @@ def _build_object(args):
     if transfer == "tensor":
         if chi is None:
             raise InputError("--transfer tensor needs --D and --m")
-        return tensor_object(source, chi, args.X)
+        return tensor_object(source, chi, args.X, bound=args.X)
     if transfer == "sym3":
-        return sym3_object(source, args.X)
+        return sym3_object(source, args.X, bound=args.X)
     return gl2_object(source, args.X)
 
 

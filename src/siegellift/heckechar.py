@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from math import isqrt
 
-from ._primes import is_prime, kronecker_at_prime
+from ._primes import is_prime, kronecker_at_prime, sqrt_mod
 from ._record import Value, _set
 from .errors import InputError, UnitCompatibilityError, UnsupportedFieldError
 from .localfactor import LocalFactor
@@ -189,39 +189,32 @@ def splitting(field: ImagQuadField, p: int) -> Splitting:
 def prime_above(field: ImagQuadField, p: int) -> QuadInt:
     """A generator of a prime above p (class number one makes it principal).
 
-    Split/ramified p: solve N(x + y*w) = p exactly.  The imaginary part of
-    x + y*w is y*sqrt(|D|)/2, so |y| <= 2*sqrt(p/|D|), and for each y the
-    norm equation is a quadratic in x with discriminant D*y^2 + 4p.  Among
-    all solutions the generator with maximal real part (2x + yD, an
-    integer), then positive y, is returned, so the choice is reproducible;
+    Split/ramified p: an element x + y*w of norm p.  With t = 2x + yD
+    (twice the real part) the norm equation reads t^2 + |D| y^2 = 4p,
+    solved by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.3): t^2 =
+    8 + D at p = 2; for odd p, Euclid on (2p, r), r = sqrt(D) mod p taken
+    congruent to D mod 2, down to the first remainder t <= 2 sqrt(p).
+    Every element of norm p is u*pi or u*conj(pi) for a unit u; the one
+    with the largest (t, y) is returned, so the choice is reproducible;
     every value derived from it is generator-independent anyway.  Inert p:
     the rational prime itself (norm p^2).
     """
-    kind = splitting(field, p)
-    if kind is Splitting.INERT:
+    if splitting(field, p) is Splitting.INERT:
         return field.element(p, 0)
     D = field.D
-    best = None
-    ymax = isqrt(4 * p // -D) + 1
-    for y in range(-ymax, ymax + 1):
-        disc = D * y * y + 4 * p
-        if disc < 0:
-            continue
-        t = isqrt(disc)
-        if t * t != disc:
-            continue
-        for tt in (t, -t) if t else (0,):
-            if (tt - D * y) % 2 != 0:
-                continue
-            cand = field.element((tt - D * y) // 2, y)
-            if cand.norm() != p:
-                continue
-            key = (tt, y)  # tt = 2x + yD is twice the real part
-            if best is None or key > best[0]:
-                best = (key, cand)
-    if best is None:  # unreachable over the supported fields
-        raise InputError(f"no element of norm {p} found in Q(sqrt({D}))")
-    return best[1]
+    if p == 2:
+        t = isqrt(8 + D)
+    else:
+        a, t, bound = 2 * p, sqrt_mod(D, p), isqrt(4 * p)
+        if (t - D) % 2:
+            t = p - t
+        while t > bound:
+            a, t = t, a % t
+    y = isqrt((4 * p - t * t) // -D)
+    # (t', y') of u * (t +- y sqrt(D))/2 for each unit u = (ut + uy sqrt(D))/2
+    units = [(u.trace(), u.y) for u in field.units()]
+    t, y = max(((ut * t + uy * D * s) // 2, (ut * s + uy * t) // 2) for ut, uy in units for s in (y, -y))
+    return field.element((t - D * y) // 2, y)
 
 
 def char_value(chi: AntiCycChar, pi: QuadInt) -> QuadInt:

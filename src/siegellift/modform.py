@@ -8,8 +8,9 @@ not minimal at a prime of good or multiplicative reduction, where it
 reduces to a cusp.  Good-prime Hecke eigenvalues a_p = p + 1 - #E(F_p)
 come from point enumeration at p = 2, an O(p) quadratic-character sum up
 to p = 229, and Shanks-Mestre baby-step giant-step (about p^(1/4) group
-operations) above it, with the character sum as its fallback and test
-oracle.  Curve data must be exact integers; a float, string or bool is
+operations, each one affine addition written out inline: one modular
+inversion, no call) above it, with the character sum as its fallback and
+test oracle.  Curve data must be exact integers; a float, string or bool is
 rejected, never truncated.  At a prime p | discriminant the reduction is
 additive (a_p = 0) when p | c4 and multiplicative otherwise: split
 (a_p = 1) when -c6 is a square in Z_p, nonsplit (a_p = -1) when it is not.
@@ -229,59 +230,65 @@ _BSGS_MIN_P = 229
 _BSGS_POINTS = 20
 
 
-def _ec_add(p: int, a: int, P, Q):
-    # affine chord-and-tangent on y^2 = x^3 + a x + b over F_p; None is O
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    return x3, (slope * (x1 - x3) - y1) % p
-
-
-def _ec_mul(p: int, a: int, n: int, P):
-    R = None
-    while n:
-        if n & 1:
-            R = _ec_add(p, a, R, P)
-        n >>= 1
-        if n:
-            P = _ec_add(p, a, P, P)
-    return R
-
-
-def _orders_in(p: int, a: int, P, low: int, high: int, m: int):
-    """Every N in [low, high] with N P = O, or None when the order of P is
-    at most 2m.  Baby steps jP (1 <= j <= m) are keyed by x, so one lookup
+def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
+    """Every N in [low, high] with N P = O for P = (x1, y1), y1 != 0, on
+    y^2 = x^3 + a x + b over F_p, or None when the order of P is at most
+    2m + 1.  Baby steps jP (1 <= j <= m) are keyed by x, so one lookup
     covers +-j; giant steps visit c P at the centres c of windows of width
-    2m + 1 that tile the interval.  An order above 2m puts at most one
-    solution in a window and keeps the baby x-coordinates distinct."""
+    2m + 1 that tile the interval.  An order above 2m + 1 puts at most one
+    solution in a window and keeps the baby x-coordinates distinct.
+
+    The affine group law is written out in each loop: one inversion and no
+    call per addition.  x = None stands for O."""
     baby = {}
-    Q = None
-    for j in range(1, m + 1):
-        Q = _ec_add(p, a, Q, P)
-        if Q is None or Q[1] == 0 or Q[0] in baby:
+    x, y = x1, y1
+    for j in range(1, m + 2):  # j P
+        if x in baby:  # j P = +-i P with i < j
             return None
-        baby[Q[0]] = (j, Q[1])
-    step = _ec_add(p, a, Q, _ec_add(p, a, Q, P))  # (2m + 1) P
-    orders = []
+        if j > m:
+            break
+        baby[x] = (j, y)
+        t = ((y - y1) * pow(x - x1, -1, p) if j > 1 else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+        xm, ym, x = x, y, (t * t - x - x1) % p
+        y = (t * (xm - x) - ym) % p
+    # the giant step (2m + 1) P = m P + (m + 1) P
+    t = (y - ym) * pow(x - xm, -1, p) % p
+    sx = (t * t - x - xm) % p
+    sy = (t * (xm - sx) - ym) % p
     c = low + m
-    R = _ec_mul(p, a, c, P)
+    x, y = x1, y1  # c P, double-and-add from the top bit
+    for bit in bin(c)[3:]:
+        if y == 0:
+            x = None
+        elif x is not None:
+            t = (3 * x * x + a) * pow(2 * y, -1, p) % p
+            xm, x = x, (t * t - 2 * x) % p
+            y = (t * (xm - x) - y) % p
+        if bit == "0":
+            continue
+        if x is None:
+            x, y = x1, y1
+        elif x == x1 and y != y1:
+            x = None
+        else:
+            t = ((y - y1) * pow(x - x1, -1, p) if x != x1 else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+            xm, x = x, (t * t - x - x1) % p
+            y = (t * (xm - x) - y) % p
+    orders = []
     while c - m <= high:
-        if R is None:
+        if x is None:
             orders.append(c)
-        elif R[0] in baby:
-            j, y = baby[R[0]]
-            orders.append(c - j if R[1] == y else c + j)
-        R = _ec_add(p, a, R, step)
+            x, y = sx, sy
+        else:
+            if x in baby:
+                j, yj = baby[x]
+                orders.append(c - j if y == yj else c + j)
+            if x == sx and (y != sy or y == 0):
+                x = None
+            else:
+                t = ((y - sy) * pow(x - sx, -1, p) if x != sx else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+                xm, x = x, (t * t - x - sx) % p
+                y = (t * (xm - x) - y) % p
         c += 2 * m + 1
     return [n for n in orders if n <= high]
 
@@ -309,7 +316,7 @@ def _ap_bsgs(curve: CurveData, p: int) -> Optional[int]:
         f = ((x * x + A) * x + B) % p
         if f == 0:
             continue
-        orders = _orders_in(p, A * f * f % p, (x * f % p, f * f % p), low, high, m)
+        orders = _orders_in(p, A * f * f % p, x * f % p, f * f % p, low, high, m)
         if orders is not None:
             sign = kronecker_at_prime(f, p)
             found = {sign * (p + 1 - n) for n in orders}

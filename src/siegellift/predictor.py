@@ -182,9 +182,11 @@ def _ramified(chi: AntiCycChar, p: int) -> bool:
     return splitting(chi.field, p) is Splitting.RAMIFIED
 
 
-def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
+def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
+               depth: Optional[int] = None) -> LocalData:
     """Local data at p of the symmetric cube of ``source`` (no character)
-    or of its tensor product with the induction of ``chi``."""
+    or of its tensor product with the induction of ``chi``; with ``depth``
+    the spin factor stops after c_depth (see :func:`plethysm`)."""
     red = reduction_at(source, p)
     eta = red.factor(source.weight)
     ramified = chi is not None and _ramified(chi, p)
@@ -193,30 +195,29 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
     else:
         skip = _RAMIFIED if ramified else ""
     if chi is None:
-        return LocalData(p, red.regime, False, eta, None, plethysm(eta, Functor.SYM3), skip)
+        return LocalData(p, red.regime, False, eta, None, plethysm(eta, Functor.SYM3, depth), skip)
     ind = induced_factor(chi, p)
-    spin = None if skip else combine(eta, ind, CombineMode.TENSOR)
+    spin = None if skip else combine(eta, ind, CombineMode.TENSOR, depth)
     return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
 
 
 # ---------------------------------------------------------------------------
 # the identities
 
-def _check_tensor_square(f: LocalFactor) -> Tuple[LocalFactor, LocalFactor]:
+def _check_tensor_square(f: LocalFactor, ext2: Optional[LocalFactor] = None):
+    # ext2 = Lambda^2 f, when the caller has built it already
     lhs = combine(f, f, CombineMode.TENSOR)
-    rhs = combine(plethysm(f, Functor.EXT2), plethysm(f, Functor.SYM2), CombineMode.SUM)
-    return lhs, rhs
+    ext2 = plethysm(f, Functor.EXT2) if ext2 is None else ext2
+    return lhs, combine(ext2, plethysm(f, Functor.SYM2), CombineMode.SUM)
 
 
-def _check_sym3_ext2(ld: LocalData) -> Tuple[LocalFactor, LocalFactor]:
+def _sym3_ext2_rhs(ld: LocalData) -> LocalFactor:
     j = ld.eta.weight  # = k - 1
-    lhs = plethysm(ld.spin, Functor.EXT2)
-    rhs = combine(
+    return combine(
         tate_twist(plethysm(ld.eta, Functor.SYM4), j),
         tate_factor(ld.prime, 3 * j, weight=6 * j),
         CombineMode.SUM,
     )
-    return lhs, rhs
 
 
 def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
@@ -230,11 +231,10 @@ def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     )
 
 
-def _check_tensor_ext2(ld: LocalData, chi: AntiCycChar) -> Tuple[LocalFactor, LocalFactor]:
-    lhs = plethysm(ld.spin, Functor.EXT2)
+def _tensor_ext2_rhs(ld: LocalData, sym2_ind: LocalFactor) -> LocalFactor:
     piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
-    piece2 = combine(plethysm(ld.eta, Functor.EXT2), _sym2_ind_rhs(chi, ld.prime), CombineMode.TENSOR)
-    return lhs, combine(piece1, piece2, CombineMode.SUM)
+    piece2 = combine(plethysm(ld.eta, Functor.EXT2), sym2_ind, CombineMode.TENSOR)
+    return combine(piece1, piece2, CombineMode.SUM)
 
 
 def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> ReportEntry:
@@ -243,10 +243,10 @@ def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> Rep
     return ReportEntry(p, name.value, Status.FAIL, "exact mismatch", lhs, rhs)
 
 
-def _sym2_ind_entry(chi: AntiCycChar, p: int, ramified: bool, ind: LocalFactor) -> ReportEntry:
+def _sym2_ind_entry(p: int, ramified: bool, ind: LocalFactor, sym2_ind: LocalFactor) -> ReportEntry:
     if ramified:
         return ReportEntry(p, Identity.SYM2_IND.value, Status.SKIPPED, _RAMIFIED)
-    return _compared(Identity.SYM2_IND, p, plethysm(ind, Functor.SYM2), _sym2_ind_rhs(chi, p))
+    return _compared(Identity.SYM2_IND, p, plethysm(ind, Functor.SYM2), sym2_ind)
 
 
 def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -> ReportEntry:
@@ -255,9 +255,10 @@ def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -
         return ReportEntry(ld.prime, name.value, Status.SKIPPED, ld.skip)
     if name is Identity.TENSOR_SQ:
         return _compared(name, ld.prime, *_check_tensor_square(ld.eta))
+    lhs = plethysm(ld.spin, Functor.EXT2)
     if name is Identity.SYM3_EXT2:
-        return _compared(name, ld.prime, *_check_sym3_ext2(ld))
-    return _compared(name, ld.prime, *_check_tensor_ext2(ld, chi))
+        return _compared(name, ld.prime, lhs, _sym3_ext2_rhs(ld))
+    return _compared(name, ld.prime, lhs, _tensor_ext2_rhs(ld, _sym2_ind_rhs(chi, ld.prime)))
 
 
 def _require_inputs(
@@ -288,7 +289,7 @@ def verify_identity(
         raise InputError(f"unknown identity {name!r}")
     _require_inputs(name, source, chi, factor)
     if name is Identity.SYM2_IND:
-        return _sym2_ind_entry(chi, p, _ramified(chi, p), induced_factor(chi, p))
+        return _sym2_ind_entry(p, _ramified(chi, p), induced_factor(chi, p), _sym2_ind_rhs(chi, p))
     if name is Identity.TENSOR_SQ and factor is not None:
         if factor.prime != p:
             raise InputError(f"factor is at prime {factor.prime}, entry requested at {p}")
@@ -338,15 +339,16 @@ def ap_match_report(curve: CurveData, newform: NewformData, pmax: Optional[int] 
 # ---------------------------------------------------------------------------
 # degree-5 extraction and level rules
 
-def degree5_factor(pi_p: LocalFactor) -> LocalFactor:
+def degree5_factor(pi_p: LocalFactor, ext2: Optional[LocalFactor] = None) -> LocalFactor:
     """Standard (degree-5) factor: Lambda^2(pi_p) / (1 - p^w T), w = weight.
 
     The divisibility is the exactness form of the exterior-square pole; a
-    factor that is not of symplectic type leaves a remainder.
+    factor that is not of symplectic type leaves a remainder.  ``ext2`` is
+    Lambda^2(pi_p) when the caller has built it already.
     """
     pol = tate_factor(pi_p.prime, pi_p.weight, weight=2 * pi_p.weight)
     try:
-        return exact_divide(plethysm(pi_p, Functor.EXT2), pol)
+        return exact_divide(plethysm(pi_p, Functor.EXT2) if ext2 is None else ext2, pol)
     except InexactDivisionError:
         raise NotSymplecticError(
             f"exterior square at p={pi_p.prime} is not divisible by the polarization factor"
@@ -510,7 +512,7 @@ def predict_siegel(
     if chi is None:
         if k % 2 != 0 or character is not CharacterKind.TRIVIAL:
             raise InputError("symmetric-cube transfer needs even weight and trivial character")
-        transfer = "sym3"
+        transfer, identity = "sym3", Identity.SYM3_EXT2
         m_level = _sym3_level(conductor, factors)
         once = [p for p, _ in factors]  # M = N is squarefree
         arch = sym3_arch(from_newform(k))
@@ -521,7 +523,7 @@ def predict_siegel(
             )
         if character is not CharacterKind.TRIVIAL:
             raise InputError("even-weight tensor transfer needs a trivial character")
-        transfer = "tensor"
+        transfer, identity = "tensor", Identity.TENSOR_EXT2
         m_level = level(LevelRule.TWIST, conductor, conductor_ind(chi))
         once = []  # every prime of M = N^2 N'^2 divides it at least twice
         # the induction of chi is the parameter of a weight (2m+1) newform
@@ -534,19 +536,21 @@ def predict_siegel(
     for p in primes_upto(pmax):
         ld = local_data(source, chi, p)
         regimes.add(ld.regime)
-        if chi is None:
-            entries.append(_identity_entry(Identity.SYM3_EXT2, ld, None))
-        else:
-            entries.append(_sym2_ind_entry(chi, p, ld.ramified, ld.ind))
-            entries.append(_identity_entry(Identity.TENSOR_EXT2, ld, chi))
+        if chi is not None:
+            sym2_ind = _sym2_ind_rhs(chi, p)  # feeds the sym2-ind and tensor-ext2 rows
+            entries.append(_sym2_ind_entry(p, ld.ramified, ld.ind, sym2_ind))
         if ld.spin is not None:
             spin[p] = ld.spin
         if ld.skip:
+            entries.append(ReportEntry(p, identity.value, Status.SKIPPED, ld.skip))
             entries.append(ReportEntry(p, "r5-extract", Status.SKIPPED, ld.skip))
-        else:
-            entries.append(verify_identity(Identity.TENSOR_SQ, p, factor=ld.spin))
-            std[p] = degree5_factor(ld.spin)
-            entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
+            continue
+        ext2 = plethysm(ld.spin, Functor.EXT2)  # feeds three rows
+        rhs = _sym3_ext2_rhs(ld) if chi is None else _tensor_ext2_rhs(ld, sym2_ind)
+        std[p] = degree5_factor(ld.spin, ext2)
+        entries.append(_compared(identity, p, ext2, rhs))
+        entries.append(_compared(Identity.TENSOR_SQ, p, *_check_tensor_square(ld.spin, ext2)))
+        entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 
     if transfer == "sym3" and "multiplicative" in regimes:
         notes.append(
@@ -575,9 +579,11 @@ def predict_siegel(
 
 class LObject(Record):
     """Finite-support model of an Euler product: factors at finitely many
-    primes, all of the object's weight."""
+    primes, all of the object's weight.  ``degree`` is the nominal degree,
+    by default the largest of the factors' (1 for an empty product); a factor
+    may stop short of it where an expansion reads no further (:func:`sym3_object`)."""
 
-    __slots__ = ("label", "weight", "factors", "arch", "level")
+    __slots__ = ("label", "weight", "factors", "arch", "level", "degree")
 
     def __init__(
         self,
@@ -586,6 +592,7 @@ class LObject(Record):
         factors: Dict[int, LocalFactor],
         arch: Optional[ArchParam] = None,
         level: Optional[int] = None,
+        degree: Optional[int] = None,
     ):
         for p, f in factors.items():
             if f.prime != p:
@@ -597,10 +604,17 @@ class LObject(Record):
         self.factors = factors
         self.arch = arch
         self.level = level
+        self.degree = (degree or max(f.degree for f in factors.values())) if factors else 1
 
-    @property
-    def degree(self) -> int:
-        return max((f.degree for f in self.factors.values()), default=1)
+
+def _exponent(p: int, bound: Optional[int]) -> Optional[int]:
+    """The largest e >= 1 with p^e <= bound (1 when p > bound); None without a bound."""
+    if bound is None:
+        return None
+    e = 1
+    while p ** (e + 1) <= bound:
+        e += 1
+    return e
 
 
 def _inverse_series(f: LocalFactor, terms: int) -> List[int]:
@@ -626,10 +640,7 @@ def dirichlet_coeffs(obj: LObject, bound: int):
         raise MissingPrimeError(missing)
     expansions = {}
     for p in needed:
-        e_max = 1
-        while p ** (e_max + 1) <= bound:
-            e_max += 1
-        expansions[p] = _inverse_series(obj.factors[p], e_max + 1)
+        expansions[p] = _inverse_series(obj.factors[p], _exponent(p, bound) + 1)
     spf = smallest_prime_factors(bound)
     a = [0] * (bound + 1)
     a[1] = 1
@@ -710,25 +721,30 @@ def gl2_object(source: Source, pmax: int, label: Optional[str] = None) -> LObjec
     return LObject(label or _source_label(source), source.weight - 1, factors)
 
 
-def sym3_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
+def sym3_object(
+    source: Source, pmax: int, label: Optional[str] = None, bound: Optional[int] = None
+) -> LObject:
     """Symmetric-cube Euler product (degree 4); multiplicative primes carry
-    the Steinberg line 1 - a_p T, additive primes the trivial factor."""
-    factors = {p: local_data(source, None, p).spin for p in primes_upto(pmax)}
-    return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors)
+    the Steinberg line 1 - a_p T, additive primes the trivial factor.  With
+    ``bound`` the factor at p stops after c_e, p^e <= bound: all that
+    ``dirichlet_coeffs(obj, bound)`` reads, and only c_1 above sqrt(bound)."""
+    factors = {p: local_data(source, None, p, _exponent(p, bound)).spin for p in primes_upto(pmax)}
+    return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
 
 def tensor_object(
-    source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None
+    source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None,
+    bound: Optional[int] = None,
 ) -> LObject:
     """Tensor Euler product (degree 4).  Local data is unspecified at bad or
     ramified primes; those factors are set to 1, i.e. dropped from the
-    product."""
+    product.  ``bound`` truncates the factors as in :func:`sym3_object`."""
     weight = (source.weight - 1) + chi.weight
     factors = {}
     for p in primes_upto(pmax):
-        ld = local_data(source, chi, p)
+        ld = local_data(source, chi, p, _exponent(p, bound))
         factors[p] = ld.spin if ld.spin is not None else one(p, 4, weight)
-    return LObject(label or f"{_source_label(source)} x chi", weight, factors)
+    return LObject(label or f"{_source_label(source)} x chi", weight, factors, degree=4)
 
 
 def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
@@ -745,7 +761,7 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     for p in primes_upto(bound):
         ld = local_data(source, None, p)
         if ld.regime == "good":
-            lhs_factors[p], rhs_factors[p] = _check_sym3_ext2(ld)
+            lhs_factors[p], rhs_factors[p] = plethysm(ld.spin, Functor.EXT2), _sym3_ext2_rhs(ld)
         else:
             lhs_factors[p] = rhs_factors[p] = plethysm(ld.spin, Functor.EXT2)
     label = _source_label(source)

@@ -1,6 +1,7 @@
 """Field arithmetic, character values, induced factors."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -85,6 +86,31 @@ def test_prime_above_norms_across_fields():
             if splitting(K, p) is Splitting.INERT:
                 continue
             assert prime_above(K, p).norm() == p
+
+
+def prime_above_by_search(K, p):
+    """The O(sqrt(p/|D|)) reference for prime_above at split or ramified p:
+    every x + y*w of norm p has |y| <= 2 sqrt(p/|D|), and for each y the
+    norm equation is a quadratic in x with discriminant D y^2 + 4p; the
+    solution with the largest (2x + yD, y) is returned."""
+    D, best = K.D, None
+    ymax = isqrt(4 * p // -D) + 1
+    for y in range(-ymax, ymax + 1):
+        disc = D * y * y + 4 * p
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            continue
+        for t in {isqrt(disc), -isqrt(disc)}:
+            if (t - D * y) % 2 == 0 and K.element((t - D * y) // 2, y).norm() == p:
+                best = max(best or (t, y), (t, y))
+    return K.element((best[0] - D * best[1]) // 2, best[1])
+
+
+@pytest.mark.parametrize("d", [-3, -4, -7, -8, -11, -19, -43, -67, -163])
+def test_prime_above_matches_search(d):
+    K = ImagQuadField(d)
+    for p in primes_upto(2 * 10**4):
+        if splitting(K, p) is not Splitting.INERT:
+            assert prime_above(K, p) == prime_above_by_search(K, p), (d, p)
 
 
 def test_unit_compatibility():

@@ -530,6 +530,15 @@ def check_against_oracle(rng, coeff):
     for functor in (Functor.SYM3, Functor.SYM4):
         assert_same(plethysm(e2, functor).coeffs, ref_plethysm(e2.coeffs, functor))
     assert_same(combine(f, g, CombineMode.TENSOR).coeffs, ref_tensor(c, g.coeffs))
+    assert_same(combine(f, f, CombineMode.TENSOR).coeffs, ref_tensor(c, c))
+    # truncated: c_1..c_depth of the whole result, coefficient by coefficient
+    depth = rng.randrange(1, 6)
+    for functor in (Functor.SYM2, Functor.EXT2):
+        assert_same(plethysm(f, functor, depth).coeffs, ref_plethysm(c, functor)[: depth + 1])
+    for functor in (Functor.SYM3, Functor.SYM4):
+        want = ref_plethysm(e2.coeffs, functor)[: depth + 1]
+        assert_same(plethysm(e2, functor, depth).coeffs, want)
+    assert_same(combine(f, g, CombineMode.TENSOR, depth).coeffs, ref_tensor(c, g.coeffs)[: depth + 1])
     product = combine(f, g, CombineMode.SUM)
     assert_same(product.coeffs, ref_sum(c, g.coeffs))
     assert_same(exact_divide(product, g).coeffs, ref_divide(product.coeffs, g.coeffs))

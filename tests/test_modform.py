@@ -33,6 +33,7 @@ from siegellift.modform import (
     RamanujanBoundWarning,
     _ap_bsgs,
     _ap_charsum,
+    _orders_in,
     invariants_of_raw,
     reduction_at,
 )
@@ -139,6 +140,86 @@ def test_bsgs_agrees_with_charsum_on_random_curves():
             continue
     for curve in curves:
         assert_bsgs_matches_charsum(curve, 1500)
+
+
+def ec_add(p, a, P, Q):
+    """Reference affine chord-and-tangent on y^2 = x^3 + a x + b; None is O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def ec_mul(p, a, n, P):
+    R = None
+    for bit in bin(n)[2:]:
+        R = ec_add(p, a, ec_add(p, a, R, R), P if bit == "1" else None)
+    return R
+
+
+def orders_by_walk(p, a, P, low, high, m):
+    """_orders_in's answer by plain repeated addition of P: None when the
+    order of P is at most 2m + 1, else every N in [low, high] killing P."""
+    Q = None
+    for _ in range(2 * m + 1):
+        Q = ec_add(p, a, Q, P)
+        if Q is None:
+            return None
+    Q, out = ec_mul(p, a, low, P), []
+    for n in range(low, high + 1):
+        if Q is None:
+            out.append(n)
+        Q = ec_add(p, a, Q, P)
+    return out
+
+
+def test_orders_in_against_walk():
+    """The inlined group law against the reference one, on the points
+    _ap_bsgs tries.  A giant-step centre c with c P = O takes the R = O
+    branch, and the step after it doubles (R = step); both must occur."""
+    centre_hits = 0
+    for ainvs in [(0, -1, 1, 0, 0), (1, 1, 1, -10, -10), (0, 1, 1, -2, 0)]:
+        c4, c6 = CurveData(*ainvs).invariants[4:6]
+        for p in primes_upto(1500):
+            if p <= _BSGS_MIN_P or (c4**3 - c6**2) % p == 0:
+                continue
+            A, B = -27 * c4 % p, -54 * c6 % p
+            w = int((4 * p) ** 0.5)
+            low, high, m = p + 1 - w, p + 1 + w, int(w**0.5) + 1
+            for x in range(3):
+                f = ((x * x + A) * x + B) % p
+                if f == 0:
+                    continue
+                a, P = A * f * f % p, (x * f % p, f * f % p)
+                want = orders_by_walk(p, a, P, low, high, m)
+                assert _orders_in(p, a, *P, low, high, m) == want, (ainvs, p, x)
+                centres = [n for n in want or () if (n - low - m) % (2 * m + 1) == 0]
+                centre_hits += any(low + m < n <= high - 2 * m - 1 for n in centres)
+    assert centre_hits >= 5
+
+
+def test_orders_in_small_orders():
+    """Every point of y^2 = x^3 + x + 3 over F_1009 against short windows:
+    orders of at most 2m + 1 give None, and small orders above it put
+    O, +-P and 2-torsion in the scalar multiple and the giant steps."""
+    p, a = 1009, 1
+    points = [(x, y) for x in range(p) for y in range(1, p) if (y * y - x**3 - x - 3) % p == 0]
+    outcomes = set()
+    for low, high, m in [(900, 1120, 2), (953, 1071, 4), (1001, 1009, 1)]:
+        for P in points:
+            want = orders_by_walk(p, a, P, low, high, m)
+            assert _orders_in(p, a, *P, low, high, m) == want, (P, low, high, m)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_bsgs_ambiguity_falls_back_to_charsum(monkeypatch, curve_11a1):

@@ -414,3 +414,29 @@ def test_consumers_agree(delta_form, name):
             assert obj.factors[p] == spins.get(p, one(p, 4, obj.weight))
             if p not in bad:
                 assert spins[p] == combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR)
+
+
+@pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)"])
+def test_truncated_objects_match_whole_factors(delta_form, name):
+    """With a bound X the builders stop the factor at p after c_e, p^e <= X
+    (at most c_4): coefficient by coefficient those of the whole factor, with
+    the same Dirichlet coefficients, nominal degree and partial sums."""
+    source, chi = _sources(delta_form)[name]
+    for bound in (1, 2, 10, 30, 211):
+        if chi is None:
+            whole, cut = sym3_object(source, bound), sym3_object(source, bound, bound=bound)
+        else:
+            whole, cut = tensor_object(source, chi, bound), tensor_object(source, chi, bound, bound=bound)
+        assert cut.factors.keys() == whole.factors.keys()
+        for p, f in whole.factors.items():
+            e = max(e for e in range(1, 9) if e == 1 or p**e <= bound)
+            got = cut.factors[p]
+            if f == one(p, 4, whole.weight):  # a bad prime of the tensor product
+                assert got == f
+            else:
+                assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
+        assert cut.degree == whole.degree == LObject("", whole.weight, whole.factors).degree
+        assert dirichlet_coeffs(cut, bound) == dirichlet_coeffs(whole, bound)
+        s = whole.weight / 2 + 2
+        got, want = eval_partial(cut, s, bound), eval_partial(whole, s, bound)
+        assert (got.value, got.tail_bound) == (want.value, want.tail_bound)

@@ -1,10 +1,11 @@
-"""Factorization: Pollard-Brent rho against trial division."""
+"""Primality, square roots mod p, and factorization (Pollard-Brent rho against
+trial division)."""
 
 import random
 
 import pytest
 
-from siegellift._primes import factorize, is_prime
+from siegellift._primes import factorize, is_prime, primes_upto, sqrt_mod
 
 
 def trial_division(n):
@@ -57,3 +58,30 @@ def test_factorize_a_large_discriminant():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_is_prime_matches_the_sieve():
+    below = set(primes_upto(2 * 10**5))
+    assert [n for n in range(2 * 10**5 + 1) if is_prime(n)] == sorted(below)
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
+    # and 2, ..., 11: each shorter witness list passes them
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3215031751 * 5, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_on_both_sides_of_the_short_witness_bound():
+    assert is_prime(3215031749) and is_prime(3215031767)
+    assert is_prime(2**61 - 1) and not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_sqrt_mod_every_residue():
+    for p in primes_upto(1000)[1:]:
+        for a in range(p):
+            if pow(a, (p - 1) // 2, p) != p - 1:
+                assert sqrt_mod(a, p) ** 2 % p == a, (a, p)
