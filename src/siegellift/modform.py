@@ -258,7 +258,7 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
     c = low + m
     x, y = x1, y1  # c P, double-and-add from the top bit
     for bit in bin(c)[3:]:
-        if y == 0:
+        if y == 0:  # 2-torsion doubles to O (O itself keeps x = None)
             x = None
         elif x is not None:
             t = (3 * x * x + a) * pow(2 * y, -1, p) % p
