@@ -234,9 +234,10 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
     """Every N in [low, high] with N P = O for P = (x1, y1), y1 != 0, on
     y^2 = x^3 + a x + b over F_p, or None when the order of P is at most
     2m + 1.  Baby steps jP (1 <= j <= m) are keyed by x, so one lookup
-    covers +-j; giant steps visit c P at the centres c of windows of width
-    2m + 1 that tile the interval.  An order above 2m + 1 puts at most one
-    solution in a window and keeps the baby x-coordinates distinct.
+    covers +-j; giant steps visit c P at the centres c, the multiples of
+    2m + 1, of windows of width 2m + 1 that cover the interval.  An order
+    above 2m + 1 puts at most one solution in a window and keeps the baby
+    x-coordinates distinct.
 
     The affine group law is written out in each loop: one inversion and no
     call per addition.  x = None stands for O."""
@@ -255,9 +256,12 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
     t = (y - ym) * pow(x - xm, -1, p) % p
     sx = (t * t - x - xm) % p
     sy = (t * (xm - sx) - ym) % p
-    c = low + m
-    x, y = x1, y1  # c P, double-and-add from the top bit
-    for bit in bin(c)[3:]:
+    # the first window, centred at c = q (2m + 1), reaches low (q >= 1: no
+    # N <= 2m + 1 kills P); c P = q S takes fewer doublings than a c P near low
+    q = max(1, (low + m) // (2 * m + 1))
+    c = q * (2 * m + 1)
+    x, y = sx, sy  # double-and-add from the top bit of q
+    for bit in bin(q)[3:]:
         if y == 0:  # 2-torsion doubles to O (O itself keeps x = None)
             x = None
         elif x is not None:
@@ -267,12 +271,12 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
         if bit == "0":
             continue
         if x is None:
-            x, y = x1, y1
-        elif x == x1 and y != y1:
+            x, y = sx, sy
+        elif x == sx and (y != sy or y == 0):
             x = None
         else:
-            t = ((y - y1) * pow(x - x1, -1, p) if x != x1 else (3 * x * x + a) * pow(2 * y, -1, p)) % p
-            xm, x = x, (t * t - x - x1) % p
+            t = ((y - sy) * pow(x - sx, -1, p) if x != sx else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+            xm, x = x, (t * t - x - sx) % p
             y = (t * (xm - x) - y) % p
     orders = []
     while c - m <= high:
@@ -290,7 +294,7 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
                 xm, x = x, (t * t - x - sx) % p
                 y = (t * (xm - x) - y) % p
         c += 2 * m + 1
-    return [n for n in orders if n <= high]
+    return [n for n in orders if low <= n <= high]
 
 
 def _ap_bsgs(curve: CurveData, p: int) -> Optional[int]:

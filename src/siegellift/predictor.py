@@ -721,9 +721,8 @@ def gl2_object(source: Source, pmax: int, label: Optional[str] = None) -> LObjec
     return LObject(label or _source_label(source), source.weight - 1, factors)
 
 
-def sym3_object(
-    source: Source, pmax: int, label: Optional[str] = None, bound: Optional[int] = None
-) -> LObject:
+def sym3_object(source: Source, pmax: int, label: Optional[str] = None,
+                bound: Optional[int] = None) -> LObject:
     """Symmetric-cube Euler product (degree 4); multiplicative primes carry
     the Steinberg line 1 - a_p T, additive primes the trivial factor.  With
     ``bound`` the factor at p stops after c_e, p^e <= bound: all that
@@ -732,10 +731,8 @@ def sym3_object(
     return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
 
-def tensor_object(
-    source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None,
-    bound: Optional[int] = None,
-) -> LObject:
+def tensor_object(source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None,
+                  bound: Optional[int] = None) -> LObject:
     """Tensor Euler product (degree 4).  Local data is unspecified at bad or
     ramified primes; those factors are set to 1, i.e. dropped from the
     product.  ``bound`` truncates the factors as in :func:`sym3_object`."""
