@@ -189,15 +189,13 @@ def splitting(field: ImagQuadField, p: int) -> Splitting:
 def prime_above(field: ImagQuadField, p: int) -> QuadInt:
     """A generator of a prime above p (class number one makes it principal).
 
-    Split/ramified p: an element x + y*w of norm p.  With t = 2x + yD
-    (twice the real part) the norm equation reads t^2 + |D| y^2 = 4p,
-    solved by Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.3): t^2 =
-    8 + D at p = 2; for odd p, Euclid on (2p, r), r = sqrt(D) mod p taken
-    congruent to D mod 2, down to the first remainder t <= 2 sqrt(p).
-    Every element of norm p is u*pi or u*conj(pi) for a unit u; the one
-    with the largest (t, y) is returned, so the choice is reproducible;
-    every value derived from it is generator-independent anyway.  Inert p:
-    the rational prime itself (norm p^2).
+    Split/ramified p: an element x + y*w of norm p.  With t = 2x + yD (twice
+    the real part) the norm equation reads t^2 + |D| y^2 = 4p, solved by
+    Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.3): t^2 = 8 + D at p = 2;
+    for odd p, Euclid on (2p, r), r = sqrt(D) mod p congruent to D mod 2, down
+    to the first remainder t <= 2 sqrt(p).  Every element of norm p is u*pi or
+    u*conj(pi) for a unit u; the one with the largest (t, y) is returned, so
+    the choice is reproducible.  Inert p: the rational prime itself (norm p^2).
     """
     if splitting(field, p) is Splitting.INERT:
         return field.element(p, 0)

@@ -240,7 +240,9 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode, depth: Optional[int] = None) -> LocalFactor:
+def combine(
+    a: LocalFactor, b: LocalFactor, mode: CombineMode, depth: Optional[int] = None
+) -> LocalFactor:
     """Direct sum (polynomial product) or tensor product (power sums multiply);
     a tensor product with ``depth`` stops after c_depth, as in :func:`plethysm`."""
     if a.prime != b.prime:

@@ -237,10 +237,8 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
     covers +-j; giant steps visit c P at the centres c, the multiples of
     2m + 1, of windows of width 2m + 1 that cover the interval.  An order
     above 2m + 1 puts at most one solution in a window and keeps the baby
-    x-coordinates distinct.
-
-    The affine group law is written out in each loop: one inversion and no
-    call per addition.  x = None stands for O."""
+    x-coordinates distinct.  The affine group law is written out in each
+    loop: one inversion and no call per addition.  x = None stands for O."""
     baby = {}
     x, y = x1, y1
     for j in range(1, m + 2):  # j P
@@ -290,7 +288,8 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
             if x == sx and (y != sy or y == 0):
                 x = None
             else:
-                t = ((y - sy) * pow(x - sx, -1, p) if x != sx else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+                t = ((y - sy) * pow(x - sx, -1, p) if x != sx
+                     else (3 * x * x + a) * pow(2 * y, -1, p)) % p
                 xm, x = x, (t * t - x - sx) % p
                 y = (t * (xm - x) - y) % p
         c += 2 * m + 1

@@ -204,8 +204,9 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
 # ---------------------------------------------------------------------------
 # the identities
 
-def _check_tensor_square(f: LocalFactor, ext2: Optional[LocalFactor] = None):
-    # ext2 = Lambda^2 f, when the caller has built it already
+def _check_tensor_square(
+    f: LocalFactor, ext2: Optional[LocalFactor] = None  # Lambda^2 f, if built already
+) -> Tuple[LocalFactor, LocalFactor]:
     lhs = combine(f, f, CombineMode.TENSOR)
     ext2 = plethysm(f, Functor.EXT2) if ext2 is None else ext2
     return lhs, combine(ext2, plethysm(f, Functor.SYM2), CombineMode.SUM)
@@ -579,9 +580,8 @@ def predict_siegel(
 
 class LObject(Record):
     """Finite-support model of an Euler product: factors at finitely many
-    primes, all of the object's weight.  ``degree`` is the nominal degree,
-    by default the largest of the factors' (1 for an empty product); a factor
-    may stop short of it where an expansion reads no further (:func:`sym3_object`)."""
+    primes, all of the object's weight, and its nominal ``degree`` (by default the
+    largest factor's, 1 if none), which a truncated factor stops short of (:func:`sym3_object`)."""
 
     __slots__ = ("label", "weight", "factors", "arch", "level", "degree")
 
