@@ -143,8 +143,9 @@ def sqrt_mod(a: int, p: int) -> int:
     (Tonelli-Shanks; Cohen, GTM 138, Alg. 1.5.1)."""
     if a % p == 0:
         return 0
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
-    q = (p - 1) >> s
+    q, s = p - 1, 0  # p - 1 = q 2^s with q odd
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
     z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
     c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
