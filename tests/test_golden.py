@@ -101,6 +101,24 @@ GOLDEN = {
     "predict_N63193416213859599.txt": [
         "predict", "--curve=-21,-10,18,-98486,-47847", "--pmax", "5",
     ],
+    # Delta at every tabulated prime, and Delta in the tensor transfer
+    "verify_delta_sym3-ext2_p211.csv": [
+        "verify", "--identity", "sym3-ext2", *DELTA, "--pmax", "211", "--format", "csv",
+    ],
+    "verify_delta_sym3-ext2_p211.txt": ["verify", "--identity", "sym3-ext2", *DELTA, "--pmax", "211"],
+    "eval_delta_sym3_X211_s40.json": [
+        "eval", *DELTA, "--transfer", "sym3", "--X", "211", "-s", "40", "--format", "json",
+    ],
+    "lcoeffs_delta_tensor_D-4_m2_X211.csv": [
+        "lcoeffs", *DELTA, *CHI, "--transfer", "tensor", "--X", "211", "--format", "csv",
+    ],
+    "predict_delta_tensor_D-4_m2.json": [
+        "predict", *DELTA, *CHI, "--pmax", "50", "--format", "json",
+    ],
+    # 2 splits in Q(sqrt(-7)), 7 ramifies
+    "verify_11a3_tensor-ext2_D-7_m2_p300.txt": [
+        "verify", "--identity", "tensor-ext2", *CURVE, "--D", "-7", "--m", "2", "--pmax", "300",
+    ],
     "induce_D-4_m2.csv": ["induce", *CHI, "--pmax", "50", "--format", "csv"],
     "induce_D-4_m2.json": ["induce", *CHI, "--pmax", "50", "--format", "json"],
     "induce_D-7_m2.csv": ["induce", "--D", "-7", "--m", "2", "--pmax", "50", "--format", "csv"],
