@@ -38,23 +38,28 @@ _IDENTITY_NAMES = {i.value: i for i in Identity}
 
 
 def _parse_curve(text: str, conductor: Optional[int]) -> CurveData:
+    """The curve of ``--curve``; ``conductor`` (``--conductor``) fills in a
+    conductor it leaves out and must equal one it gives."""
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"--curve is not valid JSON: {exc}") from None
-        if conductor is not None:
-            data.setdefault("conductor", conductor)
-        return CurveData.from_json(data)
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) not in (5, 6):
-        raise InputError(f"--curve expects 'a1,a2,a3,a4,a6[,N]', got {text!r}")
-    try:
-        values = [int(t) for t in parts]
-    except ValueError:
-        raise InputError(f"--curve has a non-integer entry in {text!r}") from None
-    n = values[5] if len(values) == 6 else conductor
-    return CurveData(*values[:5], conductor=n)
+        curve = CurveData.from_json(data)
+    else:
+        parts = [t.strip() for t in text.split(",")]
+        if len(parts) not in (5, 6):
+            raise InputError(f"--curve expects 'a1,a2,a3,a4,a6[,N]', got {text!r}")
+        try:
+            values = [int(t) for t in parts]
+        except ValueError:
+            raise InputError(f"--curve has a non-integer entry in {text!r}") from None
+        curve = CurveData(*values[:5], conductor=values[5] if len(values) == 6 else None)
+    if conductor is None or curve.conductor == conductor:
+        return curve
+    if curve.conductor is not None:
+        raise InputError(f"--curve gives the conductor {curve.conductor}, --conductor gives {conductor}")
+    return CurveData(*curve.ainvs, conductor=conductor)
 
 
 def _load_source(args):
@@ -193,9 +198,9 @@ def _build_object(args):
     if transfer == "tensor":
         if chi is None:
             raise InputError("--transfer tensor needs --D and --m")
-        return tensor_object(source, chi, args.X, bound=args.X)
+        return tensor_object(source, chi, args.X)
     if transfer == "sym3":
-        return sym3_object(source, args.X, bound=args.X)
+        return sym3_object(source, args.X)
     return gl2_object(source, args.X)
 
 

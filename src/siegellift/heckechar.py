@@ -120,8 +120,9 @@ class QuadInt(Value):
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:  # no squaring past the top bit
+                base = base * base
         return out
 
     def conj(self) -> "QuadInt":

@@ -37,8 +37,7 @@ from .errors import (
     ParityError,
     UnsupportedLevelError,
 )
-from .heckechar import AntiCycChar, Splitting, conductor_ind, induced_factor, splitting
-from .heckechar import char_square, restriction_char
+from .heckechar import AntiCycChar, char_square, conductor_ind, induced_factor, restriction_char
 from .localfactor import (
     CombineMode,
     Functor,
@@ -178,10 +177,6 @@ class LocalData(Value):
         return (self.prime, self.regime, self.ramified, self.eta, self.ind, self.spin, self.skip)
 
 
-def _ramified(chi: AntiCycChar, p: int) -> bool:
-    return splitting(chi.field, p) is Splitting.RAMIFIED
-
-
 def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
                depth: Optional[int] = None) -> LocalData:
     """Local data at p of the symmetric cube of ``source`` (no character)
@@ -189,7 +184,7 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
     the spin factor stops after c_depth (see :func:`plethysm`)."""
     red = reduction_at(source, p)
     eta = red.factor(source.weight)
-    ramified = chi is not None and _ramified(chi, p)
+    ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
     if red.regime != "good":
         skip = f"skipped ({red.regime} reduction)"
     else:
@@ -204,21 +199,9 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
 # ---------------------------------------------------------------------------
 # the identities
 
-def _check_tensor_square(
-    f: LocalFactor, ext2: Optional[LocalFactor] = None  # Lambda^2 f, if built already
-) -> Tuple[LocalFactor, LocalFactor]:
-    lhs = combine(f, f, CombineMode.TENSOR)
-    ext2 = plethysm(f, Functor.EXT2) if ext2 is None else ext2
-    return lhs, combine(ext2, plethysm(f, Functor.SYM2), CombineMode.SUM)
-
-
-def _sym3_ext2_rhs(ld: LocalData) -> LocalFactor:
-    j = ld.eta.weight  # = k - 1
-    return combine(
-        tate_twist(plethysm(ld.eta, Functor.SYM4), j),
-        tate_factor(ld.prime, 3 * j, weight=6 * j),
-        CombineMode.SUM,
-    )
+def _check_tensor_square(f: LocalFactor, ext2: LocalFactor) -> Tuple[LocalFactor, LocalFactor]:
+    """The two sides of tensor-square on f, given ext2 = Lambda^2 f."""
+    return combine(f, f, CombineMode.TENSOR), combine(ext2, plethysm(f, Functor.SYM2), CombineMode.SUM)
 
 
 def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
@@ -232,10 +215,22 @@ def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     )
 
 
-def _tensor_ext2_rhs(ld: LocalData, sym2_ind: LocalFactor) -> LocalFactor:
+def _ext2_sides(
+    ld: LocalData, chi: Optional[AntiCycChar], sym2_ind: Optional[LocalFactor] = None
+) -> Tuple[LocalFactor, LocalFactor]:
+    """Lambda^2 of the spin factor and what sym3-ext2 (no chi) or
+    tensor-ext2 predicts for it; ``sym2_ind`` is the sym2-ind side at
+    ld.prime, if built already."""
+    lhs = plethysm(ld.spin, Functor.EXT2)
+    if chi is None:
+        j = ld.eta.weight  # = k - 1
+        twisted_sym4 = tate_twist(plethysm(ld.eta, Functor.SYM4), j)
+        return lhs, combine(twisted_sym4, tate_factor(ld.prime, 3 * j, weight=6 * j), CombineMode.SUM)
+    if sym2_ind is None:
+        sym2_ind = _sym2_ind_rhs(chi, ld.prime)
     piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
     piece2 = combine(plethysm(ld.eta, Functor.EXT2), sym2_ind, CombineMode.TENSOR)
-    return combine(piece1, piece2, CombineMode.SUM)
+    return lhs, combine(piece1, piece2, CombineMode.SUM)
 
 
 def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> ReportEntry:
@@ -255,21 +250,13 @@ def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -
     if ld.skip:
         return ReportEntry(ld.prime, name.value, Status.SKIPPED, ld.skip)
     if name is Identity.TENSOR_SQ:
-        return _compared(name, ld.prime, *_check_tensor_square(ld.eta))
-    lhs = plethysm(ld.spin, Functor.EXT2)
-    if name is Identity.SYM3_EXT2:
-        return _compared(name, ld.prime, lhs, _sym3_ext2_rhs(ld))
-    return _compared(name, ld.prime, lhs, _tensor_ext2_rhs(ld, _sym2_ind_rhs(chi, ld.prime)))
+        return _compared(name, ld.prime, *_check_tensor_square(ld.eta, plethysm(ld.eta, Functor.EXT2)))
+    return _compared(name, ld.prime, *_ext2_sides(ld, chi))
 
 
-def _require_inputs(
-    name: Identity,
-    source: Optional[Source],
-    chi: Optional[AntiCycChar],
-    factor: Optional[LocalFactor] = None,
-) -> None:
+def _require_inputs(name: Identity, source: Optional[Source], chi: Optional[AntiCycChar]) -> None:
     missing = []
-    if source is None and factor is None and name is not Identity.SYM2_IND:
+    if source is None and name is not Identity.SYM2_IND:
         missing.append("a curve or newform source")
     if chi is None and name in (Identity.SYM2_IND, Identity.TENSOR_EXT2):
         missing.append("a character")
@@ -283,18 +270,15 @@ def verify_identity(
     *,
     source: Optional[Source] = None,
     chi: Optional[AntiCycChar] = None,
-    factor: Optional[LocalFactor] = None,
 ) -> ReportEntry:
-    """Check one identity at one prime; failures and skips are report rows."""
+    """Check one identity at one prime of the source (of chi alone for
+    sym2-ind); tensor-square is checked on the degree-2 factor of the
+    source.  Failures and skips are report rows."""
     if not isinstance(name, Identity):
         raise InputError(f"unknown identity {name!r}")
-    _require_inputs(name, source, chi, factor)
+    _require_inputs(name, source, chi)
     if name is Identity.SYM2_IND:
-        return _sym2_ind_entry(p, _ramified(chi, p), induced_factor(chi, p), _sym2_ind_rhs(chi, p))
-    if name is Identity.TENSOR_SQ and factor is not None:
-        if factor.prime != p:
-            raise InputError(f"factor is at prime {factor.prime}, entry requested at {p}")
-        return _compared(name, p, *_check_tensor_square(factor))
+        return _sym2_ind_entry(p, chi.field.D % p == 0, induced_factor(chi, p), _sym2_ind_rhs(chi, p))
     twist = chi if name is Identity.TENSOR_EXT2 else None
     return _identity_entry(name, local_data(source, twist, p), twist)
 
@@ -537,8 +521,8 @@ def predict_siegel(
     for p in primes_upto(pmax):
         ld = local_data(source, chi, p)
         regimes.add(ld.regime)
+        sym2_ind = None if chi is None else _sym2_ind_rhs(chi, p)  # feeds two rows
         if chi is not None:
-            sym2_ind = _sym2_ind_rhs(chi, p)  # feeds the sym2-ind and tensor-ext2 rows
             entries.append(_sym2_ind_entry(p, ld.ramified, ld.ind, sym2_ind))
         if ld.spin is not None:
             spin[p] = ld.spin
@@ -546,8 +530,7 @@ def predict_siegel(
             entries.append(ReportEntry(p, identity.value, Status.SKIPPED, ld.skip))
             entries.append(ReportEntry(p, "r5-extract", Status.SKIPPED, ld.skip))
             continue
-        ext2 = plethysm(ld.spin, Functor.EXT2)  # feeds three rows
-        rhs = _sym3_ext2_rhs(ld) if chi is None else _tensor_ext2_rhs(ld, sym2_ind)
+        ext2, rhs = _ext2_sides(ld, chi, sym2_ind)  # ext2 feeds three rows
         std[p] = degree5_factor(ld.spin, ext2)
         entries.append(_compared(identity, p, ext2, rhs))
         entries.append(_compared(Identity.TENSOR_SQ, p, *_check_tensor_square(ld.spin, ext2)))
@@ -580,8 +563,9 @@ def predict_siegel(
 
 class LObject(Record):
     """Finite-support model of an Euler product: factors at finitely many
-    primes, all of the object's weight, and its nominal ``degree`` (by default the
-    largest factor's, 1 if none), which a truncated factor stops short of (:func:`sym3_object`)."""
+    primes, all of the object's weight, and its ``degree``, which a factor
+    cut short (:func:`sym3_object`) or missing does not change; without one
+    given, the largest factor's (1 if none)."""
 
     __slots__ = ("label", "weight", "factors", "arch", "level", "degree")
 
@@ -604,13 +588,11 @@ class LObject(Record):
         self.factors = factors
         self.arch = arch
         self.level = level
-        self.degree = (degree or max(f.degree for f in factors.values())) if factors else 1
+        self.degree = max((f.degree for f in factors.values()), default=1) if degree is None else degree
 
 
-def _exponent(p: int, bound: Optional[int]) -> Optional[int]:
-    """The largest e >= 1 with p^e <= bound (1 when p > bound); None without a bound."""
-    if bound is None:
-        return None
+def _exponent(p: int, bound: int) -> int:
+    """The largest e >= 1 with p^e <= bound (1 when p > bound)."""
     e = 1
     while p ** (e + 1) <= bound:
         e += 1
@@ -694,9 +676,9 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
     evaluated in closed form.
     """
     sigma = float(s) - obj.weight / 2.0
-    if sigma <= 1.0:
+    if not (math.isfinite(sigma) and sigma > 1.0):  # NaN compares false
         raise ConvergenceDomainError(
-            f"s = {s} is outside the convergence region s > {obj.weight / 2.0 + 1}"
+            f"s = {s} is not a finite point of the convergence region s > {obj.weight / 2.0 + 1}"
         )
     coeffs = dirichlet_coeffs(obj, bound)
     value = 0.0
@@ -717,29 +699,29 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
 
 def gl2_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
     """Degree-2 Euler product of the curve/newform, all p <= pmax."""
-    factors = {p: local_data(source, None, p).eta for p in primes_upto(pmax)}
-    return LObject(label or _source_label(source), source.weight - 1, factors)
+    factors = {p: reduction_at(source, p).factor(source.weight) for p in primes_upto(pmax)}
+    return LObject(label or _source_label(source), source.weight - 1, factors, degree=2)
 
 
-def sym3_object(source: Source, pmax: int, label: Optional[str] = None,
-                bound: Optional[int] = None) -> LObject:
-    """Symmetric-cube Euler product (degree 4); multiplicative primes carry
-    the Steinberg line 1 - a_p T, additive primes the trivial factor.  With
-    ``bound`` the factor at p stops after c_e, p^e <= bound: all that
-    ``dirichlet_coeffs(obj, bound)`` reads, and only c_1 above sqrt(bound)."""
-    factors = {p: local_data(source, None, p, _exponent(p, bound)).spin for p in primes_upto(pmax)}
+def sym3_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
+    """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
+    ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
+    additive primes the trivial factor.  The factor at p stops after c_e,
+    p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
+    c_1 above sqrt(pmax)."""
+    factors = {p: local_data(source, None, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
     return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
 
-def tensor_object(source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None,
-                  bound: Optional[int] = None) -> LObject:
-    """Tensor Euler product (degree 4).  Local data is unspecified at bad or
-    ramified primes; those factors are set to 1, i.e. dropped from the
-    product.  ``bound`` truncates the factors as in :func:`sym3_object`."""
+def tensor_object(source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None) -> LObject:
+    """Tensor Euler product (degree 4) for the Dirichlet series to ``pmax``,
+    its factors cut as in :func:`sym3_object`.  Local data is unspecified at
+    bad or ramified primes; those factors are set to 1, i.e. dropped from
+    the product."""
     weight = (source.weight - 1) + chi.weight
     factors = {}
     for p in primes_upto(pmax):
-        ld = local_data(source, chi, p, _exponent(p, bound))
+        ld = local_data(source, chi, p, _exponent(p, pmax))
         factors[p] = ld.spin if ld.spin is not None else one(p, 4, weight)
     return LObject(label or f"{_source_label(source)} x chi", weight, factors, degree=4)
 
@@ -757,10 +739,8 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     rhs_factors = {}
     for p in primes_upto(bound):
         ld = local_data(source, None, p)
-        if ld.regime == "good":
-            lhs_factors[p], rhs_factors[p] = plethysm(ld.spin, Functor.EXT2), _sym3_ext2_rhs(ld)
-        else:
-            lhs_factors[p] = rhs_factors[p] = plethysm(ld.spin, Functor.EXT2)
+        lhs, rhs = _ext2_sides(ld, None)
+        lhs_factors[p], rhs_factors[p] = lhs, (rhs if ld.regime == "good" else lhs)
     label = _source_label(source)
     weight = 6 * (source.weight - 1)
     return (

@@ -148,6 +148,42 @@ def test_eval_outside_domain(capsys):
     assert code == 2 and "convergence" in err
 
 
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_eval_non_finite_s(capsys, s):
+    code, out, err = run(capsys, "eval", "--curve", CURVE, "--X", "100", "-s", s)
+    assert code == 2 and out == "" and "convergence" in err
+
+
+@pytest.mark.parametrize(
+    "transfer, s, tail",
+    # the closed form at X = 1 is (s - w/2 - 1)^-d: 1/2.5^4 for the degree-4
+    # products of weight 3 and 5, 1/3.5^2 for the curve's own degree-2 series
+    [
+        (["sym3"], "5", "0.0256"),
+        (["tensor", "--D", "-4", "--m", "2"], "6", "0.0256"),
+        (["none"], "5", "0.0816327"),
+    ],
+)
+def test_eval_tail_estimate_at_one_term(capsys, transfer, s, tail):
+    code, out, _ = run(capsys, "eval", "--curve", CURVE, "--transfer", *transfer, "--X", "1", "-s", s)
+    assert code == 0
+    assert out == f"sum of 1 terms at s={s}: 1  (tail estimate {tail})\n"
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [CURVE + ",11", '{"a": [0, -1, 1, 0, 0], "conductor": 11}'],
+)
+def test_conflicting_conductors_rejected(capsys, curve):
+    code, out, err = run(capsys, "ap", "--curve", curve, "--conductor", "37", "--p", "11")
+    assert code == 2 and out == "" and "11" in err and "37" in err
+    # an agreeing --conductor, or one the curve leaves out, is taken
+    code, out, _ = run(capsys, "ap", "--curve", curve, "--conductor", "11", "--p", "11")
+    assert code == 0 and out == "a_11 = 1  (split multiplicative)\n"
+    code, out, _ = run(capsys, "ap", "--curve", CURVE, "--conductor", "11", "--p", "11")
+    assert code == 0 and out == "a_11 = 1  (split multiplicative)\n"
+
+
 def test_predict_json_to_file(capsys, tmp_path):
     out_path = tmp_path / "pred.json"
     code, out, _ = run(

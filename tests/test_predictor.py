@@ -99,9 +99,12 @@ def test_tensor_ext2_weight_ledger(curve_11a1, chi_gauss):
 
 
 def test_tensor_square_formal(curve_11a1):
+    # predict checks tensor-square on the degree-4 spin factor
     f = plethysm(local_factor_gl2(curve_11a1, 3), Functor.SYM3)
-    entry = verify_identity(Identity.TENSOR_SQ, 3, factor=f)
+    rows = predict_siegel(curve_11a1, pmax=3).verification.entries
+    (entry,) = [e for e in rows if e.prime == 3 and e.identity == Identity.TENSOR_SQ.value]
     assert entry.status is Status.OK
+    assert entry.lhs == combine(f, f, CombineMode.TENSOR)
     assert entry.lhs.degree == 16
 
 
@@ -383,6 +386,24 @@ def _sources(delta_form):
     }
 
 
+def _object(source, chi, bound):
+    return sym3_object(source, bound) if chi is None else tensor_object(source, chi, bound)
+
+
+def _assert_cut(obj, whole, bound):
+    """obj's factor at p is whole[p] (the spin factor of local_data) cut
+    after c_e, p^e <= bound (at most c_4); 1 where whole[p] is None, a bad
+    or ramified prime of the tensor product."""
+    assert obj.factors.keys() == whole.keys()
+    for p, f in whole.items():
+        got = obj.factors[p]
+        if f is None:
+            assert got == one(p, 4, obj.weight)
+        else:
+            e = max(e for e in range(1, 9) if e == 1 or p**e <= bound)
+            assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
+
+
 @pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)", "additive, no conductor"])
 def test_consumers_agree(delta_form, name):
     source, chi = _sources(delta_form)[name]
@@ -392,51 +413,46 @@ def test_consumers_agree(delta_form, name):
     primes = primes_upto(pmax)
     etas = {p: local_factor_gl2(source, p) for p in primes}
     assert gl2_object(source, pmax).factors == etas
+    whole = {p: local_data(source, chi, p).spin for p in primes}
     if name == "additive, no conductor":
         assert etas[2].coeffs == etas[3].coeffs == (1, 0, 0)
         with pytest.raises(InputError):
             predict_siegel(source, pmax=pmax)
-        spins = {p: plethysm(etas[p], Functor.SYM3) for p in primes}
     else:
         spins = predict_siegel(source, chi, pmax=pmax).spin_factors
+        assert spins == {p: f for p, f in whole.items() if f is not None}
+    _assert_cut(_object(source, chi, pmax), whole, pmax)
     if chi is None:
-        assert sym3_object(source, pmax).factors == spins
+        assert whole == {p: plethysm(etas[p], Functor.SYM3) for p in primes}
         lhs, rhs = lambda2_sym3_objects(source, pmax)
         assert lhs.factors == rhs.factors
         for p in primes:
             if local_data(source, None, p).regime != "good":
-                assert lhs.factors[p] == plethysm(spins[p], Functor.EXT2)
+                assert lhs.factors[p] == plethysm(whole[p], Functor.EXT2)
     else:
-        obj = tensor_object(source, chi, pmax)
-        bad = [p for p in primes if p not in spins]
+        bad = [p for p in primes if whole[p] is None]
         assert bad == [2, 11]  # ramified in Q(i), bad for the curve
         for p in primes:
-            assert obj.factors[p] == spins.get(p, one(p, 4, obj.weight))
             if p not in bad:
-                assert spins[p] == combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR)
+                assert whole[p] == combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR)
 
 
 @pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)"])
 def test_truncated_objects_match_whole_factors(delta_form, name):
-    """With a bound X the builders stop the factor at p after c_e, p^e <= X
-    (at most c_4): coefficient by coefficient those of the whole factor, with
-    the same Dirichlet coefficients, nominal degree and partial sums."""
+    """The builders stop the factor at p after c_e, p^e <= X (at most c_4):
+    coefficient by coefficient those of the whole factor, with the same
+    Dirichlet coefficients and partial sums, and degree 4 even when X
+    leaves no factor."""
     source, chi = _sources(delta_form)[name]
     for bound in (1, 2, 10, 30, 211):
-        if chi is None:
-            whole, cut = sym3_object(source, bound), sym3_object(source, bound, bound=bound)
-        else:
-            whole, cut = tensor_object(source, chi, bound), tensor_object(source, chi, bound, bound=bound)
-        assert cut.factors.keys() == whole.factors.keys()
-        for p, f in whole.factors.items():
-            e = max(e for e in range(1, 9) if e == 1 or p**e <= bound)
-            got = cut.factors[p]
-            if f == one(p, 4, whole.weight):  # a bad prime of the tensor product
-                assert got == f
-            else:
-                assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
-        assert cut.degree == whole.degree == LObject("", whole.weight, whole.factors).degree
+        cut = _object(source, chi, bound)
+        spins = {p: local_data(source, chi, p).spin for p in primes_upto(bound)}
+        _assert_cut(cut, spins, bound)
+        whole = LObject("", cut.weight, {
+            p: one(p, 4, cut.weight) if f is None else f for p, f in spins.items()
+        }, degree=4)
+        assert cut.degree == 4
         assert dirichlet_coeffs(cut, bound) == dirichlet_coeffs(whole, bound)
-        s = whole.weight / 2 + 2
+        s = cut.weight / 2 + 2
         got, want = eval_partial(cut, s, bound), eval_partial(whole, s, bound)
         assert (got.value, got.tail_bound) == (want.value, want.tail_bound)
