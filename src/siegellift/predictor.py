@@ -521,8 +521,9 @@ def predict_siegel(
     for p in primes_upto(pmax):
         ld = local_data(source, chi, p)
         regimes.add(ld.regime)
-        sym2_ind = None if chi is None else _sym2_ind_rhs(chi, p)  # feeds two rows
+        sym2_ind = None
         if chi is not None:
+            sym2_ind = _sym2_ind_rhs(chi, p)  # feeds the sym2-ind and tensor-ext2 rows
             entries.append(_sym2_ind_entry(p, ld.ramified, ld.ind, sym2_ind))
         if ld.spin is not None:
             spin[p] = ld.spin
