@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24; the first
@@ -10,10 +11,17 @@ from math import gcd
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+#: The largest sieve :func:`primes_upto` has built: _sieve[n] is 1 exactly
+#: when n is prime.  Every LocalFactor checks its prime, and the builders
+#: take their primes from a sieve, so those checks are answered from it.
+_sieve = bytearray()
+
+
 def is_prime(n: int) -> bool:
-    # Every LocalFactor checks its prime, so the same few hundred primes come
-    # back thousands of times.  The memo sits behind a plain function so that
-    # call tracing (perfbench/tracer.py wraps plain functions) still sees it.
+    # A plain function, so that call tracing (perfbench/tracer.py wraps plain
+    # functions) sees every check; Miller-Rabin runs only past the sieve.
+    if 0 <= n < len(_sieve):
+        return _sieve[n] == 1
     return _is_prime(n)
 
 
@@ -42,15 +50,19 @@ def _is_prime(n: int) -> bool:
 
 
 def primes_upto(bound: int) -> list[int]:
-    """All primes p <= bound, ascending (simple sieve)."""
+    """All primes p <= bound, ascending (simple sieve, kept for
+    :func:`is_prime` while it is the largest built)."""
+    global _sieve
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    if bound >= len(_sieve):
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[0] = sieve[1] = 0
+        for i in range(2, int(bound**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        _sieve = sieve
+    return list(compress(range(bound + 1), _sieve))
 
 
 def smallest_prime_factors(bound: int) -> list[int]:

@@ -8,39 +8,29 @@ is serial.
 
 Exit codes: 0 success / all checks OK; 1 any verification FAIL or a
 non-symplectic factor; 2 invalid input or I/O failure.
+
+Each command imports the library modules it calls, and ``json`` only to
+read or write JSON, so a short command does not load (or, without a
+bytecode cache, compile) the modules it never runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional
 
 from ._primes import is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
-from .heckechar import AntiCycChar, ImagQuadField, induced_factor
-from .modform import CurveData, local_factor_gl2, parse_eigenfile, reduction_at
-from .predictor import (
-    Identity,
-    ap_match_report,
-    dirichlet_coeffs,
-    eval_partial,
-    gl2_object,
-    identity_report,
-    local_data,
-    predict_siegel,
-    sym3_object,
-    tensor_object,
-)
-
-_IDENTITY_NAMES = {i.value: i for i in Identity}
 
 
-def _parse_curve(text: str, conductor: Optional[int]) -> CurveData:
+def _parse_curve(text: str, conductor: int | None):
     """The curve of ``--curve``; ``conductor`` (``--conductor``) fills in a
     conductor it leaves out and must equal one it gives."""
+    from .modform import CurveData
+
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -62,17 +52,29 @@ def _parse_curve(text: str, conductor: Optional[int]) -> CurveData:
     return CurveData(*curve.ainvs, conductor=conductor)
 
 
+def _parse_table(path: str, conductor: int | None):
+    """The newform table of ``--eigenfile``; ``conductor`` must equal its level."""
+    from .modform import parse_eigenfile
+
+    table = parse_eigenfile(path)
+    if conductor is not None and conductor != table.level:
+        raise InputError(f"--eigenfile gives the level {table.level}, --conductor gives {conductor}")
+    return table
+
+
 def _load_source(args):
     if getattr(args, "curve", None) and getattr(args, "eigenfile", None):
         raise InputError("give either --curve or --eigenfile, not both")
     if getattr(args, "curve", None):
         return _parse_curve(args.curve, getattr(args, "conductor", None))
     if getattr(args, "eigenfile", None):
-        return parse_eigenfile(args.eigenfile)
+        return _parse_table(args.eigenfile, getattr(args, "conductor", None))
     raise InputError("a source is required: --curve or --eigenfile")
 
 
-def _load_char(args, required: bool = True) -> Optional[AntiCycChar]:
+def _load_char(args, required: bool = True):
+    """The character of ``--D`` and ``--m``, or None when neither is given
+    and it is not ``required``."""
     d, m = getattr(args, "D", None), getattr(args, "m", None)
     if d is None and m is None:
         if required:
@@ -80,6 +82,8 @@ def _load_char(args, required: bool = True) -> Optional[AntiCycChar]:
         return None
     if d is None or m is None:
         raise InputError("--D and --m must be given together")
+    from .heckechar import AntiCycChar, ImagQuadField
+
     return AntiCycChar(ImagQuadField(d), m)
 
 
@@ -89,7 +93,7 @@ def _require_prime(value: int, flag: str) -> int:
     return value
 
 
-def _primes_from(args) -> List[int]:
+def _primes_from(args) -> list[int]:
     if getattr(args, "p", None) is not None:
         return [_require_prime(args.p, "--p")]
     if getattr(args, "pmax", None) is not None:
@@ -107,6 +111,8 @@ def _emit(args, text: str) -> None:
 
 
 def _to_json(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -126,6 +132,8 @@ def _factor_rows(args, factors):
 # subcommands
 
 def _cmd_ap(args) -> int:
+    from .modform import reduction_at
+
     curve = _parse_curve(args.curve, args.conductor)
     rows = [(p, reduction_at(curve, p)) for p in _primes_from(args)]
     if args.format == "json":
@@ -140,6 +148,8 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    from .modform import local_factor_gl2
+
     source = _load_source(args)
     factors = [(p, local_factor_gl2(source, p)) for p in _primes_from(args)]
     _emit(args, _factor_rows(args, factors))
@@ -147,6 +157,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_sym3(args) -> int:
+    from .predictor import local_data
+
     source = _load_source(args)
     factors = [(p, local_data(source, None, p).spin) for p in _primes_from(args)]
     _emit(args, _factor_rows(args, factors))
@@ -154,6 +166,8 @@ def _cmd_sym3(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .heckechar import induced_factor
+
     chi = _load_char(args)
     factors = [(p, induced_factor(chi, p)) for p in _primes_from(args)]
     _emit(args, _factor_rows(args, factors))
@@ -161,19 +175,20 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .predictor import Identity, ap_match_report, identity_report
+
     name = args.identity
     if name == "ap-match":
         curve = _parse_curve(args.curve, args.conductor) if args.curve else None
         if curve is None or not args.eigenfile:
             raise InputError("ap-match needs both --curve and --eigenfile")
-        report = ap_match_report(curve, parse_eigenfile(args.eigenfile), args.pmax)
+        report = ap_match_report(curve, _parse_table(args.eigenfile, None), args.pmax)
     else:
-        ident = _IDENTITY_NAMES[name]
         source = None
         if args.curve or args.eigenfile:
             source = _load_source(args)
         chi = _load_char(args, required=False)
-        report = identity_report(ident, args.pmax, source=source, chi=chi)
+        report = identity_report(Identity(name), args.pmax, source=source, chi=chi)
     if args.format == "json":
         _emit(args, _to_json(report.to_json()))
     elif args.format == "csv":
@@ -184,6 +199,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .predictor import predict_siegel
+
     source = _load_source(args)
     chi = _load_char(args, required=False)
     prediction = predict_siegel(source, chi=chi, pmax=args.pmax)
@@ -192,6 +209,8 @@ def _cmd_predict(args) -> int:
 
 
 def _build_object(args):
+    from .predictor import gl2_object, sym3_object, tensor_object
+
     source = _load_source(args)
     chi = _load_char(args, required=False)
     transfer = args.transfer
@@ -205,6 +224,8 @@ def _build_object(args):
 
 
 def _cmd_lcoeffs(args) -> int:
+    from .predictor import dirichlet_coeffs
+
     obj = _build_object(args)
     coeffs = dirichlet_coeffs(obj, args.X)
     if args.format == "json":
@@ -218,6 +239,8 @@ def _cmd_lcoeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .predictor import eval_partial
+
     obj = _build_object(args)
     result = eval_partial(obj, args.s, args.X)
     payload = {
@@ -241,6 +264,8 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .localfactor import Identity
+
     parser = argparse.ArgumentParser(
         prog="siegellift",
         description=(
@@ -291,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--identity",
         required=True,
-        choices=sorted(_IDENTITY_NAMES) + ["ap-match"],
+        choices=sorted(i.value for i in Identity) + ["ap-match"],
     )
     p_verify.add_argument("--pmax", type=int, default=100)
     p_verify.set_defaults(func=_cmd_verify)
@@ -320,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:

@@ -198,7 +198,12 @@ def prime_above(field: ImagQuadField, p: int) -> QuadInt:
     u*conj(pi) for a unit u; the one with the largest (t, y) is returned, so
     the choice is reproducible.  Inert p: the rational prime itself (norm p^2).
     """
-    if splitting(field, p) is Splitting.INERT:
+    return _prime_above(field, p, splitting(field, p))
+
+
+def _prime_above(field: ImagQuadField, p: int, kind: Splitting) -> QuadInt:
+    """:func:`prime_above` for a caller that has the splitting of p."""
+    if kind is Splitting.INERT:
         return field.element(p, 0)
     D = field.D
     if p == 2:
@@ -232,7 +237,7 @@ def induced_factor(chi: AntiCycChar, p: int) -> LocalFactor:
     w = chi.weight
     if kind is Splitting.INERT:
         return LocalFactor(p, w, (1, 0, -(p**w)))
-    value = char_value(chi, prime_above(chi.field, p))
+    value = char_value(chi, _prime_above(chi.field, p, kind))
     if kind is Splitting.SPLIT:
         return LocalFactor(p, w, (1, -value.trace(), value.norm()))
     assert value.y == 0, "ramified character value must be rational"

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ._primes import factorize, primes_upto, smallest_prime_factors
 from ._record import Record, Value, _set
-from .archimedean import ArchParam, Classification, classify, from_newform, sym3_arch, tensor_arch
-from .archimedean import to_json as arch_to_json
 from .errors import (
     ConvergenceDomainError,
     InexactDivisionError,
@@ -41,6 +39,7 @@ from .heckechar import AntiCycChar, char_square, conductor_ind, induced_factor, 
 from .localfactor import (
     CombineMode,
     Functor,
+    Identity,
     LocalFactor,
     combine,
     exact_divide,
@@ -51,14 +50,10 @@ from .localfactor import (
 )
 from .modform import CharacterKind, CurveData, NewformData, reduction_at
 
+if TYPE_CHECKING:  # archimedean is imported only where a prediction bundle uses it
+    from .archimedean import ArchParam, Classification
+
 Source = Union[CurveData, NewformData]
-
-
-class Identity(Enum):
-    TENSOR_SQ = "tensor-square"
-    SYM3_EXT2 = "sym3-ext2"
-    SYM2_IND = "sym2-ind"
-    TENSOR_EXT2 = "tensor-ext2"
 
 
 class Status(Enum):
@@ -401,6 +396,8 @@ class SiegelPrediction(Record):
         )
 
     def to_json(self) -> dict:
+        from .archimedean import to_json as arch_to_json
+
         return {
             "label": self.label,
             "transfer": self.transfer,
@@ -490,6 +487,8 @@ def predict_siegel(
 ) -> SiegelPrediction:
     """Bundle the predicted genus-2 Siegel form data for a symmetric-cube
     transfer (no character) or a twisted-tensor transfer (with character)."""
+    from .archimedean import classify, from_newform, sym3_arch, tensor_arch
+
     k = source.weight
     conductor, factors = _conductor(source)
     character = source.character if isinstance(source, NewformData) else CharacterKind.TRIVIAL

@@ -224,6 +224,15 @@ def test_transfer_tensor_needs_character(capsys):
     assert code == 2 and "--D and --m" in err
 
 
+@pytest.mark.parametrize("command", ["predict", "factor"])
+def test_eigenfile_conductor_must_match_the_level(capsys, delta_path, command):
+    argv = [command, "--eigenfile", str(delta_path), "--pmax", "5"]
+    code, out, err = run(capsys, *argv, "--conductor", "37")
+    assert code == 2 and out == "" and "level 1" in err and "--conductor gives 37" in err
+    code, out, _ = run(capsys, *argv, "--conductor", "1")
+    assert code == 0 and out == run(capsys, *argv)[1] != ""
+
+
 def test_curve_inline_json(capsys):
     code = main(["ap", "--curve", '{"a": [0, -1, 1, 0, 0], "conductor": 11}', "--p", "7"])
     out = capsys.readouterr().out

@@ -47,6 +47,7 @@ from siegellift.errors import (
     UnitCompatibilityError,
     UnsupportedLevelError,
 )
+from siegellift import heckechar
 from siegellift.localfactor import one
 from siegellift.predictor import ap_match_report
 from siegellift._primes import primes_upto
@@ -456,3 +457,13 @@ def test_truncated_objects_match_whole_factors(delta_form, name):
         s = cut.weight / 2 + 2
         got, want = eval_partial(cut, s, bound), eval_partial(whole, s, bound)
         assert (got.value, got.tail_bound) == (want.value, want.tail_bound)
+
+
+def test_tensor_object_splits_each_prime_once(monkeypatch):
+    # induced_factor passes its splitting on to the prime above p
+    calls = []
+    split = heckechar.splitting
+    monkeypatch.setattr(heckechar, "splitting", lambda field, p: calls.append(p) or split(field, p))
+    curve_43a1 = CurveData(0, 1, 1, 0, 0, conductor=43)
+    tensor_object(curve_43a1, AntiCycChar(ImagQuadField(-163), 2), 5000)
+    assert len(calls) == 669 and calls == primes_upto(5000)

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from siegellift import CurveData, sym3_object
+from siegellift import _primes
 from siegellift._primes import factorize, is_prime, primes_upto, sqrt_mod
 
 
@@ -65,6 +67,30 @@ def test_is_prime_matches_the_sieve():
     assert [n for n in range(2 * 10**5 + 1) if is_prime(n)] == sorted(below)
 
 
+def test_is_prime_before_and_after_a_sieve(monkeypatch):
+    monkeypatch.setattr(_primes, "_sieve", bytearray())  # as in a fresh process
+    expected = [trial_division(n) == [(n, 1)] for n in range(20000)]
+    assert [is_prime(n) for n in range(20000)] == expected
+    primes_upto(10007)  # 10007 is prime: the sieve ends on a prime
+    assert len(_primes._sieve) == 10008
+    assert [is_prime(n) for n in range(20000)] == expected
+    assert not is_prime(-7) and not is_prime(-10007)
+    primes_upto(5000)  # a smaller bound keeps the larger sieve
+    assert len(_primes._sieve) == 10008
+    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert [is_prime(n) for n in range(20000)] == expected
+
+
+def test_sieve_answers_the_builders_primes(monkeypatch):
+    monkeypatch.setattr(_primes, "_sieve", bytearray())
+    runs = []
+    miller_rabin = _primes._is_prime.__wrapped__  # past the memo
+    monkeypatch.setattr(_primes, "_is_prime", lambda n: runs.append(n) or miller_rabin(n))
+    sym3_object(CurveData(0, -1, 1, 0, 0), 5000)  # 11a3, 669 primes
+    assert runs == []
+    assert is_prime(10007) and runs == [10007]  # past the sieve: Miller-Rabin
+
+
 @pytest.mark.parametrize(
     "n",
     # the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7
@@ -73,6 +99,13 @@ def test_is_prime_matches_the_sieve():
 )
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def test_sieve_and_miller_rabin_reject_strong_pseudoprimes(monkeypatch):
+    monkeypatch.setattr(_primes, "_sieve", bytearray())
+    primes_upto(1373653)
+    assert not is_prime(2047) and not is_prime(1373653)  # read from the sieve
+    assert not is_prime(25326001) and not is_prime(3215031751)  # past it
 
 
 def test_is_prime_on_both_sides_of_the_short_witness_bound():
