@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress
 from math import gcd
 
@@ -25,7 +24,6 @@ def is_prime(n: int) -> bool:
     return _is_prime(n)
 
 
-@lru_cache(maxsize=4096)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -42,10 +42,6 @@ class ArchParam(Value):
     def size(self) -> int:
         return len(self.exponents)
 
-    @property
-    def dimension(self) -> int:
-        return 2 * len(self.exponents)
-
 
 class SiegelKind(Enum):
     SCALAR = "scalar"

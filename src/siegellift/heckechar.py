@@ -102,9 +102,6 @@ class QuadInt(Value):
     def __neg__(self) -> "QuadInt":
         return QuadInt(self.field, -self.x, -self.y)
 
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        return self + (-other)
-
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._check(other)
         n, t = self.field.gen_norm, self.field.gen_trace

@@ -697,23 +697,23 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
 # ---------------------------------------------------------------------------
 # object builders
 
-def gl2_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
+def gl2_object(source: Source, pmax: int) -> LObject:
     """Degree-2 Euler product of the curve/newform, all p <= pmax."""
     factors = {p: reduction_at(source, p).factor(source.weight) for p in primes_upto(pmax)}
-    return LObject(label or _source_label(source), source.weight - 1, factors, degree=2)
+    return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 
-def sym3_object(source: Source, pmax: int, label: Optional[str] = None) -> LObject:
+def sym3_object(source: Source, pmax: int) -> LObject:
     """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
     ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
     additive primes the trivial factor.  The factor at p stops after c_e,
     p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
     c_1 above sqrt(pmax)."""
     factors = {p: local_data(source, None, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
-    return LObject(label or f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
+    return LObject(f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
 
-def tensor_object(source: Source, chi: AntiCycChar, pmax: int, label: Optional[str] = None) -> LObject:
+def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     """Tensor Euler product (degree 4) for the Dirichlet series to ``pmax``,
     its factors cut as in :func:`sym3_object`.  Local data is unspecified at
     bad or ramified primes; those factors are set to 1, i.e. dropped from
@@ -723,7 +723,7 @@ def tensor_object(source: Source, chi: AntiCycChar, pmax: int, label: Optional[s
     for p in primes_upto(pmax):
         ld = local_data(source, chi, p, _exponent(p, pmax))
         factors[p] = ld.spin if ld.spin is not None else one(p, 4, weight)
-    return LObject(label or f"{_source_label(source)} x chi", weight, factors, degree=4)
+    return LObject(f"{_source_label(source)} x chi", weight, factors, degree=4)
 
 
 def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:

@@ -23,7 +23,6 @@ from siegellift import (
     tate_twist,
 )
 from siegellift import localfactor
-from siegellift._primes import _is_prime
 from siegellift.errors import (
     DegreeError,
     InexactDivisionError,
@@ -579,9 +578,7 @@ def test_pure_factors_match_fraction_oracle():
             assert (rep.ok, rep.sign, rep.failing_index) == ref_purity(h.coeffs, p, h.weight)
 
 
-def test_memoised_primality_still_rejects_nonprimes():
-    for _ in range(2):  # the second check is answered from the memo
-        with pytest.raises(InputError):
-            LocalFactor(91, 0, (1,))
+def test_primality_check_rejects_nonprimes():
+    with pytest.raises(InputError):
+        LocalFactor(91, 0, (1,))
     assert LocalFactor(89, 0, (1,)).prime == 89
-    assert _is_prime.cache_info().maxsize is not None  # bounded

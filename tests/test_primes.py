@@ -84,7 +84,7 @@ def test_is_prime_before_and_after_a_sieve(monkeypatch):
 def test_sieve_answers_the_builders_primes(monkeypatch):
     monkeypatch.setattr(_primes, "_sieve", bytearray())
     runs = []
-    miller_rabin = _primes._is_prime.__wrapped__  # past the memo
+    miller_rabin = _primes._is_prime
     monkeypatch.setattr(_primes, "_is_prime", lambda n: runs.append(n) or miller_rabin(n))
     sym3_object(CurveData(0, -1, 1, 0, 0), 5000)  # 11a3, 669 primes
     assert runs == []
