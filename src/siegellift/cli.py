@@ -212,13 +212,11 @@ def _build_object(args):
     from .predictor import gl2_object, sym3_object, tensor_object
 
     source = _load_source(args)
-    chi = _load_char(args, required=False)
-    transfer = args.transfer
-    if transfer == "tensor":
-        if chi is None:
-            raise InputError("--transfer tensor needs --D and --m")
-        return tensor_object(source, chi, args.X)
-    if transfer == "sym3":
+    if args.transfer == "tensor":
+        return tensor_object(source, _load_char(args), args.X)
+    if args.D is not None or args.m is not None:
+        raise InputError(f"--D and --m apply only to --transfer tensor, not {args.transfer}")
+    if args.transfer == "sym3":
         return sym3_object(source, args.X)
     return gl2_object(source, args.X)
 
@@ -293,8 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     character.add_argument("--m", type=int, help="character half-weight (weight is 2m)")
 
     prange = argparse.ArgumentParser(add_help=False)
-    prange.add_argument("--p", type=int, help="a single prime")
-    prange.add_argument("--pmax", type=int, help="all primes up to this bound")
+    one_or_all = prange.add_mutually_exclusive_group()
+    one_or_all.add_argument("--p", type=int, help="a single prime")
+    one_or_all.add_argument("--pmax", type=int, help="all primes up to this bound")
 
     p_ap = sub.add_parser("ap", parents=[common, source, prange], help="Hecke eigenvalues of a curve")
     p_ap.set_defaults(func=_cmd_ap)

@@ -224,6 +224,31 @@ def test_transfer_tensor_needs_character(capsys):
     assert code == 2 and "--D and --m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lcoeffs", "--X", "10"],
+        ["lcoeffs", "--transfer", "sym3", "--X", "10"],
+        ["eval", "--transfer", "none", "--X", "10", "-s", "3"],
+        ["eval", "--transfer", "sym3", "--X", "10", "-s", "9"],
+    ],
+)
+def test_character_rejected_without_the_tensor_transfer(capsys, argv):
+    code, out, err = run(capsys, *argv, "--curve", CURVE, "--D", "-4", "--m", "2")
+    assert code == 2 and out == "" and "only to --transfer tensor" in err
+    code, out, _ = run(capsys, *argv, "--curve", CURVE, "--m", "2")  # half a character too
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["ap", "factor", "sym3"])
+def test_p_and_pmax_are_exclusive(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--curve", CURVE, "--p", "5", "--pmax", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument --p" in captured.err
+
+
 @pytest.mark.parametrize("command", ["predict", "factor"])
 def test_eigenfile_conductor_must_match_the_level(capsys, delta_path, command):
     argv = [command, "--eigenfile", str(delta_path), "--pmax", "5"]
