@@ -43,7 +43,6 @@ from .localfactor import (
     LocalFactor,
     combine,
     exact_divide,
-    one,
     plethysm,
     tate_factor,
     tate_twist,
@@ -163,7 +162,7 @@ class LocalData(Value):
         ramified: bool,  # p ramifies in the field of chi; False without chi
         eta: LocalFactor,  # degree-2 factor of the curve or newform
         ind: Optional[LocalFactor],  # Ind chi_p; None without chi
-        spin: Optional[LocalFactor],  # Sym^3 eta, or eta x Ind chi at good unramified p
+        spin: LocalFactor,  # Sym^3 eta, or eta x Ind chi_p, at every p
         skip: str,  # reason on skipped rows; "" at good unramified p
     ):
         self._fill(prime, regime, ramified, eta, ind, spin, skip)
@@ -175,8 +174,10 @@ class LocalData(Value):
 def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
                depth: Optional[int] = None) -> LocalData:
     """Local data at p of the symmetric cube of ``source`` (no character)
-    or of its tensor product with the induction of ``chi``; with ``depth``
-    the spin factor stops after c_depth (see :func:`plethysm`)."""
+    or of its tensor product with the induction of ``chi``.  The spin
+    factor is Sym^3 eta or eta x Ind chi_p at every p, bad and ramified
+    ones included; with ``depth`` it stops after c_depth (see
+    :func:`plethysm`)."""
     red = reduction_at(source, p)
     eta = red.factor(source.weight)
     ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
@@ -185,9 +186,10 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
     else:
         skip = _RAMIFIED if ramified else ""
     if chi is None:
-        return LocalData(p, red.regime, False, eta, None, plethysm(eta, Functor.SYM3, depth), skip)
-    ind = induced_factor(chi, p)
-    spin = None if skip else combine(eta, ind, CombineMode.TENSOR, depth)
+        ind, spin = None, plethysm(eta, Functor.SYM3, depth)
+    else:
+        ind = induced_factor(chi, p)
+        spin = combine(eta, ind, CombineMode.TENSOR, depth)
     return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
 
 
@@ -524,8 +526,7 @@ def predict_siegel(
         if chi is not None:
             sym2_ind = _sym2_ind_rhs(chi, p)  # feeds the sym2-ind and tensor-ext2 rows
             entries.append(_sym2_ind_entry(p, ld.ramified, ld.ind, sym2_ind))
-        if ld.spin is not None:
-            spin[p] = ld.spin
+        spin[p] = ld.spin
         if ld.skip:
             entries.append(ReportEntry(p, identity.value, Status.SKIPPED, ld.skip))
             entries.append(ReportEntry(p, "r5-extract", Status.SKIPPED, ld.skip))
@@ -715,15 +716,12 @@ def sym3_object(source: Source, pmax: int) -> LObject:
 
 def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     """Tensor Euler product (degree 4) for the Dirichlet series to ``pmax``,
-    its factors cut as in :func:`sym3_object`.  Local data is unspecified at
-    bad or ramified primes; those factors are set to 1, i.e. dropped from
-    the product."""
-    weight = (source.weight - 1) + chi.weight
-    factors = {}
-    for p in primes_upto(pmax):
-        ld = local_data(source, chi, p, _exponent(p, pmax))
-        factors[p] = ld.spin if ld.spin is not None else one(p, 4, weight)
-    return LObject(f"{_source_label(source)} x chi", weight, factors, degree=4)
+    its factors cut as in :func:`sym3_object`.  At a bad or ramified prime
+    the factor is still eta x Ind chi_p: Ind chi_p with T -> a_p T at p | N,
+    eta with T -> chi(pi) T at p | D, the product of the two degree-1 lines
+    at p | gcd(N, D)."""
+    factors = {p: local_data(source, chi, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
+    return LObject(f"{_source_label(source)} x chi", source.weight - 1 + chi.weight, factors, degree=4)
 
 
 def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:

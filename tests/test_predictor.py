@@ -48,7 +48,6 @@ from siegellift.errors import (
     UnsupportedLevelError,
 )
 from siegellift import heckechar
-from siegellift.localfactor import one
 from siegellift.predictor import ap_match_report
 from siegellift._primes import primes_upto
 from siegellift.modform import parse_eigenfile
@@ -227,9 +226,12 @@ def test_predict_tensor(curve_11a1, chi_gauss):
     assert pred.transfer == "tensor"
     assert pred.arch.exponents == (5, 3)
     assert pred.classification.siegel_kind is SiegelKind.VECTOR
+    assert sorted(pred.spin_factors) == primes_upto(30)
     for p, f in pred.spin_factors.items():
         assert f.weight == 5 and f.degree == 4
-    assert 2 not in pred.spin_factors and 11 not in pred.spin_factors
+    # ramified in Q(i) and bad for the curve: degree-1 lines, not 1
+    assert pred.spin_factors[2].coeffs == (1, -8, 32, 0, 0)
+    assert pred.spin_factors[11].coeffs == (1, 0, -14641, 0, 0)
     assert pred.verification.ok
 
 
@@ -393,16 +395,12 @@ def _object(source, chi, bound):
 
 def _assert_cut(obj, whole, bound):
     """obj's factor at p is whole[p] (the spin factor of local_data) cut
-    after c_e, p^e <= bound (at most c_4); 1 where whole[p] is None, a bad
-    or ramified prime of the tensor product."""
+    after c_e, p^e <= bound (at most c_4)."""
     assert obj.factors.keys() == whole.keys()
     for p, f in whole.items():
         got = obj.factors[p]
-        if f is None:
-            assert got == one(p, 4, obj.weight)
-        else:
-            e = max(e for e in range(1, 9) if e == 1 or p**e <= bound)
-            assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
+        e = max(e for e in range(1, 9) if e == 1 or p**e <= bound)
+        assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
 
 
 @pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)", "additive, no conductor"])
@@ -420,8 +418,7 @@ def test_consumers_agree(delta_form, name):
         with pytest.raises(InputError):
             predict_siegel(source, pmax=pmax)
     else:
-        spins = predict_siegel(source, chi, pmax=pmax).spin_factors
-        assert spins == {p: f for p, f in whole.items() if f is not None}
+        assert predict_siegel(source, chi, pmax=pmax).spin_factors == whole
     _assert_cut(_object(source, chi, pmax), whole, pmax)
     if chi is None:
         assert whole == {p: plethysm(etas[p], Functor.SYM3) for p in primes}
@@ -431,11 +428,48 @@ def test_consumers_agree(delta_form, name):
             if local_data(source, None, p).regime != "good":
                 assert lhs.factors[p] == plethysm(whole[p], Functor.EXT2)
     else:
-        bad = [p for p in primes if whole[p] is None]
-        assert bad == [2, 11]  # ramified in Q(i), bad for the curve
-        for p in primes:
-            if p not in bad:
-                assert whole[p] == combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR)
+        skipped = [p for p in primes if local_data(source, chi, p).skip]
+        assert skipped == [2, 11]  # ramified in Q(i), bad for the curve
+        assert whole == {p: combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR) for p in primes}
+
+
+def _substituted(f, r):
+    """f with T -> r T, padded to degree 4: the tensor product of f with
+    the line 1 - r T, by substitution rather than power sums."""
+    return tuple(c * r**i for i, c in enumerate(f.coeffs)) + (0,) * (4 - f.degree)
+
+
+@pytest.mark.parametrize(
+    "name, D, m, bad",
+    [
+        ("11a3", -4, 2, [2, 11]),
+        ("11a3", -7, 2, [7, 11]),
+        ("delta", -4, 2, [2]),
+        ("11a3", -11, 2, [11]),  # 11 is bad for the curve and ramified
+    ],
+    ids=["11a3 x chi(-4, 2)", "11a3 x chi(-7, 2)", "delta x chi(-4, 2)", "11a3 x chi(-11, 2)"],
+)
+def test_tensor_factor_at_bad_and_ramified_primes(curve_11a1, delta_form, name, D, m, bad):
+    """At p | N D the tensor factor is Ind chi_p with T -> a_p T (p | N), or
+    eta with T -> chi(pi) T (p | D); its identity rows stay SKIPPED."""
+    source, conductor = (curve_11a1, 11) if name == "11a3" else (delta_form, 1)
+    chi = AntiCycChar(ImagQuadField(D), m)
+    records = {p: local_data(source, chi, p) for p in primes_upto(100)}
+    assert [p for p, ld in records.items() if ld.skip] == bad
+    for p in bad:
+        ld = records[p]
+        if conductor % p == 0:
+            assert ld.eta.effective_degree <= 1
+            want = _substituted(ld.ind, -ld.eta.coeffs[1])  # a_p
+        else:
+            chi_pi = -ld.ind.coeffs[1]
+            assert ld.ind.coeffs == (1, -chi_pi, 0) and chi_pi**2 == p**chi.weight
+            want = _substituted(ld.eta, chi_pi)
+        assert ld.spin.coeffs == want and ld.spin.weight == source.weight - 1 + chi.weight
+    if math.gcd(conductor, D) == 1:  # predict has no level rule otherwise
+        rows = predict_siegel(source, chi, pmax=max(bad)).verification.entries
+        skipped = {(e.prime, e.identity) for e in rows if e.status is Status.SKIPPED}
+        assert {(p, i) for p in bad for i in ("tensor-ext2", "r5-extract")} <= skipped
 
 
 @pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)"])
@@ -449,9 +483,7 @@ def test_truncated_objects_match_whole_factors(delta_form, name):
         cut = _object(source, chi, bound)
         spins = {p: local_data(source, chi, p).spin for p in primes_upto(bound)}
         _assert_cut(cut, spins, bound)
-        whole = LObject("", cut.weight, {
-            p: one(p, 4, cut.weight) if f is None else f for p, f in spins.items()
-        }, degree=4)
+        whole = LObject("", cut.weight, spins, degree=4)
         assert cut.degree == 4
         assert dirichlet_coeffs(cut, bound) == dirichlet_coeffs(whole, bound)
         s = cut.weight / 2 + 2
