@@ -229,7 +229,7 @@ def test_predict_tensor(curve_11a1, chi_gauss):
     assert sorted(pred.spin_factors) == primes_upto(30)
     for p, f in pred.spin_factors.items():
         assert f.weight == 5 and f.degree == 4
-    # ramified in Q(i) and bad for the curve: degree-1 lines, not 1
+    # ramified in Q(i), bad for the curve
     assert pred.spin_factors[2].coeffs == (1, -8, 32, 0, 0)
     assert pred.spin_factors[11].coeffs == (1, 0, -14641, 0, 0)
     assert pred.verification.ok
