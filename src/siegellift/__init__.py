@@ -42,11 +42,15 @@ _HOMES = {
         "modform",
     ),
     **dict.fromkeys(
-        ("CompareResult", "EvalResult", "LevelRule", "LocalData", "LObject", "ReportEntry",
-         "SiegelPrediction", "Status", "VerifyReport", "compare_coeffwise", "degree5_factor",
-         "dirichlet_coeffs", "eval_partial", "gl2_object", "identity_report",
-         "lambda2_sym3_objects", "level", "local_data", "predict_siegel", "sym3_object",
-         "tensor_object", "verify_identity"),
+        ("CompareResult", "EvalResult", "LocalData", "LObject", "compare_coeffwise",
+         "dirichlet_coeffs", "eval_partial", "gl2_object", "local_data", "sym3_object",
+         "tensor_object"),
+        "lseries",
+    ),
+    **dict.fromkeys(
+        ("LevelRule", "ReportEntry", "SiegelPrediction", "Status", "VerifyReport",
+         "degree5_factor", "identity_report", "lambda2_sym3_objects", "level", "predict_siegel",
+         "verify_identity"),
         "predictor",
     ),
 }

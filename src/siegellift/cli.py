@@ -93,11 +93,17 @@ def _require_prime(value: int, flag: str) -> int:
     return value
 
 
+def _require_pmax(pmax: int) -> int:
+    if pmax < 2:
+        raise InputError(f"--pmax must be at least 2, got {pmax}")
+    return pmax
+
+
 def _primes_from(args) -> list[int]:
     if getattr(args, "p", None) is not None:
         return [_require_prime(args.p, "--p")]
     if getattr(args, "pmax", None) is not None:
-        return primes_upto(args.pmax)
+        return primes_upto(_require_pmax(args.pmax))
     raise InputError("give --p or --pmax")
 
 
@@ -157,7 +163,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_sym3(args) -> int:
-    from .predictor import local_data
+    from .lseries import local_data
 
     source = _load_source(args)
     factors = [(p, local_data(source, None, p).spin) for p in _primes_from(args)]
@@ -189,6 +195,8 @@ def _cmd_verify(args) -> int:
             source = _load_source(args)
         chi = _load_char(args, required=False)
         report = identity_report(Identity(name), args.pmax, source=source, chi=chi)
+    # after the report, which names a missing input first and has no row below 2
+    _require_pmax(args.pmax)
     if args.format == "json":
         _emit(args, _to_json(report.to_json()))
     elif args.format == "csv":
@@ -203,13 +211,13 @@ def _cmd_predict(args) -> int:
 
     source = _load_source(args)
     chi = _load_char(args, required=False)
-    prediction = predict_siegel(source, chi=chi, pmax=args.pmax)
+    prediction = predict_siegel(source, chi=chi, pmax=_require_pmax(args.pmax))
     _emit(args, _to_json(prediction.to_json()) if args.format == "json" else prediction.to_text())
     return 0 if prediction.verification.ok else 1
 
 
 def _build_object(args):
-    from .predictor import gl2_object, sym3_object, tensor_object
+    from .lseries import gl2_object, sym3_object, tensor_object
 
     source = _load_source(args)
     if args.transfer == "tensor":
@@ -222,7 +230,7 @@ def _build_object(args):
 
 
 def _cmd_lcoeffs(args) -> int:
-    from .predictor import dirichlet_coeffs
+    from .lseries import dirichlet_coeffs
 
     obj = _build_object(args)
     coeffs = dirichlet_coeffs(obj, args.X)
@@ -237,7 +245,7 @@ def _cmd_lcoeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .predictor import eval_partial
+    from .lseries import eval_partial
 
     obj = _build_object(args)
     result = eval_partial(obj, args.s, args.X)

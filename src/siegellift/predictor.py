@@ -1,6 +1,8 @@
-"""Executable predictions: per-prime identity verification, degree-5
-standard factors, levels, Siegel-form prediction bundles, and Dirichlet
-series expansion of finite-support Euler products.
+"""The prediction half: per-prime identity verification, degree-5
+standard factors, levels and Siegel-form prediction bundles.  The per-prime
+local data they read, and the finite Euler products with their Dirichlet
+expansion, are the L-series half in :mod:`siegellift.lseries`; this module
+re-exports its public names.
 
 All identity checks are exact polynomial equalities in arithmetic
 normalization; unitary twists appear as explicit Tate twists with integer
@@ -22,15 +24,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ._primes import factorize, primes_upto, smallest_prime_factors
+from ._primes import factorize, primes_upto
 from ._record import Record, Value, _set
 from .errors import (
-    ConvergenceDomainError,
     InexactDivisionError,
     InputError,
-    MissingPrimeError,
     NotSymplecticError,
     ParityError,
     UnsupportedLevelError,
@@ -47,12 +47,15 @@ from .localfactor import (
     tate_factor,
     tate_twist,
 )
+from .lseries import (  # the public names are re-exported from here
+    _RAMIFIED, CompareResult, EvalResult, LObject, LocalData, Source, _source_label,
+    compare_coeffwise, dirichlet_coeffs, eval_partial, gl2_object, local_data, sym3_object,
+    tensor_object,
+)
 from .modform import CharacterKind, CurveData, NewformData, reduction_at
 
 if TYPE_CHECKING:  # archimedean is imported only where a prediction bundle uses it
     from .archimedean import ArchParam, Classification
-
-Source = Union[CurveData, NewformData]
 
 
 class Status(Enum):
@@ -141,56 +144,6 @@ class VerifyReport(Value):
                 reason = '"' + reason.replace('"', '""') + '"'
             lines.append(f"{e.prime},{e.identity},{e.status.value},{reason}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# per-prime local data
-
-_RAMIFIED = "skipped (ramified in K)"
-
-
-class LocalData(Value):
-    """Everything the per-prime outputs are read from, built once per prime
-    by :func:`local_data`."""
-
-    __slots__ = ("prime", "regime", "ramified", "eta", "ind", "spin", "skip")
-
-    def __init__(
-        self,
-        prime: int,
-        regime: str,  # "good", "multiplicative" or "additive"
-        ramified: bool,  # p ramifies in the field of chi; False without chi
-        eta: LocalFactor,  # degree-2 factor of the curve or newform
-        ind: Optional[LocalFactor],  # Ind chi_p; None without chi
-        spin: LocalFactor,  # Sym^3 eta, or eta x Ind chi_p, at every p
-        skip: str,  # reason on skipped rows; "" at good unramified p
-    ):
-        self._fill(prime, regime, ramified, eta, ind, spin, skip)
-
-    def _args(self) -> tuple:
-        return (self.prime, self.regime, self.ramified, self.eta, self.ind, self.spin, self.skip)
-
-
-def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
-               depth: Optional[int] = None) -> LocalData:
-    """Local data at p of the symmetric cube of ``source`` (no character)
-    or of its tensor product with the induction of ``chi``.  The spin
-    factor is Sym^3 eta or eta x Ind chi_p at every p, bad and ramified
-    ones included; with ``depth`` it stops after c_depth (see
-    :func:`plethysm`)."""
-    red = reduction_at(source, p)
-    eta = red.factor(source.weight)
-    ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
-    if red.regime != "good":
-        skip = f"skipped ({red.regime} reduction)"
-    else:
-        skip = _RAMIFIED if ramified else ""
-    if chi is None:
-        ind, spin = None, plethysm(eta, Functor.SYM3, depth)
-    else:
-        ind = induced_factor(chi, p)
-        spin = combine(eta, ind, CombineMode.TENSOR, depth)
-    return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +395,6 @@ class SiegelPrediction(Record):
         return "\n".join(lines)
 
 
-def _source_label(source: Source) -> str:
-    if isinstance(source, CurveData):
-        return "curve " + ",".join(str(a) for a in source.ainvs)
-    return f"newform k={source.weight} N={source.level}"
-
-
 def _conductor(source: Source) -> Tuple[int, Factors]:
     """Conductor N of the source and its factorization, the one
     factorization a prediction makes.  A curve's supplied N is checked at
@@ -557,171 +504,6 @@ def predict_siegel(
         verification=VerifyReport(tuple(entries)),
         notes=tuple(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# finite-support Euler products
-
-class LObject(Record):
-    """Finite-support model of an Euler product: factors at finitely many
-    primes, all of the object's weight, and its ``degree``, which a factor
-    cut short (:func:`sym3_object`) or missing does not change; without one
-    given, the largest factor's (1 if none)."""
-
-    __slots__ = ("label", "weight", "factors", "arch", "level", "degree")
-
-    def __init__(
-        self,
-        label: str,
-        weight: int,
-        factors: Dict[int, LocalFactor],
-        arch: Optional[ArchParam] = None,
-        level: Optional[int] = None,
-        degree: Optional[int] = None,
-    ):
-        for p, f in factors.items():
-            if f.prime != p:
-                raise InputError(f"factor stored at {p} has prime {f.prime}")
-            if f.weight != weight:
-                raise InputError(f"factor at p={p} has weight {f.weight}, object has {weight}")
-        self.label = label
-        self.weight = weight
-        self.factors = factors
-        self.arch = arch
-        self.level = level
-        self.degree = max((f.degree for f in factors.values()), default=1) if degree is None else degree
-
-
-def _exponent(p: int, bound: int) -> int:
-    """The largest e >= 1 with p^e <= bound (1 when p > bound)."""
-    e = 1
-    while p ** (e + 1) <= bound:
-        e += 1
-    return e
-
-
-def _inverse_series(f: LocalFactor, terms: int) -> List[int]:
-    """Coefficients of 1/P(T) up to T^(terms-1) (geometric recursion)."""
-    c = f.coeffs
-    b: List[int] = [1]
-    for j in range(1, terms):
-        acc = 0
-        for i in range(1, min(j, f.degree) + 1):
-            acc -= c[i] * b[j - i]
-        b.append(acc)
-    return b
-
-
-def dirichlet_coeffs(obj: LObject, bound: int):
-    """Exact Dirichlet coefficients a_1..a_bound (returned 1-indexed in a
-    list of length bound+1 with a[0] = 0)."""
-    if bound < 1:
-        raise InputError("bound must be >= 1")
-    needed = primes_upto(bound)
-    missing = [p for p in needed if p not in obj.factors]
-    if missing:
-        raise MissingPrimeError(missing)
-    expansions = {}
-    for p in needed:
-        expansions[p] = _inverse_series(obj.factors[p], _exponent(p, bound) + 1)
-    spf = smallest_prime_factors(bound)
-    a = [0] * (bound + 1)
-    a[1] = 1
-    for n in range(2, bound + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        a[n] = a[m] * expansions[p][e]
-    return a
-
-
-class CompareResult(Record):
-    __slots__ = ("equal", "first_mismatch")
-
-    def __init__(self, equal: bool, first_mismatch: Optional[int] = None):
-        self.equal = equal
-        self.first_mismatch = first_mismatch
-
-
-def compare_coeffwise(a: LObject, b: LObject, bound: int) -> CompareResult:
-    """Coefficientwise equality of two finite-support Euler products."""
-    ca = dirichlet_coeffs(a, bound)
-    cb = dirichlet_coeffs(b, bound)
-    for n in range(1, bound + 1):
-        if ca[n] != cb[n]:
-            return CompareResult(False, n)
-    return CompareResult(True, None)
-
-
-class EvalResult(Record):
-    __slots__ = ("value", "tail_bound", "s", "terms")
-
-    def __init__(self, value: float, tail_bound: float, s: float, terms: int):
-        self.value = value
-        self.tail_bound = tail_bound
-        self.s = s
-        self.terms = terms
-
-
-def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
-    """Partial Dirichlet sum at s with an average-order tail estimate.
-
-    Convergence needs s > w/2 + 1 (purity bound |a_p| <= d p^(w/2)).  The
-    tail estimate integrates the average order of the d-dimensional divisor
-    function against t^(w/2 - s):
-
-        integral_X^inf (log t)^(d-1)/(d-1)! * t^(w/2-s) dt,
-
-    evaluated in closed form.
-    """
-    sigma = float(s) - obj.weight / 2.0
-    if not (math.isfinite(sigma) and sigma > 1.0):  # NaN compares false
-        raise ConvergenceDomainError(
-            f"s = {s} is not a finite point of the convergence region s > {obj.weight / 2.0 + 1}"
-        )
-    coeffs = dirichlet_coeffs(obj, bound)
-    value = 0.0
-    for n in range(1, bound + 1):
-        if coeffs[n] != 0:
-            value += float(coeffs[n]) * float(n) ** (-float(s))
-    d = obj.degree
-    log_x = math.log(bound)
-    tail = 0.0
-    for j in range(d):
-        tail += log_x ** (d - 1 - j) / (math.factorial(d - 1 - j) * (sigma - 1.0) ** (j + 1))
-    tail *= float(bound) ** (1.0 - sigma)
-    return EvalResult(value, tail, float(s), bound)
-
-
-# ---------------------------------------------------------------------------
-# object builders
-
-def gl2_object(source: Source, pmax: int) -> LObject:
-    """Degree-2 Euler product of the curve/newform, all p <= pmax."""
-    factors = {p: reduction_at(source, p).factor(source.weight) for p in primes_upto(pmax)}
-    return LObject(_source_label(source), source.weight - 1, factors, degree=2)
-
-
-def sym3_object(source: Source, pmax: int) -> LObject:
-    """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
-    ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
-    additive primes the trivial factor.  The factor at p stops after c_e,
-    p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
-    c_1 above sqrt(pmax)."""
-    factors = {p: local_data(source, None, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
-    return LObject(f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
-
-
-def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
-    """Tensor Euler product (degree 4) for the Dirichlet series to ``pmax``,
-    its factors cut as in :func:`sym3_object`.  At a bad or ramified prime
-    the factor is still eta x Ind chi_p: Ind chi_p with T -> a_p T at p | N,
-    eta with T -> chi(pi) T at p | D, the product of the two degree-1 lines
-    at p | gcd(N, D)."""
-    factors = {p: local_data(source, chi, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
-    return LObject(f"{_source_label(source)} x chi", source.weight - 1 + chi.weight, factors, degree=4)
 
 
 def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:

@@ -8,8 +8,8 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
-def curve_11a1():
-    # y^2 + y = x^3 - x^2, conductor 11, split multiplicative at 11
+def curve_11a3():
+    # Cremona 11a3: y^2 + y = x^3 - x^2, conductor 11, split multiplicative at 11
     return CurveData(0, -1, 1, 0, 0, conductor=11)
 
 

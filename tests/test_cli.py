@@ -104,11 +104,11 @@ def test_verify_csv_quotes_a_reason_with_a_comma(capsys, tmp_path):
     ]
 
 
-def test_verify_intact_eigenfile(capsys, tmp_path, curve_11a1):
+def test_verify_intact_eigenfile(capsys, tmp_path, curve_11a3):
     from siegellift.modform import reduction_at
 
     lines = ["weight 2 level 11 character trivial"] + [
-        f"{p} {reduction_at(curve_11a1, p).ap}" for p in (2, 3, 5, 7, 11, 13)
+        f"{p} {reduction_at(curve_11a3, p).ap}" for p in (2, 3, 5, 7, 11, 13)
     ]
     path = tmp_path / "ok.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -247,6 +247,27 @@ def test_p_and_pmax_are_exclusive(capsys, command):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "not allowed with argument --p" in captured.err
+
+
+@pytest.mark.parametrize("pmax", ["1", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--curve", CURVE],
+        ["factor", "--curve", CURVE],
+        ["sym3", "--curve", CURVE],
+        ["induce", "--D", "-4", "--m", "2"],
+        ["verify", "--identity", "sym3-ext2", "--curve", CURVE],
+        ["predict", "--curve", CURVE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_pmax_below_two_rejected(capsys, argv, pmax):
+    # a bound with no prime below it used to print nothing (or an empty
+    # report marked ok) and exit 0
+    code, out, err = run(capsys, *argv, "--pmax", pmax)
+    assert code == 2 and out == ""
+    assert err == f"error: --pmax must be at least 2, got {pmax}\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "factor"])

@@ -22,8 +22,8 @@ SRC = Path(siegellift.__file__).parents[1]
 #: The modules every command loads.
 BASE = {"siegellift", "siegellift.cli", "siegellift._primes", "siegellift.errors",
         "siegellift._record", "siegellift.localfactor"}
-ALL = BASE | {"siegellift.modform", "siegellift.heckechar", "siegellift.predictor",
-              "siegellift.archimedean"}
+LSERIES = BASE | {"siegellift.modform", "siegellift.lseries"}
+ALL = LSERIES | {"siegellift.heckechar", "siegellift.predictor", "siegellift.archimedean"}
 
 # the child reports through repr, so that reporting loads nothing
 CHILD = """
@@ -41,14 +41,21 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
         (["ap", "--curve", "0,-1,1,0,0", "--p", "2"], BASE | {"siegellift.modform"}, False),
         (["factor", "--curve", "0,-1,1,0,0", "--p", "5"], BASE | {"siegellift.modform"}, False),
         (["induce", "--D", "-4", "--m", "2", "--pmax", "10"], BASE | {"siegellift.heckechar"}, False),
+        (["sym3", "--curve", "0,-1,1,0,0", "--p", "5"], LSERIES, False),
         (
             ["lcoeffs", "--curve", "0,-1,1,0,0", "--transfer", "sym3", "--X", "50", "--format", "csv"],
-            ALL - {"siegellift.archimedean"},
+            LSERIES,
+            False,
+        ),
+        (
+            ["eval", "--curve", "0,-1,1,0,0", "--D", "-4", "--m", "2", "--transfer", "tensor",
+             "--X", "50", "-s", "5"],
+            LSERIES | {"siegellift.heckechar"},
             False,
         ),
         (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"], ALL, True),
     ],
-    ids=["ap", "factor", "induce", "lcoeffs-csv", "predict-json"],
+    ids=["ap", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor", "predict-json"],
 )
 def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
     # a fresh interpreter without site, so that nothing but the command loads modules
@@ -76,11 +83,11 @@ EXPORTED = {
                    "from_power_sums is_selfdual_pure plethysm power_sums tate_factor tate_twist",
     "modform": "CurveData NewformData ReductionData ReductionKind ap_good invariants_of "
                "local_factor_gl2 parse_eigenfile point_count reduction_bad",
-    "predictor": "CompareResult EvalResult Identity LevelRule LocalData LObject ReportEntry "
-                 "SiegelPrediction Status VerifyReport compare_coeffwise degree5_factor "
-                 "dirichlet_coeffs eval_partial gl2_object identity_report "
-                 "lambda2_sym3_objects level local_data predict_siegel sym3_object "
-                 "tensor_object verify_identity",
+    "lseries": "CompareResult EvalResult LocalData LObject compare_coeffwise dirichlet_coeffs "
+               "eval_partial gl2_object local_data sym3_object tensor_object",
+    "predictor": "Identity LevelRule ReportEntry SiegelPrediction Status VerifyReport "
+                 "degree5_factor identity_report lambda2_sym3_objects level predict_siegel "
+                 "verify_identity",
 }
 
 
@@ -91,6 +98,15 @@ def test_exported_names_resolve_to_their_home_objects(home):
     for name in EXPORTED[home].split():
         assert getattr(siegellift, name) is getattr(module, name), name
         assert name in listed and name in siegellift.__all__, name
+
+
+def test_predictor_reexports_the_lseries_names():
+    # each is defined once, in lseries; predictor hands on the same objects
+    from siegellift import lseries, predictor
+
+    for name in EXPORTED["lseries"].split():
+        assert getattr(predictor, name) is getattr(lseries, name), name
+        assert getattr(lseries, name).__module__ == "siegellift.lseries", name
 
 
 def test_unknown_name_raises_attribute_error():

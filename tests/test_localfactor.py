@@ -30,7 +30,7 @@ from siegellift.errors import (
     PrimeMismatchError,
     WeightMismatchError,
 )
-from siegellift.predictor import _inverse_series
+from siegellift.lseries import _inverse_series
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def translated(curve, r, s, t):
     )
 
 
-def test_invariants_11a1(curve_11a1):
-    b2, b4, b6, b8, disc = invariants_of(curve_11a1)
+def test_invariants_11a1(curve_11a3):
+    b2, b4, b6, b8, disc = invariants_of(curve_11a3)
     assert (b2, b4, b6, b8) == (-4, 0, 1, -1)
     assert disc == -11
 
@@ -67,22 +67,22 @@ def test_singular_model_rejected():
         CurveData(0, 0, 0, 0, 0)
 
 
-def test_ap_11a1_small_primes(curve_11a1):
-    assert ap_good(curve_11a1, 2) == -2
-    assert ap_good(curve_11a1, 3) == -1
-    assert ap_good(curve_11a1, 5) == 1
-    assert ap_good(curve_11a1, 19) == 0  # supersingular
+def test_ap_11a1_small_primes(curve_11a3):
+    assert ap_good(curve_11a3, 2) == -2
+    assert ap_good(curve_11a3, 3) == -1
+    assert ap_good(curve_11a3, 5) == 1
+    assert ap_good(curve_11a3, 19) == 0  # supersingular
 
 
-def test_point_count_matches_definition(curve_11a1):
+def test_point_count_matches_definition(curve_11a3):
     # |E(F_2)| = 5: four affine points of y^2 + y = x^3 - x^2 plus infinity
-    assert point_count(curve_11a1, 2) == 5
-    assert ap_good(curve_11a1, 2) == 2 + 1 - 5
+    assert point_count(curve_11a3, 2) == 5
+    assert ap_good(curve_11a3, 2) == 2 + 1 - 5
 
 
-def test_ap_good_rejects_bad_prime(curve_11a1):
+def test_ap_good_rejects_bad_prime(curve_11a3):
     with pytest.raises(BadPrimeError):
-        ap_good(curve_11a1, 11)
+        ap_good(curve_11a3, 11)
 
 
 def test_charsum_agrees_with_enumeration():
@@ -223,39 +223,39 @@ def test_orders_in_small_orders():
     assert outcomes == {True, False}
 
 
-def test_bsgs_ambiguity_falls_back_to_charsum(monkeypatch, curve_11a1):
+def test_bsgs_ambiguity_falls_back_to_charsum(monkeypatch, curve_11a3):
     monkeypatch.setattr(modform, "_ap_bsgs", lambda curve, p: None)
-    assert modform._ap_good_cached.__wrapped__(curve_11a1, 1009) == _ap_charsum(curve_11a1, 1009)
+    assert modform._ap_good_cached.__wrapped__(curve_11a3, 1009) == _ap_charsum(curve_11a3, 1009)
 
 
-def test_charsum_off_the_path_above_the_bound(monkeypatch, curve_11a1):
+def test_charsum_off_the_path_above_the_bound(monkeypatch, curve_11a3):
     def forbidden(curve, p):
         raise AssertionError(f"character sum called at p={p}")
 
     monkeypatch.setattr(modform, "_ap_charsum", forbidden)
     for p in primes_upto(3000):
         if p > _BSGS_MIN_P:
-            modform._ap_good_cached.__wrapped__(curve_11a1, p)
+            modform._ap_good_cached.__wrapped__(curve_11a3, p)
 
 
-def test_hasse_bound(curve_11a1):
+def test_hasse_bound(curve_11a3):
     for p in primes_upto(500):
         if p == 11:
             continue
-        ap = ap_good(curve_11a1, p)
+        ap = ap_good(curve_11a3, p)
         assert ap * ap <= 4 * p
 
 
-def test_ap_invariant_under_unimodular_change(curve_11a1):
+def test_ap_invariant_under_unimodular_change(curve_11a3):
     for (r, s, t) in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3), (-1, 2, -2)]:
-        moved = translated(curve_11a1, r, s, t)
-        assert moved.discriminant == curve_11a1.discriminant  # u = 1
+        moved = translated(curve_11a3, r, s, t)
+        assert moved.discriminant == curve_11a3.discriminant  # u = 1
         for p in (2, 3, 5, 7, 13):
-            assert ap_good(moved, p) == ap_good(curve_11a1, p)
+            assert ap_good(moved, p) == ap_good(curve_11a3, p)
 
 
-def test_reduction_split_at_11(curve_11a1):
-    red = reduction_bad(curve_11a1, 11)
+def test_reduction_split_at_11(curve_11a3):
+    red = reduction_bad(curve_11a3, 11)
     assert red.kind is ReductionKind.SPLIT_MULT and red.ap == 1
 
 
@@ -273,22 +273,22 @@ def test_reduction_nonsplit():
     assert red.kind is ReductionKind.SPLIT_MULT and red.ap == 1
 
 
-def test_reduction_bad_rejects_good_prime(curve_11a1):
+def test_reduction_bad_rejects_good_prime(curve_11a3):
     with pytest.raises(BadPrimeError):
-        reduction_bad(curve_11a1, 7)
+        reduction_bad(curve_11a3, 7)
 
 
-def test_local_factor_curve(curve_11a1):
-    assert local_factor_gl2(curve_11a1, 2).coeffs == (1, 2, 2)
-    f11 = local_factor_gl2(curve_11a1, 11)
+def test_local_factor_curve(curve_11a3):
+    assert local_factor_gl2(curve_11a3, 2).coeffs == (1, 2, 2)
+    f11 = local_factor_gl2(curve_11a3, 11)
     assert f11.coeffs == (1, -1, 0) and f11.effective_degree == 1
 
 
-def test_local_factor_purity(curve_11a1):
+def test_local_factor_purity(curve_11a3):
     for p in primes_upto(60):
         if p == 11:
             continue
-        f = local_factor_gl2(curve_11a1, p)
+        f = local_factor_gl2(curve_11a3, p)
         assert f.weight == 1 and all(type(c) is int for c in f.coeffs)
         assert is_selfdual_pure(f).ok
 

@@ -56,15 +56,15 @@ from siegellift.modform import parse_eigenfile
 # ---------------------------------------------------------------------------
 # identities
 
-def test_sym3_ext2_at_two(curve_11a1):
-    entry = verify_identity(Identity.SYM3_EXT2, 2, source=curve_11a1)
+def test_sym3_ext2_at_two(curve_11a3):
+    entry = verify_identity(Identity.SYM3_EXT2, 2, source=curve_11a3)
     assert entry.status is Status.OK
     # (1+8T)^2 (1-8T)^2 (1+64T^2) expanded
     assert entry.lhs.coeffs == (1, 0, -64, 0, -4096, 0, 262144)
 
 
-def test_sym3_ext2_good_primes(curve_11a1):
-    report = identity_report(Identity.SYM3_EXT2, 100, source=curve_11a1)
+def test_sym3_ext2_good_primes(curve_11a3):
+    report = identity_report(Identity.SYM3_EXT2, 100, source=curve_11a3)
     assert report.ok
     by_prime = {e.prime: e for e in report.entries}
     assert by_prime[11].status is Status.SKIPPED
@@ -87,10 +87,10 @@ def test_sym2_ind_skips_ramified(chi_gauss):
     assert entry.status is Status.SKIPPED and "ramified" in entry.reason
 
 
-def test_tensor_ext2_weight_ledger(curve_11a1, chi_gauss):
+def test_tensor_ext2_weight_ledger(curve_11a3, chi_gauss):
     # spin weight k-1+w = 5 throughout
     for p in primes_upto(60):
-        entry = verify_identity(Identity.TENSOR_EXT2, p, source=curve_11a1, chi=chi_gauss)
+        entry = verify_identity(Identity.TENSOR_EXT2, p, source=curve_11a3, chi=chi_gauss)
         if p in (2, 11):
             assert entry.status is Status.SKIPPED
         else:
@@ -98,53 +98,53 @@ def test_tensor_ext2_weight_ledger(curve_11a1, chi_gauss):
             assert entry.lhs.weight == 10  # Lambda^2 of weight-5 spin
 
 
-def test_tensor_square_formal(curve_11a1):
+def test_tensor_square_formal(curve_11a3):
     # predict checks tensor-square on the degree-4 spin factor
-    f = plethysm(local_factor_gl2(curve_11a1, 3), Functor.SYM3)
-    rows = predict_siegel(curve_11a1, pmax=3).verification.entries
+    f = plethysm(local_factor_gl2(curve_11a3, 3), Functor.SYM3)
+    rows = predict_siegel(curve_11a3, pmax=3).verification.entries
     (entry,) = [e for e in rows if e.prime == 3 and e.identity == Identity.TENSOR_SQ.value]
     assert entry.status is Status.OK
     assert entry.lhs == combine(f, f, CombineMode.TENSOR)
     assert entry.lhs.degree == 16
 
 
-def test_identity_report_jobs_deterministic(curve_11a1):
-    serial = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1)
-    again = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a1)
+def test_identity_report_jobs_deterministic(curve_11a3):
+    serial = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a3)
+    again = identity_report(Identity.SYM3_EXT2, 80, source=curve_11a3)
     assert serial == again
     primes = [e.prime for e in serial.entries]
     assert primes == sorted(primes)
 
 
-def test_verify_identity_needs_inputs(curve_11a1):
+def test_verify_identity_needs_inputs(curve_11a3):
     with pytest.raises(InputError):
         verify_identity(Identity.SYM2_IND, 5)
     with pytest.raises(InputError):
-        verify_identity(Identity.TENSOR_EXT2, 5, source=curve_11a1)
+        verify_identity(Identity.TENSOR_EXT2, 5, source=curve_11a3)
 
 
-def test_identity_report_needs_inputs_without_primes(curve_11a1, chi_gauss):
+def test_identity_report_needs_inputs_without_primes(curve_11a3, chi_gauss):
     # checked once, before any prime: pmax = 1 leaves none
     with pytest.raises(InputError):
         identity_report(Identity.SYM3_EXT2, 1, chi=chi_gauss)
     with pytest.raises(InputError):
-        identity_report(Identity.TENSOR_EXT2, 1, source=curve_11a1)
+        identity_report(Identity.TENSOR_EXT2, 1, source=curve_11a3)
     assert identity_report(Identity.SYM2_IND, 1, chi=chi_gauss).entries == ()
 
 
 # ---------------------------------------------------------------------------
 # degree-5 extraction
 
-def test_degree5_sym3_at_two(curve_11a1):
-    pi = plethysm(local_factor_gl2(curve_11a1, 2), Functor.SYM3)
+def test_degree5_sym3_at_two(curve_11a3):
+    pi = plethysm(local_factor_gl2(curve_11a3, 2), Functor.SYM3)
     std = degree5_factor(pi)
     assert std.coeffs == (1, 8, 0, 0, -4096, -32768)
     assert std.degree == 5 and std.weight == 6
 
 
-def test_degree5_supersingular(curve_11a1):
+def test_degree5_supersingular(curve_11a3):
     # a_19 = 0: spin factor (1 + p^3 T^2)^2, quotient (1-p^3T)^3(1+p^3T)^2
-    pi = plethysm(local_factor_gl2(curve_11a1, 19), Functor.SYM3)
+    pi = plethysm(local_factor_gl2(curve_11a3, 19), Functor.SYM3)
     q = 19**3
     assert pi.coeffs == (1, 0, 2 * q, 0, q * q)
     std = degree5_factor(pi)
@@ -163,12 +163,12 @@ def test_degree5_not_symplectic():
         degree5_factor(control)
 
 
-def test_degree5_tensor_construction(curve_11a1, chi_gauss):
+def test_degree5_tensor_construction(curve_11a3, chi_gauss):
     from siegellift.heckechar import induced_factor
 
     for p in (3, 5, 7, 13):
         spin = combine(
-            local_factor_gl2(curve_11a1, p), induced_factor(chi_gauss, p), CombineMode.TENSOR
+            local_factor_gl2(curve_11a3, p), induced_factor(chi_gauss, p), CombineMode.TENSOR
         )
         std = degree5_factor(spin)
         assert std.degree == 5 and std.weight == 10
@@ -191,8 +191,8 @@ def test_level_rules():
 # ---------------------------------------------------------------------------
 # predictions
 
-def test_predict_sym3_11a1(curve_11a1):
-    pred = predict_siegel(curve_11a1, pmax=20)
+def test_predict_sym3_11a1(curve_11a3):
+    pred = predict_siegel(curve_11a3, pmax=20)
     assert pred.level == 11
     assert pred.classification.siegel_kind is SiegelKind.SCALAR
     assert pred.classification.scalar_weight == 3
@@ -205,9 +205,9 @@ def test_predict_sym3_11a1(curve_11a1):
     assert "11" in pred.iwahori_note
 
 
-def test_predict_rejects_incompatible_character(curve_11a1):
+def test_predict_rejects_incompatible_character(curve_11a3):
     with pytest.raises(UnitCompatibilityError):
-        predict_siegel(curve_11a1, chi=AntiCycChar(ImagQuadField(-4), 1), pmax=10)
+        predict_siegel(curve_11a3, chi=AntiCycChar(ImagQuadField(-4), 1), pmax=10)
 
 
 def test_predict_delta(delta_form):
@@ -220,8 +220,8 @@ def test_predict_delta(delta_form):
     assert "no prime divides the level exactly once" in pred.iwahori_note
 
 
-def test_predict_tensor(curve_11a1, chi_gauss):
-    pred = predict_siegel(curve_11a1, chi=chi_gauss, pmax=30)
+def test_predict_tensor(curve_11a3, chi_gauss):
+    pred = predict_siegel(curve_11a3, chi=chi_gauss, pmax=30)
     assert pred.level == 1936
     assert pred.transfer == "tensor"
     assert pred.arch.exponents == (5, 3)
@@ -235,7 +235,7 @@ def test_predict_tensor(curve_11a1, chi_gauss):
     assert pred.verification.ok
 
 
-def test_predict_parity_gate(curve_11a1):
+def test_predict_parity_gate(curve_11a3):
     odd_form = NewformData(3, 49)
     with pytest.raises(InputError):
         predict_siegel(odd_form)  # odd weight, trivial character: no sym3 path
@@ -275,8 +275,8 @@ def test_dirichlet_zeta():
     assert a[1:] == [1] * 10
 
 
-def test_dirichlet_sym3(curve_11a1):
-    obj = sym3_object(curve_11a1, 4)
+def test_dirichlet_sym3(curve_11a3):
+    obj = sym3_object(curve_11a3, 4)
     a = dirichlet_coeffs(obj, 4)
     # 1/(1 + 64 T^4) has no T or T^2 term; a_3 = -(c_1 of the p=3 factor)
     assert a[1] == 1 and a[2] == 0 and a[4] == 0
@@ -296,8 +296,8 @@ def test_dirichlet_single_prime_recursion():
     assert a[3] == a[5] == a[6] == a[7] == 0
 
 
-def test_dirichlet_multiplicativity(curve_11a1):
-    obj = gl2_object(curve_11a1, 60)
+def test_dirichlet_multiplicativity(curve_11a3):
+    obj = gl2_object(curve_11a3, 60)
     a = dirichlet_coeffs(obj, 60)
     for m, n in [(2, 3), (3, 5), (4, 7), (5, 11), (6, 7)]:
         assert a[m * n] == a[m] * a[n]
@@ -311,8 +311,8 @@ def test_compare_coeffwise():
     assert not res.equal and res.first_mismatch == 7
 
 
-def test_lambda2_sym3_cross_check(curve_11a1):
-    lhs, rhs = lambda2_sym3_objects(curve_11a1, 300)
+def test_lambda2_sym3_cross_check(curve_11a3):
+    lhs, rhs = lambda2_sym3_objects(curve_11a3, 300)
     assert compare_coeffwise(lhs, rhs, 300).equal
 
 
@@ -337,8 +337,8 @@ def test_eval_boundary_rejected():
         eval_partial(zeta_object(100), 1.0, 100)
 
 
-def test_eval_self_consistency(curve_11a1):
-    obj = gl2_object(curve_11a1, 10**4)
+def test_eval_self_consistency(curve_11a3):
+    obj = gl2_object(curve_11a3, 10**4)
     small = eval_partial(obj, 2.0, 10**3)
     big = eval_partial(obj, 2.0, 10**4)
     assert abs(small.value - big.value) <= small.tail_bound
@@ -349,15 +349,15 @@ def test_eval_self_consistency(curve_11a1):
 # ---------------------------------------------------------------------------
 # eigenvalue cross-check
 
-def test_ap_match(curve_11a1, delta_path, tmp_path):
+def test_ap_match(curve_11a3, delta_path, tmp_path):
     lines = ["weight 2 level 11 character trivial"]
     for p in primes_upto(30):
         from siegellift.modform import reduction_at
 
-        lines.append(f"{p} {reduction_at(curve_11a1, p).ap}")
+        lines.append(f"{p} {reduction_at(curve_11a3, p).ap}")
     good = tmp_path / "good.txt"
     good.write_text("\n".join(lines) + "\n")
-    report = ap_match_report(curve_11a1, parse_eigenfile(good))
+    report = ap_match_report(curve_11a3, parse_eigenfile(good))
     assert report.ok
 
     lines[1] = "2 7"  # corrupt a_2 (also breaks the Hasse bound: warning)
@@ -367,13 +367,13 @@ def test_ap_match(curve_11a1, delta_path, tmp_path):
 
     with pytest.warns(RamanujanBoundWarning):
         corrupted = parse_eigenfile(bad)
-    report = ap_match_report(curve_11a1, corrupted)
+    report = ap_match_report(curve_11a3, corrupted)
     assert not report.ok
     failing = [e for e in report.entries if e.status is Status.FAIL]
     assert len(failing) == 1 and failing[0].prime == 2
 
     with pytest.raises(InputError):
-        ap_match_report(curve_11a1, parse_eigenfile(delta_path))  # weight 12 table
+        ap_match_report(curve_11a3, parse_eigenfile(delta_path))  # weight 12 table
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +449,10 @@ def _substituted(f, r):
     ],
     ids=["11a3 x chi(-4, 2)", "11a3 x chi(-7, 2)", "delta x chi(-4, 2)", "11a3 x chi(-11, 2)"],
 )
-def test_tensor_factor_at_bad_and_ramified_primes(curve_11a1, delta_form, name, D, m, bad):
+def test_tensor_factor_at_bad_and_ramified_primes(curve_11a3, delta_form, name, D, m, bad):
     """At p | N D the tensor factor is Ind chi_p with T -> a_p T (p | N), or
     eta with T -> chi(pi) T (p | D); its identity rows stay SKIPPED."""
-    source, conductor = (curve_11a1, 11) if name == "11a3" else (delta_form, 1)
+    source, conductor = (curve_11a3, 11) if name == "11a3" else (delta_form, 1)
     chi = AntiCycChar(ImagQuadField(D), m)
     records = {p: local_data(source, chi, p) for p in primes_upto(100)}
     assert [p for p, ld in records.items() if ld.skip] == bad
