@@ -44,6 +44,7 @@ GOLDEN = {
     "lcoeffs_11a3_none_X500.csv": [
         "lcoeffs", *CURVE, "--transfer", "none", "--X", "500", "--format", "csv",
     ],
+    "lcoeffs_11a3_sym3_X50.txt": ["lcoeffs", *CURVE, "--transfer", "sym3", "--X", "50"],
     "lcoeffs_11a3_sym3_X500.json": [
         "lcoeffs", *CURVE, "--transfer", "sym3", "--X", "500", "--format", "json",
     ],

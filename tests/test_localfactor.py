@@ -131,6 +131,17 @@ def test_tensor_with_degree_one():
     assert t.weight == 2
 
 
+def test_tensor_of_nothing_is_the_trivial_factor():
+    # a degree-0 operand or depth 0 leaves no coefficient after c_0
+    eta = LocalFactor(5, 1, (1, -1, 5))
+    for a, b, depth in [(LocalFactor(5, 4, (1,)), eta, None), (eta, LocalFactor(5, 4, (1,)), 3),
+                        (eta, LocalFactor(5, 4, (1, 14, 625)), 0), (eta, eta, 0)]:
+        t = combine(a, b, CombineMode.TENSOR, depth)
+        assert t == LocalFactor(5, a.weight + b.weight, (1,))
+        assert_same(t.coeffs, ref_tensor(a.coeffs, b.coeffs)[:1])
+    assert plethysm(eta, Functor.SYM3, 0) == LocalFactor(5, 3, (1,))
+
+
 def test_sum_is_polynomial_product():
     a = LocalFactor(5, 4, (1, -625))
     b = LocalFactor(5, 4, (1, 1054, 390625))
