@@ -31,7 +31,7 @@ _HOMES = {
         "heckechar",
     ),
     **dict.fromkeys(
-        ("CombineMode", "Functor", "Identity", "LocalFactor", "PowerSums", "combine",
+        ("CombineMode", "Functor", "Identity", "LocalFactor", "combine",
          "exact_divide", "from_power_sums", "is_selfdual_pure", "plethysm", "power_sums",
          "tate_factor", "tate_twist"),
         "localfactor",

@@ -15,8 +15,10 @@ raises ``InputError``.  Only values from outside the package can cause
 one: power sums that are not those of an integral polynomial, or a
 negative Tate twist whose power of p does not divide the coefficients.
 
-The single internal intermediate is the sequence of power sums
-s_m = sum_j alpha_j^m.  Newton's identities convert both ways:
+The single internal intermediate is the plain tuple of power sums
+(s_1, ..., s_n), s_m = sum_j alpha_j^m; with n = 0 it is (), which
+converts back to the trivial factor 1.  Newton's identities convert both
+ways:
 
     s_k = -k c_k - sum_{i=1}^{k-1} c_i s_{k-i}
     c_k = -(s_k + sum_{i=1}^{k-1} c_i s_{k-i}) / k
@@ -31,6 +33,9 @@ sums are integers; Macdonald, Symmetric Functions, I.2 and I.8):
     Sym^3: (s_m^3 + 3 s_m s_{2m} + 2 s_{3m}) / 6
     Sym^4: (s_m^4 + 6 s_m^2 s_{2m} + 3 s_{2m}^2 + 8 s_m s_{3m} + 6 s_{4m}) / 24
 
+Exact division and the expansion of 1/P(T) that ``lseries`` reads share
+one triangular series division, exact because c_0 = 1.
+
 Degenerate factors (bad reduction, ramification) are stored at full
 nominal degree with trailing zero coefficients; ``effective_degree``
 reports the honest polynomial degree.
@@ -39,7 +44,7 @@ reports the honest polynomial degree.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ._primes import is_prime
 from ._record import Record, Value, _set
@@ -172,16 +177,6 @@ class LocalFactor(Value):
         return cls(p, weight, coeffs)
 
 
-class PowerSums(Record):
-    """s_m = sum of m-th powers of the inverse roots, m = 1..len(values)."""
-
-    __slots__ = ("prime", "values")
-
-    def __init__(self, prime: int, values: tuple):
-        self.prime = prime
-        self.values = values
-
-
 class PurityReport(Record):
     """Outcome of the self-duality/purity coefficient symmetry check."""
 
@@ -196,20 +191,15 @@ class PurityReport(Record):
         return self.ok
 
 
-def one(p: int, degree: int = 0, weight: int = 0) -> LocalFactor:
-    """The trivial factor P = 1, padded to the given nominal degree."""
-    return LocalFactor(p, weight, (1,) + (0,) * degree)
+def tate_factor(p: int, j: int) -> LocalFactor:
+    """Degree-1 factor 1 - p^j T, j >= 0, pure of weight 2j."""
+    return LocalFactor(p, 2 * j, (1, -(p**j)))
 
 
-def tate_factor(p: int, j: int, weight: Optional[int] = None) -> LocalFactor:
-    """Degree-1 factor 1 - p^j T, j >= 0.  Pure of weight 2j unless overridden."""
-    return LocalFactor(p, 2 * j if weight is None else weight, (1, -(p**j)))
-
-
-def power_sums(f: LocalFactor, count: int) -> PowerSums:
-    """First ``count`` power sums of the inverse roots (Newton identities)."""
-    if count < 1:
-        raise InputError("power_sums needs count >= 1")
+def power_sums(f: LocalFactor, count: int) -> tuple:
+    """The power sums s_1..s_count of the inverse roots (Newton identities)."""
+    if count < 0:
+        raise InputError("power_sums needs count >= 0")
     c, d = f.coeffs, f.degree
     s: list[int] = []
     for k in range(1, count + 1):
@@ -217,25 +207,22 @@ def power_sums(f: LocalFactor, count: int) -> PowerSums:
         for i in range(1, min(k, d + 1)):
             acc -= c[i] * s[k - i - 1]
         s.append(acc)
-    return PowerSums(f.prime, tuple(s))
+    return tuple(s)
 
 
-def from_power_sums(
-    p: int, degree: int, sums: Union[PowerSums, Sequence[int]], weight: int = 0
-) -> LocalFactor:
+def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -> LocalFactor:
     """Inverse of :func:`power_sums`; needs at least ``degree`` power sums.
 
     Raises ``InputError`` when the sums are not those of an integral
     polynomial (a division by k leaves a remainder).
     """
-    values = sums.values if isinstance(sums, PowerSums) else tuple(sums)
-    if len(values) < degree:
-        raise DegreeError(f"need {degree} power sums, got {len(values)}")
+    if len(sums) < degree:
+        raise DegreeError(f"need {degree} power sums, got {len(sums)}")
     c: list[int] = [1]
     for k in range(1, degree + 1):
-        acc = values[k - 1]
+        acc = sums[k - 1]
         for i in range(1, k):
-            acc += c[i] * values[k - i - 1]
+            acc += c[i] * sums[k - i - 1]
         c.append(_div(-acc, k))
     return LocalFactor(p, weight, tuple(c))
 
@@ -251,6 +238,17 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _series_div(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of a(T) / b(T), where b_0 = 1."""
+    q: list[int] = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else 0
+        for i in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[i] * q[k - i]
+        q.append(acc)
+    return q
+
+
 def combine(
     a: LocalFactor, b: LocalFactor, mode: CombineMode, depth: Optional[int] = None
 ) -> LocalFactor:
@@ -263,16 +261,11 @@ def combine(
             raise WeightMismatchError(
                 f"direct sum needs equal weights, got {a.weight} and {b.weight}"
             )
-        coeffs = _poly_mul(a.coeffs, b.coeffs)
-        # pad in case both operands carried trailing zeros
-        coeffs += [0] * (a.degree + b.degree + 1 - len(coeffs))
-        return LocalFactor(a.prime, a.weight, tuple(coeffs))
+        return LocalFactor(a.prime, a.weight, tuple(_poly_mul(a.coeffs, b.coeffs)))
     if mode is CombineMode.TENSOR:
         d = a.degree * b.degree if depth is None else min(a.degree * b.degree, depth)
-        if d == 0:
-            return LocalFactor(a.prime, a.weight + b.weight, (1,))
-        sa = power_sums(a, d).values
-        sb = sa if b is a else power_sums(b, d).values
+        sa = power_sums(a, d)
+        sb = sa if b is a else power_sums(b, d)
         mixed = [x * y for x, y in zip(sa, sb)]
         return from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight)
     raise InputError(f"unknown combine mode {mode!r}")
@@ -294,10 +287,7 @@ def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> L
     if depth is not None:
         d_out = min(d_out, depth)
     weight = f.weight * _FUNCTOR_WEIGHT[functor]
-    if d_out == 0:
-        return LocalFactor(f.prime, weight, (1,))
-    need = d_out * _FUNCTOR_WEIGHT[functor]
-    s = (0,) + power_sums(f, need).values
+    s = (0,) + power_sums(f, d_out * _FUNCTOR_WEIGHT[functor])
     out: list[int] = []
     for m in range(1, d_out + 1):
         if functor is Functor.SYM2:
@@ -340,16 +330,8 @@ def exact_divide(a: LocalFactor, b: LocalFactor) -> LocalFactor:
         )
     if b.degree > a.degree:
         raise DegreeError("divisor degree exceeds dividend degree")
-    d_q = a.degree - b.degree
-    q: list[int] = []
-    for k in range(d_q + 1):
-        acc = a.coeffs[k]
-        for i in range(1, min(k, b.degree) + 1):
-            acc -= b.coeffs[i] * q[k - i]
-        q.append(acc)  # b.coeffs[0] == 1, no division needed
-    product = _poly_mul(q, b.coeffs)
-    product += [0] * (a.degree + 1 - len(product))
-    if tuple(product) != a.coeffs:
+    q = _series_div(a.coeffs, b.coeffs, a.degree - b.degree + 1)
+    if tuple(_poly_mul(q, b.coeffs)) != a.coeffs:
         raise InexactDivisionError(
             f"nonzero remainder dividing degree-{a.degree} factor at p={a.prime}"
         )

@@ -10,12 +10,12 @@ module loads ``heckechar`` only when it builds a factor with a character.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from ._primes import primes_upto, smallest_prime_factors
 from ._record import Record, Value
 from .errors import ConvergenceDomainError, InputError, MissingPrimeError
-from .localfactor import CombineMode, Functor, LocalFactor, combine, plethysm
+from .localfactor import CombineMode, Functor, LocalFactor, _series_div, combine, plethysm
 from .modform import CurveData, NewformData, reduction_at
 
 if TYPE_CHECKING:
@@ -124,18 +124,6 @@ def _exponent(p: int, bound: int) -> int:
     return e
 
 
-def _inverse_series(f: LocalFactor, terms: int) -> List[int]:
-    """Coefficients of 1/P(T) up to T^(terms-1) (geometric recursion)."""
-    c = f.coeffs
-    b: List[int] = [1]
-    for j in range(1, terms):
-        acc = 0
-        for i in range(1, min(j, f.degree) + 1):
-            acc -= c[i] * b[j - i]
-        b.append(acc)
-    return b
-
-
 def dirichlet_coeffs(obj: LObject, bound: int):
     """Exact Dirichlet coefficients a_1..a_bound (returned 1-indexed in a
     list of length bound+1 with a[0] = 0)."""
@@ -147,7 +135,7 @@ def dirichlet_coeffs(obj: LObject, bound: int):
         raise MissingPrimeError(missing)
     expansions = {}
     for p in needed:
-        expansions[p] = _inverse_series(obj.factors[p], _exponent(p, bound) + 1)
+        expansions[p] = _series_div((1,), obj.factors[p].coeffs, _exponent(p, bound) + 1)
     spf = smallest_prime_factors(bound)
     a = [0] * (bound + 1)
     a[1] = 1

@@ -175,7 +175,7 @@ def _ext2_sides(
     if chi is None:
         j = ld.eta.weight  # = k - 1
         twisted_sym4 = tate_twist(plethysm(ld.eta, Functor.SYM4), j)
-        return lhs, combine(twisted_sym4, tate_factor(ld.prime, 3 * j, weight=6 * j), CombineMode.SUM)
+        return lhs, combine(twisted_sym4, tate_factor(ld.prime, 3 * j), CombineMode.SUM)
     if sym2_ind is None:
         sym2_ind = _sym2_ind_rhs(chi, ld.prime)
     piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
@@ -281,7 +281,7 @@ def degree5_factor(pi_p: LocalFactor, ext2: Optional[LocalFactor] = None) -> Loc
     factor that is not of symplectic type leaves a remainder.  ``ext2`` is
     Lambda^2(pi_p) when the caller has built it already.
     """
-    pol = tate_factor(pi_p.prime, pi_p.weight, weight=2 * pi_p.weight)
+    pol = tate_factor(pi_p.prime, pi_p.weight)
     try:
         return exact_divide(plethysm(pi_p, Functor.EXT2) if ext2 is None else ext2, pol)
     except InexactDivisionError:

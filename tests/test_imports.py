@@ -79,7 +79,7 @@ EXPORTED = {
               "UnsupportedLevelError VerificationError",
     "heckechar": "AntiCycChar ImagQuadField QuadInt Splitting char_square char_value "
                  "conductor_ind induced_factor prime_above restriction_char splitting",
-    "localfactor": "CombineMode Functor LocalFactor PowerSums combine exact_divide "
+    "localfactor": "CombineMode Functor LocalFactor combine exact_divide "
                    "from_power_sums is_selfdual_pure plethysm power_sums tate_factor tate_twist",
     "modform": "CurveData NewformData ReductionData ReductionKind ap_good invariants_of "
                "local_factor_gl2 parse_eigenfile point_count reduction_bad",

@@ -22,7 +22,6 @@ from siegellift import (
     LocalData,
     LocalFactor,
     NewformData,
-    PowerSums,
     QuadInt,
     ReductionData,
     ReductionKind,
@@ -66,7 +65,6 @@ RECORDS = {
     "QuadInt": lambda: QuadInt(ImagQuadField(-4), 3, 1),
     "AntiCycChar": lambda: AntiCycChar(ImagQuadField(-4), 2),
     "LocalFactor": _factor,
-    "PowerSums": lambda: PowerSums(5, (2, -6)),
     "PurityReport": lambda: PurityReport(False, 1, 2),
     "CurveData": lambda: CurveData(0, -1, 1, 0, 0, conductor=11),
     "ReductionData": lambda: ReductionData(11, ReductionKind.SPLIT_MULT, 1),
