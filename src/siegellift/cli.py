@@ -140,6 +140,8 @@ def _factor_rows(args, factors):
 def _cmd_ap(args) -> int:
     from .modform import reduction_at
 
+    if args.curve is None:
+        raise InputError("a curve is required: --curve")
     curve = _parse_curve(args.curve, args.conductor)
     rows = [(p, reduction_at(curve, p)) for p in _primes_from(args)]
     if args.format == "json":
@@ -188,11 +190,15 @@ def _cmd_verify(args) -> int:
         curve = _parse_curve(args.curve, args.conductor) if args.curve else None
         if curve is None or not args.eigenfile:
             raise InputError("ap-match needs both --curve and --eigenfile")
+        if args.D is not None or args.m is not None:
+            raise InputError("ap-match reads no character: drop --D and --m")
         report = ap_match_report(curve, _parse_table(args.eigenfile, None), args.pmax)
     else:
         source = None
         if args.curve or args.eigenfile:
             source = _load_source(args)
+        elif args.conductor is not None:
+            raise InputError("--conductor is given without --curve or --eigenfile")
         chi = _load_char(args, required=False)
         report = identity_report(Identity(name), args.pmax, source=source, chi=chi)
     # after the report, which names a missing input first and has no row below 2
@@ -289,9 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="accepted for compatibility (N >= 1); runs are serial"
     )
 
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--curve", help="Weierstrass coefficients a1,a2,a3,a4,a6[,N]")
-    source.add_argument("--conductor", type=int, help="conductor of the curve")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--curve", help="Weierstrass coefficients a1,a2,a3,a4,a6[,N]")
+    curve.add_argument("--conductor", type=int, help="conductor of the curve")
+    source = argparse.ArgumentParser(add_help=False, parents=[curve])
     source.add_argument("--eigenfile", help="path to a Hecke-eigenvalue file")
 
     character = argparse.ArgumentParser(add_help=False)
@@ -303,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     one_or_all.add_argument("--p", type=int, help="a single prime")
     one_or_all.add_argument("--pmax", type=int, help="all primes up to this bound")
 
-    p_ap = sub.add_parser("ap", parents=[common, source, prange], help="Hecke eigenvalues of a curve")
+    p_ap = sub.add_parser("ap", parents=[common, curve, prange], help="Hecke eigenvalues of a curve")
     p_ap.set_defaults(func=_cmd_ap)
 
     p_factor = sub.add_parser("factor", parents=[common, source, prange], help="degree-2 local factors")

@@ -212,6 +212,11 @@ def _require_inputs(name: Identity, source: Optional[Source], chi: Optional[Anti
         missing.append("a character")
     if missing:
         raise InputError(f"{name.value} needs " + " and ".join(missing))
+    if chi is not None and name in (Identity.SYM3_EXT2, Identity.TENSOR_SQ):
+        raise InputError(f"{name.value} reads no character: drop --D and --m")
+    if source is not None and name is Identity.SYM2_IND:
+        flag = "--curve" if isinstance(source, CurveData) else "--eigenfile"
+        raise InputError(f"{name.value} reads no curve or newform: drop {flag}")
 
 
 def verify_identity(

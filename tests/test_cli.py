@@ -354,3 +354,73 @@ def test_predict_factors_a_large_conductor_quickly(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0 and "level: 63193416213859599\n" in out
     assert "at p = 3, 124120307, 169710119 (exactly dividing the level)" in out
+
+
+def test_ap_takes_a_curve_only(capsys, delta_path):
+    # ap reads no table: --eigenfile is not one of its options
+    with pytest.raises(SystemExit) as exc:
+        main(["ap", "--curve", CURVE, "--eigenfile", str(delta_path), "--p", "5"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --eigenfile" in captured.err
+    code, out, err = run(capsys, "ap", "--p", "5")  # was an AttributeError traceback
+    assert code == 2 and out == "" and err == "error: a curve is required: --curve\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--identity", "sym3-ext2", "--curve", CURVE, "--D", "-4", "--m", "2"], "--D"),
+        (["--identity", "tensor-square", "--curve", CURVE, "--D", "-4", "--m", "2"], "--D"),
+        (["--identity", "tensor-square", "--eigenfile", "DELTA", "--D", "-4", "--m", "2"], "--D"),
+        (["--identity", "ap-match", "--curve", CURVE, "--eigenfile", "DELTA", "--D", "-4",
+          "--m", "2"], "--D"),
+        (["--identity", "sym2-ind", "--D", "-4", "--m", "2", "--curve", CURVE], "--curve"),
+        (["--identity", "sym2-ind", "--D", "-4", "--m", "2", "--eigenfile", "DELTA"], "--eigenfile"),
+        (["--identity", "sym2-ind", "--D", "-4", "--m", "2", "--conductor", "11"], "--conductor"),
+    ],
+)
+def test_verify_rejects_inputs_it_never_reads(capsys, delta_path, argv, flag):
+    # each input was ignored and the command exited 0
+    argv = [str(delta_path) if a == "DELTA" else a for a in argv]
+    code, out, err = run(capsys, "verify", *argv, "--pmax", "20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+TABLE = "weight 2 level 11 character trivial\n2 -2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["ap", "--curve", "{bad", "--p", "5"], None),
+        (["ap", "--curve", "0,-1,x,0,0", "--p", "5"], None),
+        (["ap", "--curve", '{"a": [1, 2]}', "--p", "5"], None),
+        (["factor", "--curve", CURVE, "--p", "5"], TABLE),
+        (["induce", "--D", "-4", "--p", "5"], None),
+        (["factor", "--curve", CURVE], None),
+        (["verify", "--identity", "ap-match", "--curve", CURVE], None),
+        (["factor", "--p", "5"], TABLE + "3 x\n"),
+        (["factor", "--p", "5"], TABLE.replace("weight 2", "weight two")),
+        (["factor", "--p", "5"], TABLE.replace("trivial", "delta D")),
+        (["factor", "--p", "5"], TABLE.replace("weight 2", "weight 1")),
+        # every subcommand with no input at all
+        (["ap"], None),
+        (["factor"], None),
+        (["sym3"], None),
+        (["induce"], None),
+        (["verify", "--identity", "tensor-ext2"], None),
+        (["predict"], None),
+        (["lcoeffs", "--X", "10"], None),
+        (["eval", "--X", "10", "-s", "3"], None),
+    ],
+)
+def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, argv, table):
+    if table is not None:
+        path = tmp_path / "table.txt"
+        path.write_text(table)
+        argv = [*argv, "--eigenfile", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
