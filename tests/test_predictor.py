@@ -123,6 +123,15 @@ def test_verify_identity_needs_inputs(curve_11a3):
         verify_identity(Identity.TENSOR_EXT2, 5, source=curve_11a3)
 
 
+def test_verify_identity_rejects_inputs_it_never_reads(curve_11a3, delta_form, chi_gauss):
+    for name in (Identity.SYM3_EXT2, Identity.TENSOR_SQ):
+        with pytest.raises(InputError, match="reads no character"):
+            verify_identity(name, 5, source=curve_11a3, chi=chi_gauss)
+    for source, flag in ((curve_11a3, "--curve"), (delta_form, "--eigenfile")):
+        with pytest.raises(InputError, match=f"reads no curve or newform: drop {flag}"):
+            identity_report(Identity.SYM2_IND, 1, source=source, chi=chi_gauss)
+
+
 def test_identity_report_needs_inputs_without_primes(curve_11a3, chi_gauss):
     # checked once, before any prime: pmax = 1 leaves none
     with pytest.raises(InputError):
