@@ -424,3 +424,24 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, argv, table
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ap", "--curve", "0,-4,8,0,0,11", "--p", "2"],
+         "additive reduction at p=2 contradicts the conductor 11"),
+        (["ap", "--curve", CURVE + ",22", "--p", "2"],
+         "good reduction at p=2 contradicts the conductor 22"),
+        (["ap", "--curve", CURVE + ",121", "--p", "11"],
+         "multiplicative reduction at p=11 contradicts the conductor 121"),
+        (["predict", "--curve", "0,0,0,0,2", "--pmax", "5"],
+         "conductor required: additive reduction at 2 prevents deriving it from the discriminant"),
+        (["predict", "--curve", "0,0,0,0,2,36", "--pmax", "5"],
+         "no level formula for non-squarefree conductor 36"),
+    ],
+    ids=["additive", "good", "multiplicative", "underived", "non-squarefree"],
+)
+def test_conductor_and_level_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
