@@ -10,19 +10,17 @@ module loads ``heckechar`` only when it builds a factor with a character.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ._primes import primes_upto, smallest_prime_factors
 from ._record import Record, Value
 from .errors import ConvergenceDomainError, InputError, MissingPrimeError
 from .localfactor import CombineMode, Functor, LocalFactor, _series_div, combine, plethysm
-from .modform import CurveData, NewformData, reduction_at
+from .modform import Source, _source_label, reduction_at
 
 if TYPE_CHECKING:
     from .archimedean import ArchParam
     from .heckechar import AntiCycChar
-
-Source = Union[CurveData, NewformData]
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +73,6 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
         ind = induced_factor(chi, p)
         spin = combine(eta, ind, CombineMode.TENSOR, depth)
     return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
-
-
-def _source_label(source: Source) -> str:
-    if isinstance(source, CurveData):
-        return "curve " + ",".join(str(a) for a in source.ainvs)
-    return f"newform k={source.weight} N={source.level}"
 
 
 # ---------------------------------------------------------------------------

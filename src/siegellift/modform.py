@@ -31,11 +31,11 @@ from __future__ import annotations
 import warnings
 from enum import Enum
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
-from typing import Dict, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Optional, TextIO, Tuple, Union
 
-from ._primes import is_prime, kronecker_at_prime
+from ._primes import factorize, is_prime, kronecker_at_prime
 from ._record import Record, Value
 from .errors import (
     BadPrimeError,
@@ -176,6 +176,10 @@ class NewformData(Record):
         self.eigenvalues = {} if eigenvalues is None else eigenvalues
         for p, ap in self.eigenvalues.items():
             _warn_ramanujan(p, ap, weight, level)
+
+
+Source = Union[CurveData, NewformData]
+Factors = List[Tuple[int, int]]  # [(p, e), ...] as from factorize
 
 
 def _warn_ramanujan(p: int, ap: int, k: int, level: int) -> None:
@@ -374,15 +378,14 @@ def reduction_bad(curve: CurveData, p: int) -> ReductionData:
     return ReductionData(p, kind, ap)
 
 
-def reduction_at(source: Union[CurveData, NewformData], p: int) -> ReductionData:
+def reduction_at(source: Source, p: int) -> ReductionData:
     """Reduction data of a curve or newform at any prime: the one place where
     good, multiplicative and additive reduction are told apart.
 
     A curve is good at p not dividing its discriminant; otherwise c4 and
-    c6 decide (:func:`reduction_bad`).  A newform is good at
-    p not dividing its level N, multiplicative (split when a_p > 0) at
-    p || N and additive (a_p = 0) at p^2 | N.  A supplied conductor or
-    level must agree with the local data at p.
+    c6 decide (:func:`reduction_bad`).  A newform's level decides by the
+    rule in :data:`_REGIMES`, split multiplicative when a_p > 0.  A supplied
+    conductor or level must agree with the local data at p.
     """
     if isinstance(source, CurveData):
         if source.discriminant % p != 0:
@@ -395,11 +398,12 @@ def reduction_at(source: Union[CurveData, NewformData], p: int) -> ReductionData
     if not isinstance(source, NewformData):
         raise InputError(f"unsupported source {type(source).__name__}")
     n, table = source.level, source.eigenvalues
-    if n % (p * p) != 0 and p not in table:
+    regime = _regime_at(n, p)
+    if regime != "additive" and p not in table:
         raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
-    if n % p != 0:
+    if regime == "good":
         return ReductionData(p, ReductionKind.GOOD, table[p])
-    if n % (p * p) == 0:
+    if regime == "additive":
         red, want = ReductionData(p, ReductionKind.ADDITIVE, 0), 0
     else:
         kind = ReductionKind.SPLIT_MULT if table[p] > 0 else ReductionKind.NONSPLIT_MULT
@@ -412,18 +416,48 @@ def reduction_at(source: Union[CurveData, NewformData], p: int) -> ReductionData
     return red
 
 
+#: The conductor-exponent rule, written once: the reduction at p is _REGIMES[e]
+#: for e = 0 at p not dividing N, 1 at p || N and 2 at p^2 | N (exponent >= 2).
+_REGIMES = ("good", "multiplicative", "additive")
+
+
+def _regime_at(n: int, p: int) -> str:
+    """The reduction at p that the conductor or level n allows.  A model not
+    minimal at p reduces to a cusp there, so it shows as additive."""
+    return _REGIMES[0 if n % p else 1 if n % (p * p) else 2]
+
+
 def _check_conductor(n: int, red: ReductionData) -> None:
-    # the conductor exponent of a minimal model is 0, 1 or >= 2 as the
-    # reduction is good, multiplicative or additive; a non-minimal model
-    # reduces to a cusp, so it shows as additive
-    p = red.prime
-    exponent = 0 if n % p else 1 if n % (p * p) else 2
-    if exponent != {"good": 0, "multiplicative": 1, "additive": 2}[red.regime]:
+    if red.regime != _regime_at(n, red.prime):
         error = InputError if red.regime == "good" else NonMinimalModelError
-        raise error(f"{red.regime} reduction at p={p} contradicts the conductor {n}")
+        raise error(f"{red.regime} reduction at p={red.prime} contradicts the conductor {n}")
 
 
-def local_factor_gl2(source: Union[CurveData, NewformData], p: int) -> LocalFactor:
+def _conductor(source: Source) -> Tuple[int, Factors]:
+    """Conductor N of the source and its factorization, the one factorization
+    a prediction makes.  A curve's supplied N is checked at every p | N; without
+    one, :data:`_REGIMES` reads N off the reduction at each p | discriminant."""
+    if isinstance(source, NewformData):
+        return source.level, factorize(source.level)
+    n = source.conductor
+    factors = factorize(abs(source.discriminant) if n is None else n)
+    derived = [(p, _REGIMES.index(reduction_at(source, p).regime)) for p, _ in factors]
+    if n is not None:
+        return n, factors
+    for p, e in derived:
+        if e > 1:  # additive: the exponent is at least 2, and the model does not say which
+            raise InputError(f"conductor required: additive reduction at {p} prevents deriving it "
+                             "from the discriminant")
+    return prod(p**e for p, e in derived), derived
+
+
+def _source_label(source: Source) -> str:
+    if isinstance(source, CurveData):
+        return "curve " + ",".join(str(a) for a in source.ainvs)
+    return f"newform k={source.weight} N={source.level}"
+
+
+def local_factor_gl2(source: Source, p: int) -> LocalFactor:
     """Degree-2 local factor of the curve/newform at p, weight k-1.
 
     Good p: 1 - a_p T + p^(k-1) T^2.  Multiplicative p: 1 - a_p T at nominal

@@ -48,11 +48,11 @@ from .localfactor import (
     tate_twist,
 )
 from .lseries import (  # the public names are re-exported from here
-    _RAMIFIED, CompareResult, EvalResult, LObject, LocalData, Source, _source_label,
-    compare_coeffwise, dirichlet_coeffs, eval_partial, gl2_object, local_data, sym3_object,
-    tensor_object,
+    _RAMIFIED, CompareResult, EvalResult, LObject, LocalData, compare_coeffwise, dirichlet_coeffs,
+    eval_partial, gl2_object, local_data, sym3_object, tensor_object,
 )
-from .modform import CharacterKind, CurveData, NewformData, reduction_at
+from .modform import CharacterKind, CurveData, Factors, NewformData, Source, reduction_at
+from .modform import _conductor, _source_label
 
 if TYPE_CHECKING:  # archimedean is imported only where a prediction bundle uses it
     from .archimedean import ArchParam, Classification
@@ -300,9 +300,6 @@ class LevelRule(Enum):
     TWIST = "twist"  # conductor N coprime to induced conductor N': M = N^2 N'^2
 
 
-Factors = List[Tuple[int, int]]  # [(p, e), ...] as from factorize
-
-
 def _sym3_level(conductor: int, factors: Factors) -> int:
     """The SYM3 rule on N = conductor, given its factorization."""
     if any(e > 1 for _, e in factors):
@@ -398,29 +395,6 @@ class SiegelPrediction(Record):
         lines.append("")
         lines.append(self.verification.to_text())
         return "\n".join(lines)
-
-
-def _conductor(source: Source) -> Tuple[int, Factors]:
-    """Conductor N of the source and its factorization, the one
-    factorization a prediction makes.  A curve's supplied N is checked at
-    each p | N (the level uses every prime of N, not only those up to
-    pmax); without one, N is derived from the reduction at each
-    p | discriminant."""
-    if isinstance(source, NewformData):
-        return source.level, factorize(source.level)
-    n = source.conductor
-    factors = factorize(abs(source.discriminant) if n is None else n)
-    for p, _ in factors:
-        # minimal model contract: conductor exponent is 1 at multiplicative
-        # primes; anything additive needs the caller to supply N
-        if reduction_at(source, p).regime == "additive" and n is None:
-            raise InputError(
-                "conductor required: additive reduction at "
-                f"{p} prevents deriving it from the discriminant"
-            )
-    if n is None:
-        return math.prod(p for p, _ in factors), [(p, 1) for p, _ in factors]
-    return n, factors
 
 
 def _iwahori_note(once: List[int]) -> str:
