@@ -170,7 +170,11 @@ class AntiCycChar(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "AntiCycChar":
-        return cls(ImagQuadField(int(data["D"])), int(data["m"]))
+        for name in ("D", "m"):  # exactly int: a float, str or bool is rejected, never truncated
+            value = data[name]
+            if type(value) is not int:
+                raise InputError(f"character {name} must be int, got {type(value).__name__} {value!r}")
+        return cls(ImagQuadField(data["D"]), data["m"])
 
 
 def splitting(field: ImagQuadField, p: int) -> Splitting:
