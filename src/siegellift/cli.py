@@ -275,10 +275,18 @@ def _cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 2, as the
+    checked input errors are; the subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .localfactor import Identity
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="siegellift",
         description=(
             "exact local data (Euler factors, levels, archimedean types) of the "

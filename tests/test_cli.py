@@ -445,3 +445,22 @@ def test_input_errors_exit_two_with_one_error_line(capsys, tmp_path, argv, table
 def test_conductor_and_level_messages(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--curve", CURVE, "--bogus"],
+        ["ap", "--curve", CURVE, "--p", "5", "--pmax", "10"],
+        ["verify", "--curve", CURVE],
+        ["ap", "--curve", CURVE, "--p", "5", "--jobs", "0"],
+    ],
+    ids=["unknown-flag", "p-with-pmax", "verify-without-identity", "jobs-zero"],
+)
+def test_usage_errors_are_one_error_line(capsys, argv):
+    # argparse printed a usage block before its own "siegellift ...: error:" line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
