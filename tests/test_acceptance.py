@@ -52,7 +52,7 @@ from siegellift.heckechar import induced_factor
 from siegellift.modform import ap_good
 from siegellift._primes import primes_upto
 
-CURVE_11A1 = CurveData(0, -1, 1, 0, 0, conductor=11)
+CURVE_11A3 = CurveData(0, -1, 1, 0, 0, conductor=11)
 CHI = AntiCycChar(ImagQuadField(-4), 2)
 
 
@@ -75,13 +75,13 @@ def criterion(number, title):
 @criterion(1, "point-count oracle and Hasse bound")
 def test_criterion_1():
     start = time.perf_counter()
-    assert 2 + 1 - point_count(CURVE_11A1, 2) == -2
-    assert 3 + 1 - point_count(CURVE_11A1, 3) == -1
-    assert 5 + 1 - point_count(CURVE_11A1, 5) == 1
+    assert 2 + 1 - point_count(CURVE_11A3, 2) == -2
+    assert 3 + 1 - point_count(CURVE_11A3, 3) == -1
+    assert 5 + 1 - point_count(CURVE_11A3, 5) == 1
     for p in primes_upto(500):
         if p == 11:
             continue
-        ap = ap_good(CURVE_11A1, p)
+        ap = ap_good(CURVE_11A3, p)
         assert ap * ap <= 4 * p
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -105,19 +105,19 @@ def test_criterion_2():
     assert all(im == 0 for _, im in coeffs)
     expected = tuple(re for re, _ in coeffs)
     assert expected == (1, 0, 0, 0, 64)
-    got = plethysm(local_factor_gl2(CURVE_11A1, 2), Functor.SYM3)
+    got = plethysm(local_factor_gl2(CURVE_11A3, 2), Functor.SYM3)
     assert got.coeffs == expected
 
-    # supersingular prime of 11a1: a_19 = 0, closed form (1 + p^3 T^2)^2
-    assert ap_good(CURVE_11A1, 19) == 0
+    # supersingular prime of 11a3: a_19 = 0, closed form (1 + p^3 T^2)^2
+    assert ap_good(CURVE_11A3, 19) == 0
     q = 19**3
-    got = plethysm(local_factor_gl2(CURVE_11A1, 19), Functor.SYM3)
+    got = plethysm(local_factor_gl2(CURVE_11A3, 19), Functor.SYM3)
     assert got.coeffs == (1, 0, 2 * q, 0, q * q)
 
 
 @criterion(3, "ext2(sym3) = twisted sym4 x tate, p <= 200")
 def test_criterion_3(delta_form):
-    for source, bad in ((CURVE_11A1, {11}), (delta_form, set())):
+    for source, bad in ((CURVE_11A3, {11}), (delta_form, set())):
         report = identity_report(Identity.SYM3_EXT2, 200, source=source)
         assert report.ok
         for entry in report.entries:
@@ -145,7 +145,7 @@ def test_criterion_4():
 
 @criterion(5, "bilinear ext2 decomposition of the twisted tensor, p <= 200")
 def test_criterion_5():
-    report = identity_report(Identity.TENSOR_EXT2, 200, source=CURVE_11A1, chi=CHI)
+    report = identity_report(Identity.TENSOR_EXT2, 200, source=CURVE_11A3, chi=CHI)
     assert report.ok
     for entry in report.entries:
         if entry.prime in (2, 11):
@@ -157,7 +157,7 @@ def test_criterion_5():
         if p in (2, 11):
             continue
         spin = combine(
-            local_factor_gl2(CURVE_11A1, p), induced_factor(CHI, p), CombineMode.TENSOR
+            local_factor_gl2(CURVE_11A3, p), induced_factor(CHI, p), CombineMode.TENSOR
         )
         assert spin.weight == 5
 
@@ -167,11 +167,11 @@ def test_criterion_6():
     for p in primes_upto(200):
         if p == 11:
             continue
-        pi = plethysm(local_factor_gl2(CURVE_11A1, p), Functor.SYM3)
+        pi = plethysm(local_factor_gl2(CURVE_11A3, p), Functor.SYM3)
         assert degree5_factor(pi).degree == 5
         if p != 2:
             spin = combine(
-                local_factor_gl2(CURVE_11A1, p), induced_factor(CHI, p), CombineMode.TENSOR
+                local_factor_gl2(CURVE_11A3, p), induced_factor(CHI, p), CombineMode.TENSOR
             )
             assert degree5_factor(spin).degree == 5
     with pytest.raises(NotSymplecticError):
@@ -199,7 +199,7 @@ def test_criterion_8():
 @criterion(9, "coefficientwise cross-check to X = 5000")
 def test_criterion_9():
     start = time.perf_counter()
-    lhs, rhs = lambda2_sym3_objects(CURVE_11A1, 5000)
+    lhs, rhs = lambda2_sym3_objects(CURVE_11A3, 5000)
     result = compare_coeffwise(lhs, rhs, 5000)
     assert result.equal
     elapsed = time.perf_counter() - start
@@ -232,7 +232,7 @@ def test_criterion_10():
     # purity witnesses
     for p in primes_upto(100):
         if p != 11:
-            assert is_selfdual_pure(local_factor_gl2(CURVE_11A1, p)).ok
+            assert is_selfdual_pure(local_factor_gl2(CURVE_11A3, p)).ok
         if p != 2:
             assert is_selfdual_pure(induced_factor(CHI, p)).ok
     # generator independence of character values

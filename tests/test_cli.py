@@ -76,7 +76,7 @@ def test_verify_deterministic_bytes(capsys):
 
 
 def test_verify_corrupted_eigenfile(capsys, tmp_path):
-    # a_2 of 11a1 is -2; write 2 instead (within the Ramanujan bound, so only
+    # a_2 of 11a3 is -2; write 2 instead (within the Ramanujan bound, so only
     # the cross-check against point counts can notice)
     lines = ["weight 2 level 11 character trivial", "2 2", "3 -1", "5 1", "7 -2", "11 1"]
     path = tmp_path / "corrupt.txt"

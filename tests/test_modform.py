@@ -52,7 +52,7 @@ def translated(curve, r, s, t):
     )
 
 
-def test_invariants_11a1(curve_11a3):
+def test_invariants_11a3(curve_11a3):
     b2, b4, b6, b8, disc = invariants_of(curve_11a3)
     assert (b2, b4, b6, b8) == (-4, 0, 1, -1)
     assert disc == -11
@@ -67,7 +67,7 @@ def test_singular_model_rejected():
         CurveData(0, 0, 0, 0, 0)
 
 
-def test_ap_11a1_small_primes(curve_11a3):
+def test_ap_11a3_small_primes(curve_11a3):
     assert ap_good(curve_11a3, 2) == -2
     assert ap_good(curve_11a3, 3) == -1
     assert ap_good(curve_11a3, 5) == 1

@@ -200,7 +200,7 @@ def test_level_rules():
 # ---------------------------------------------------------------------------
 # predictions
 
-def test_predict_sym3_11a1(curve_11a3):
+def test_predict_sym3_11a3(curve_11a3):
     pred = predict_siegel(curve_11a3, pmax=20)
     assert pred.level == 11
     assert pred.classification.siegel_kind is SiegelKind.SCALAR
