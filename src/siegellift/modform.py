@@ -24,6 +24,12 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
 
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D.
+
+This is the one module that knows a GL(2) source (``Source``, a curve or a
+table): its label, its conductor N with the one factorization a prediction
+makes, and the conductor-exponent rule (p not dividing N, p || N, p^2 | N
+for good, multiplicative, additive reduction) that the conductor check,
+the level check and the derivation of N all read.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The prediction half: per-prime identity verification, degree-5
-standard factors, levels and Siegel-form prediction bundles.  The per-prime
-local data they read, and the finite Euler products with their Dirichlet
-expansion, are the L-series half in :mod:`siegellift.lseries`; this module
-re-exports its public names.
+standard factors, the Siegel form's level formulas and prediction bundles.
+The per-prime local data they read, and the finite Euler products with their
+Dirichlet expansion, are the L-series half in :mod:`siegellift.lseries`; this
+module re-exports its public names.  The conductor N that the levels start
+from, and the source's label, come from :mod:`siegellift.modform`.
 
 All identity checks are exact polynomial equalities in arithmetic
 normalization; unitary twists appear as explicit Tate twists with integer
