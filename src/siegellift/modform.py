@@ -423,7 +423,8 @@ def reduction_at(source: Source, p: int) -> ReductionData:
 
 
 #: The conductor-exponent rule, written once: the reduction at p is _REGIMES[e]
-#: for e = 0 at p not dividing N, 1 at p || N and 2 at p^2 | N (exponent >= 2).
+#: for e = 0 at p not dividing N, 1 at p || N and 2 at p^2 | N (any exponent
+#: of 2 or more).
 _REGIMES = ("good", "multiplicative", "additive")
 
 
@@ -441,12 +442,14 @@ def _check_conductor(n: int, red: ReductionData) -> None:
 
 def _conductor(source: Source) -> Tuple[int, Factors]:
     """Conductor N of the source and its factorization, the one factorization
-    a prediction makes.  A curve's supplied N is checked at every p | N; without
-    one, :data:`_REGIMES` reads N off the reduction at each p | discriminant."""
+    a prediction makes.  A curve's supplied N is checked at every p | N (the
+    level uses every prime of N, not only those up to pmax); without one,
+    :data:`_REGIMES` reads N off the reduction at each p | discriminant."""
     if isinstance(source, NewformData):
         return source.level, factorize(source.level)
     n = source.conductor
     factors = factorize(abs(source.discriminant) if n is None else n)
+    # reduction_at checks a supplied N at each of its primes
     derived = [(p, _REGIMES.index(reduction_at(source, p).regime)) for p, _ in factors]
     if n is not None:
         return n, factors
