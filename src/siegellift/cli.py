@@ -12,11 +12,19 @@ non-symplectic factor; 2 invalid input or I/O failure.
 Each command imports the library modules it calls, and ``json`` only to
 read or write JSON, so a short command does not load (or, without a
 bytecode cache, compile) the modules it never runs.
+
+A process ends as cheaply as it starts: :func:`entry` flushes stdout and
+stderr after :func:`main` returns and exits with ``os._exit``, skipping the
+interpreter's teardown.  It falls back to ``sys.exit`` when a flush fails
+or when a tracer, profiler or monitoring tool is attached (coverage,
+``python -m cProfile``), which report after the program unwinds.  :func:`main`
+never exits the process, so it can be called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ._primes import is_prime, primes_upto
@@ -283,9 +291,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    from .localfactor import Identity
+#: The names ``verify --identity`` takes: the values of ``localfactor.Identity``
+#: (a test pins them to it), then ap-match; written out so that building the
+#: parser loads no library module.
+_IDENTITIES = ("sym2-ind", "sym3-ext2", "tensor-ext2", "tensor-square", "ap-match")
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="siegellift",
         description=(
@@ -335,11 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common, source, character], help="verify exact local identities"
     )
-    p_verify.add_argument(
-        "--identity",
-        required=True,
-        choices=sorted(i.value for i in Identity) + ["ap-match"],
-    )
+    p_verify.add_argument("--identity", required=True, choices=_IDENTITIES)
     p_verify.add_argument("--pmax", type=int, default=100)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -387,8 +395,32 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or monitoring tool (coverage, cProfile, a
+    debugger) is attached: each reports only after the program unwinds."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    # from Python 3.12 cProfile and coverage may use sys.monitoring (tool ids 0-5) instead
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
 def entry() -> None:
-    sys.exit(main())
+    """The console script and ``python -m siegellift.cli``.  After :func:`main`
+    nothing is left for the interpreter's teardown to do (``--out`` is
+    closed, no thread runs); skipping it saves about 15 ms of CPU on a
+    2-core host.  A failed flush still goes through ``sys.exit``, which
+    reports it as before."""
+    code = main()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):  # a broken or closed stream: the teardown reports it
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -34,12 +34,12 @@ the level check and the derivation of N all read.
 
 from __future__ import annotations
 
+import os
 import warnings
 from enum import Enum
 from functools import lru_cache
 from math import isqrt, prod
-from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple, Union
 
 from ._primes import factorize, is_prime, kronecker_at_prime
 from ._record import Record, Value
@@ -51,7 +51,9 @@ from .errors import (
     NonMinimalModelError,
     SingularModelError,
 )
-from .localfactor import LocalFactor
+
+if TYPE_CHECKING:  # localfactor is imported only where a factor is built, so ap does not load it
+    from .localfactor import LocalFactor
 
 
 class RamanujanBoundWarning(UserWarning):
@@ -153,6 +155,8 @@ class ReductionData(Record):
     def factor(self, k: int) -> LocalFactor:
         """Degree-2 local factor of weight k-1: 1 - a_p T + p^(k-1) T^2 when
         good, else 1 - a_p T at nominal degree 2 (a_p = 0 when additive)."""
+        from .localfactor import LocalFactor
+
         p = self.prime
         c2 = p ** (k - 1) if self.kind is ReductionKind.GOOD else 0
         return LocalFactor(p, k - 1, (1, -self.ap, c2))
@@ -442,11 +446,16 @@ def _check_conductor(n: int, red: ReductionData) -> None:
 
 def _conductor(source: Source) -> Tuple[int, Factors]:
     """Conductor N of the source and its factorization, the one factorization
-    a prediction makes.  A curve's supplied N is checked at every p | N (the
-    level uses every prime of N, not only those up to pmax); without one,
+    a prediction makes.  A curve's supplied N, and a table's level at each
+    p | N whose a_p it gives, are checked at every p | N (the level uses
+    every prime of N, not only those up to pmax); without a supplied N,
     :data:`_REGIMES` reads N off the reduction at each p | discriminant."""
     if isinstance(source, NewformData):
-        return source.level, factorize(source.level)
+        factors = factorize(source.level)
+        for p, _ in factors:  # a missing a_p is reported where a command reaches p
+            if p in source.eigenvalues:
+                reduction_at(source, p)
+        return source.level, factors
     n = source.conductor
     factors = factorize(abs(source.discriminant) if n is None else n)
     # reduction_at checks a supplied N at each of its primes
@@ -475,9 +484,10 @@ def local_factor_gl2(source: Source, p: int) -> LocalFactor:
     return reduction_at(source, p).factor(source.weight)
 
 
-def parse_eigenfile(source: Union[str, Path, TextIO]) -> NewformData:
-    """Parse an eigenvalue file (format in the module docstring)."""
-    if isinstance(source, (str, Path)):
+def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformData:
+    """Parse an eigenvalue file (format in the module docstring), given by
+    its path or as an open text stream."""
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     else:

@@ -36,7 +36,6 @@ from .errors import (
     ParityError,
     UnsupportedLevelError,
 )
-from .heckechar import AntiCycChar, char_square, conductor_ind, induced_factor, restriction_char
 from .localfactor import (
     CombineMode,
     Functor,
@@ -55,8 +54,9 @@ from .lseries import (  # the public names are re-exported from here
 from .modform import CharacterKind, CurveData, Factors, NewformData, Source, reduction_at
 from .modform import _conductor, _source_label
 
-if TYPE_CHECKING:  # archimedean is imported only where a prediction bundle uses it
+if TYPE_CHECKING:  # archimedean and heckechar load only where a bundle or a character needs them
     from .archimedean import ArchParam, Classification
+    from .heckechar import AntiCycChar
 
 
 class Status(Enum):
@@ -158,6 +158,8 @@ def _check_tensor_square(f: LocalFactor, ext2: LocalFactor) -> Tuple[LocalFactor
 def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     # Sym^2(Ind chi) = Ind(chi^2) + restriction of chi, the latter being the
     # Tate line of arithmetic value p^(2m)
+    from .heckechar import char_square, induced_factor, restriction_char
+
     chi0 = restriction_char(chi, p)
     return combine(
         induced_factor(char_square(chi), p),
@@ -234,6 +236,8 @@ def verify_identity(
         raise InputError(f"unknown identity {name!r}")
     _require_inputs(name, source, chi)
     if name is Identity.SYM2_IND:
+        from .heckechar import induced_factor
+
         return _sym2_ind_entry(p, chi.field.D % p == 0, induced_factor(chi, p), _sym2_ind_rhs(chi, p))
     twist = chi if name is Identity.TENSOR_EXT2 else None
     return _identity_entry(name, local_data(source, twist, p), twist)
@@ -436,6 +440,8 @@ def predict_siegel(
             )
         if character is not CharacterKind.TRIVIAL:
             raise InputError("even-weight tensor transfer needs a trivial character")
+        from .heckechar import conductor_ind
+
         transfer, identity = "tensor", Identity.TENSOR_EXT2
         m_level = level(LevelRule.TWIST, conductor, conductor_ind(chi))
         once = []  # every prime of M = N^2 N'^2 divides it at least twice

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from siegellift import dirichlet_coeffs, sym3_object
+from siegellift import cli, dirichlet_coeffs, sym3_object
 from siegellift.cli import main
+from siegellift.localfactor import Identity
 from siegellift.modform import CurveData
 
 CURVE = "0,-1,1,0,0"
@@ -300,6 +305,15 @@ def test_conductor_checked_beyond_pmax(capsys):
     assert code == 2 and out == "" and "p=13" in err
 
 
+def test_level_checked_beyond_pmax(capsys, tmp_path):
+    # a table's a_13 at 13 || 143 must be +-1, even when --pmax stops at 7
+    path = tmp_path / "level143.txt"
+    path.write_text("weight 2 level 143 character trivial\n2 0\n3 1\n5 -1\n7 2\n13 5\n")
+    code, out, err = run(capsys, "predict", "--eigenfile", str(path), "--pmax", "7")
+    assert code == 2 and out == ""
+    assert err == "error: a_13 = 5 contradicts the level 143: a_p^2 must be 1\n"
+
+
 def test_verify_missing_inputs_without_primes(capsys):
     # the check fires before any prime, so also when --pmax leaves none
     code, _, err = run(capsys, "verify", "--identity", "tensor-ext2", "--curve", CURVE, "--pmax", "1")
@@ -464,3 +478,123 @@ def test_usage_errors_are_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_identity_choices_are_the_identity_values():
+    # written out in cli, so that building the parser loads no localfactor
+    assert list(cli._IDENTITIES) == sorted(i.value for i in Identity) + ["ap-match"]
+
+
+# ---------------------------------------------------------------------------
+# the exit path: a process ends through os._exit, with the bytes and exit
+# code that main() gives in-process
+
+SRC = Path(cli.__file__).parents[1]
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def in_child(*args, stdout=subprocess.PIPE):
+    # buffered streams, so that output the exit failed to flush would be lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # more output than the stdout buffer holds, all of which the flush must deliver
+        (["lcoeffs", "--curve", CURVE, "--transfer", "sym3", "--X", "2000", "--format", "csv"], 0),
+        (["verify", "--identity", "ap-match", "--curve", CURVE, "--eigenfile", "TABLE",
+          "--pmax", "7"], 1),
+        (["ap", "--p", "5"], 2),
+        (["ap", "--curve", CURVE, "--bogus"], 2),
+    ],
+    ids=["ok", "fail", "input-error", "usage-error"],
+)
+def test_process_matches_main(capsys, tmp_path, argv, code):
+    path = tmp_path / "corrupt.txt"
+    path.write_text("weight 2 level 11 character trivial\n2 2\n3 -1\n5 1\n7 -2\n")
+    argv = [str(path) if a == "TABLE" else a for a in argv]
+    expected = in_process(capsys, argv)
+    assert expected[0] == code
+    assert in_child("-m", "siegellift.cli", *argv) == expected
+
+
+def test_process_writes_out_file_whole(capsys, tmp_path):
+    argv = ["predict", "--curve", CURVE, "--pmax", "100", "--format", "json"]
+    assert in_process(capsys, [*argv, "--out", str(tmp_path / "main.json")]) == (0, "", "")
+    assert in_child("-m", "siegellift.cli", *argv, "--out", str(tmp_path / "child.json")) == (0, "", "")
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_profiled_process_still_reports():
+    # cProfile prints its stats after the program returns; os._exit would lose them
+    argv = ["ap", "--curve", CURVE, "--p", "2"]
+    code, out, err = in_child("-m", "cProfile", "-m", "siegellift.cli", *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("a_2 = -2  (good)\n") and "function calls" in out
+
+
+def test_closed_stdout_is_reported_at_teardown():
+    # the flush fails, so the process exits through sys.exit, whose teardown
+    # flushes again and reports the broken pipe with exit code 120
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, _, err = in_child("-m", "siegellift.cli", "ap", "--curve", CURVE, "--p", "2", stdout=write)
+    finally:
+        os.close(write)
+    assert code == 120 and "BrokenPipeError" in err
+
+
+class _Exited(Exception):
+    pass
+
+
+def _raise_exited(code):
+    raise _Exited(code)
+
+
+class _BrokenStream(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_entry_skips_teardown_unless_observed(monkeypatch, observed):
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(cli, "_observed", lambda: observed)
+    monkeypatch.setattr(cli.os, "_exit", _raise_exited)
+    with pytest.raises(SystemExit if observed else _Exited) as exc:
+        cli.entry()
+    assert exc.value.args == (1,)
+
+
+def test_entry_falls_back_to_sys_exit_when_a_flush_fails(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(cli, "_observed", lambda: False)
+    monkeypatch.setattr(cli.os, "_exit", _raise_exited)
+    monkeypatch.setattr(sys, "stdout", _BrokenStream())
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+
+
+def test_observed_under_a_tracer():
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        assert cli._observed()
+    finally:
+        sys.settrace(previous)

@@ -1,9 +1,9 @@
 """What each command loads, and the lazy package namespace.
 
 ``import siegellift`` loads no module of the package; each command of the
-CLI imports only the modules it runs, and ``json`` only to read or write
-JSON.  Without a bytecode cache every loaded module is compiled, so a
-module a command never runs costs it time.
+CLI imports only the modules it runs, ``json`` only to read or write JSON,
+and never ``pathlib``.  Without a bytecode cache every loaded module is
+compiled, so a module a command never runs costs it time.
 """
 
 import ast
@@ -20,10 +20,14 @@ import siegellift
 SRC = Path(siegellift.__file__).parents[1]
 
 #: The modules every command loads.
-BASE = {"siegellift", "siegellift.cli", "siegellift._primes", "siegellift.errors",
-        "siegellift._record", "siegellift.localfactor"}
-LSERIES = BASE | {"siegellift.modform", "siegellift.lseries"}
-ALL = LSERIES | {"siegellift.heckechar", "siegellift.predictor", "siegellift.archimedean"}
+BASE = {"siegellift", "siegellift.cli", "siegellift._primes", "siegellift.errors"}
+#: ap reads a_p and the reduction type; it builds no local factor.
+AP = BASE | {"siegellift._record", "siegellift.modform"}
+FACTORS = AP | {"siegellift.localfactor"}
+LSERIES = FACTORS | {"siegellift.lseries"}
+#: verify and predict load heckechar only with a character.
+VERIFY = LSERIES | {"siegellift.predictor"}
+PREDICT = VERIFY | {"siegellift.archimedean"}
 
 # the child reports through repr, so that reporting loads nothing
 CHILD = """
@@ -31,16 +35,20 @@ import sys
 from siegellift.cli import main
 main(sys.argv[1:])
 sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "siegellift"),
-                       "json" in sys.modules)))
+                       "json" in sys.modules, "pathlib" in sys.modules)))
 """
 
 
 @pytest.mark.parametrize(
     "argv, modules, json_loaded",
     [
-        (["ap", "--curve", "0,-1,1,0,0", "--p", "2"], BASE | {"siegellift.modform"}, False),
-        (["factor", "--curve", "0,-1,1,0,0", "--p", "5"], BASE | {"siegellift.modform"}, False),
-        (["induce", "--D", "-4", "--m", "2", "--pmax", "10"], BASE | {"siegellift.heckechar"}, False),
+        (["ap", "--curve", "0,-1,1,0,0", "--p", "2"], AP, False),
+        (["factor", "--curve", "0,-1,1,0,0", "--p", "5"], FACTORS, False),
+        (
+            ["induce", "--D", "-4", "--m", "2", "--pmax", "10"],
+            BASE | {"siegellift._record", "siegellift.localfactor", "siegellift.heckechar"},
+            False,
+        ),
         (["sym3", "--curve", "0,-1,1,0,0", "--p", "5"], LSERIES, False),
         (
             ["lcoeffs", "--curve", "0,-1,1,0,0", "--transfer", "sym3", "--X", "50", "--format", "csv"],
@@ -53,9 +61,20 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
             LSERIES | {"siegellift.heckechar"},
             False,
         ),
-        (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"], ALL, True),
+        (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"], PREDICT, True),
+        (
+            ["predict", "--curve", "0,-1,1,0,0", "--D", "-4", "--m", "2", "--pmax", "10"],
+            PREDICT | {"siegellift.heckechar"},
+            False,
+        ),
+        (
+            ["verify", "--identity", "sym3-ext2", "--curve", "0,-1,1,0,0", "--pmax", "10"],
+            VERIFY,
+            False,
+        ),
     ],
-    ids=["ap", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor", "predict-json"],
+    ids=["ap", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor", "predict-json",
+         "predict-tensor", "verify-sym3"],
 )
 def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
     # a fresh interpreter without site, so that nothing but the command loads modules
@@ -65,9 +84,10 @@ def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout
-    loaded, json_seen = ast.literal_eval(proc.stderr)
+    loaded, json_seen, pathlib_seen = ast.literal_eval(proc.stderr)
     assert set(loaded) == modules
     assert json_seen is json_loaded
+    assert pathlib_seen is False
 
 
 #: The names the package exported when it imported every module, with the
