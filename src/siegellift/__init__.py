@@ -31,14 +31,13 @@ _HOMES = {
         "heckechar",
     ),
     **dict.fromkeys(
-        ("CombineMode", "Functor", "Identity", "LocalFactor", "combine",
-         "exact_divide", "from_power_sums", "is_selfdual_pure", "plethysm", "power_sums",
-         "tate_factor", "tate_twist"),
+        ("CombineMode", "Functor", "LocalFactor", "combine", "exact_divide", "from_power_sums",
+         "is_selfdual_pure", "plethysm", "power_sums", "tate_factor", "tate_twist"),
         "localfactor",
     ),
     **dict.fromkeys(
         ("CurveData", "NewformData", "ReductionData", "ReductionKind", "ap_good",
-         "invariants_of", "local_factor_gl2", "parse_eigenfile", "point_count", "reduction_bad"),
+         "local_factor_gl2", "parse_eigenfile", "point_count", "reduction_bad"),
         "modform",
     ),
     **dict.fromkeys(
@@ -48,7 +47,7 @@ _HOMES = {
         "lseries",
     ),
     **dict.fromkeys(
-        ("LevelRule", "ReportEntry", "SiegelPrediction", "Status", "VerifyReport",
+        ("Identity", "LevelRule", "ReportEntry", "SiegelPrediction", "Status", "VerifyReport",
          "degree5_factor", "identity_report", "lambda2_sym3_objects", "level", "predict_siegel",
          "verify_identity"),
         "predictor",

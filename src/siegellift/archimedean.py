@@ -130,10 +130,9 @@ def classify(param: ArchParam) -> Classification:
     return Classification(regular, algebraic, SiegelKind.NONE)
 
 
-def to_json(param: ArchParam, classification: Optional[Classification] = None) -> dict:
-    cls = classify(param) if classification is None else classification
+def to_json(param: ArchParam) -> dict:
     return {
         "exponents": list(param.exponents),
         "weight": param.weight,
-        "siegel": cls.siegel_json(),
+        "siegel": classify(param).siegel_json(),
     }

@@ -291,7 +291,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-#: The names ``verify --identity`` takes: the values of ``localfactor.Identity``
+#: The names ``verify --identity`` takes: the values of ``predictor.Identity``
 #: (a test pins them to it), then ap-match; written out so that building the
 #: parser loads no library module.
 _IDENTITIES = ("sym2-ind", "sym3-ext2", "tensor-ext2", "tensor-square", "ap-match")

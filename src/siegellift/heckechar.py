@@ -50,14 +50,6 @@ class ImagQuadField(Value):
     def _args(self) -> tuple:
         return (self.D,)
 
-    @property
-    def unit_order(self) -> int:
-        if self.D == -4:
-            return 4
-        if self.D == -3:
-            return 6
-        return 2
-
     # ring generator w = (D + sqrt(D))/2 has trace D and norm (D^2 - D)/4
     @property
     def gen_trace(self) -> int:
@@ -94,10 +86,6 @@ class QuadInt(Value):
 
     def _args(self) -> tuple:
         return (self.field, self.x, self.y)
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.field, self.x + other.x, self.y + other.y)
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(self.field, -self.x, -self.y)

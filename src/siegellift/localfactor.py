@@ -76,17 +76,6 @@ class Functor(Enum):
     EXT2 = "ext2"
 
 
-class Identity(Enum):
-    """The exact identities between local factors that ``predictor`` checks
-    prime by prime (its docstring gives them); the values are the names
-    ``verify --identity`` takes."""
-
-    TENSOR_SQ = "tensor-square"
-    SYM3_EXT2 = "sym3-ext2"
-    SYM2_IND = "sym2-ind"
-    TENSOR_EXT2 = "tensor-ext2"
-
-
 #: Nominal output degree of each functor on a degree-d input.
 _FUNCTOR_DEGREE = {
     Functor.SYM2: lambda d: d * (d + 1) // 2,

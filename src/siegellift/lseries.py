@@ -19,7 +19,6 @@ from .localfactor import CombineMode, Functor, LocalFactor, _series_div, combine
 from .modform import Source, _source_label, reduction_at
 
 if TYPE_CHECKING:
-    from .archimedean import ArchParam
     from .heckechar import AntiCycChar
 
 
@@ -84,16 +83,10 @@ class LObject(Record):
     cut short (:func:`sym3_object`) or missing does not change; without one
     given, the largest factor's (1 if none)."""
 
-    __slots__ = ("label", "weight", "factors", "arch", "level", "degree")
+    __slots__ = ("label", "weight", "factors", "degree")
 
     def __init__(
-        self,
-        label: str,
-        weight: int,
-        factors: Dict[int, LocalFactor],
-        arch: Optional[ArchParam] = None,
-        level: Optional[int] = None,
-        degree: Optional[int] = None,
+        self, label: str, weight: int, factors: Dict[int, LocalFactor], degree: Optional[int] = None
     ):
         for p, f in factors.items():
             if f.prime != p:
@@ -103,8 +96,6 @@ class LObject(Record):
         self.label = label
         self.weight = weight
         self.factors = factors
-        self.arch = arch
-        self.level = level
         self.degree = max((f.degree for f in factors.values()), default=1) if degree is None else degree
 
 

@@ -131,12 +131,6 @@ def invariants_of_raw(a1, a2, a3, a4, a6):
     return b2, b4, b6, b8, disc
 
 
-def invariants_of(curve: CurveData) -> Tuple[int, int, int, int, int]:
-    """(b2, b4, b6, b8, discriminant) of the Weierstrass model."""
-    b2, b4, b6, b8, _, _, disc = curve.invariants
-    return b2, b4, b6, b8, disc
-
-
 class ReductionData(Record):
     __slots__ = ("prime", "kind", "ap")
 

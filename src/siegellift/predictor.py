@@ -1,9 +1,9 @@
 """The prediction half: per-prime identity verification, degree-5
 standard factors, the Siegel form's level formulas and prediction bundles.
 The per-prime local data they read, and the finite Euler products with their
-Dirichlet expansion, are the L-series half in :mod:`siegellift.lseries`; this
-module re-exports its public names.  The conductor N that the levels start
-from, and the source's label, come from :mod:`siegellift.modform`.
+Dirichlet expansion, are the L-series half in :mod:`siegellift.lseries`.
+The conductor N that the levels start from, and the source's label, come
+from :mod:`siegellift.modform`.
 
 All identity checks are exact polynomial equalities in arithmetic
 normalization; unitary twists appear as explicit Tate twists with integer
@@ -39,7 +39,6 @@ from .errors import (
 from .localfactor import (
     CombineMode,
     Functor,
-    Identity,
     LocalFactor,
     combine,
     exact_divide,
@@ -47,16 +46,24 @@ from .localfactor import (
     tate_factor,
     tate_twist,
 )
-from .lseries import (  # the public names are re-exported from here
-    _RAMIFIED, CompareResult, EvalResult, LObject, LocalData, compare_coeffwise, dirichlet_coeffs,
-    eval_partial, gl2_object, local_data, sym3_object, tensor_object,
-)
+from .lseries import _RAMIFIED, LObject, LocalData, local_data
 from .modform import CharacterKind, CurveData, Factors, NewformData, Source, reduction_at
 from .modform import _conductor, _source_label
 
 if TYPE_CHECKING:  # archimedean and heckechar load only where a bundle or a character needs them
-    from .archimedean import ArchParam, Classification
+    from .archimedean import ArchParam
     from .heckechar import AntiCycChar
+
+
+class Identity(Enum):
+    """The exact identities between local factors checked prime by prime
+    (the module docstring gives them); the values are the names
+    ``verify --identity`` takes."""
+
+    TENSOR_SQ = "tensor-square"
+    SYM3_EXT2 = "sym3-ext2"
+    SYM2_IND = "sym2-ind"
+    TENSOR_EXT2 = "tensor-ext2"
 
 
 class Status(Enum):
@@ -332,10 +339,15 @@ def level(rule: LevelRule, conductor: int, induced_conductor: Optional[int] = No
 # ---------------------------------------------------------------------------
 # prediction bundles
 
+#: The flags of every bundle, as (JSON key, text label, value): the lifted
+#: form is neither CAP nor endoscopic.
+_FLAGS = (("cap", "CAP", False), ("endoscopic", "endoscopic", False))
+
+
 class SiegelPrediction(Record):
     __slots__ = (
-        "label", "transfer", "level", "iwahori_note", "arch", "classification",
-        "spin_factors", "std_factors", "flags", "verification", "notes",
+        "label", "transfer", "level", "iwahori_note", "arch", "spin_factors", "std_factors",
+        "verification", "notes",
     )
 
     def __init__(
@@ -345,16 +357,14 @@ class SiegelPrediction(Record):
         level: int,
         iwahori_note: str,
         arch: ArchParam,
-        classification: Classification,
         spin_factors: Dict[int, LocalFactor],
         std_factors: Dict[int, LocalFactor],
-        flags: Dict[str, bool],
         verification: VerifyReport,
         notes: Tuple[str, ...] = (),
     ):
         self._fill(
-            label, transfer, level, iwahori_note, arch, classification,
-            spin_factors, std_factors, flags, verification, notes,
+            label, transfer, level, iwahori_note, arch, spin_factors, std_factors, verification,
+            notes,
         )
 
     def to_json(self) -> dict:
@@ -365,16 +375,18 @@ class SiegelPrediction(Record):
             "transfer": self.transfer,
             "level": self.level,
             "iwahori_note": self.iwahori_note,
-            "arch": arch_to_json(self.arch, self.classification),
+            "arch": arch_to_json(self.arch),
             "spin_factors": {str(p): f.to_json() for p, f in sorted(self.spin_factors.items())},
             "std_factors": {str(p): f.to_json() for p, f in sorted(self.std_factors.items())},
-            "flags": dict(self.flags),
+            "flags": {key: value for key, _, value in _FLAGS},
             "verification": self.verification.to_json(),
             "notes": list(self.notes),
         }
 
     def to_text(self) -> str:
-        cls = self.classification
+        from .archimedean import classify
+
+        cls = classify(self.arch)
         lines = [
             f"prediction for {self.label} ({self.transfer} transfer)",
             f"level: {self.level}",
@@ -386,7 +398,8 @@ class SiegelPrediction(Record):
             lines.append(f"siegel type: vector {cls.vector_weight}")
         else:
             lines.append("siegel type: none (non-regular or non-algebraic)")
-        lines.append("flags: CAP=no, endoscopic=no")
+        flags = ", ".join(f"{label}={'yes' if value else 'no'}" for _, label, value in _FLAGS)
+        lines.append(f"flags: {flags}")
         lines.append(self.iwahori_note)
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -420,7 +433,7 @@ def predict_siegel(
 ) -> SiegelPrediction:
     """Bundle the predicted genus-2 Siegel form data for a symmetric-cube
     transfer (no character) or a twisted-tensor transfer (with character)."""
-    from .archimedean import classify, from_newform, sym3_arch, tensor_arch
+    from .archimedean import from_newform, sym3_arch, tensor_arch
 
     k = source.weight
     conductor, factors = _conductor(source)
@@ -451,10 +464,8 @@ def predict_siegel(
     spin: Dict[int, LocalFactor] = {}
     std: Dict[int, LocalFactor] = {}
     entries: List[ReportEntry] = []
-    regimes = set()
     for p in primes_upto(pmax):
         ld = local_data(source, chi, p)
-        regimes.add(ld.regime)
         sym2_ind = None
         if chi is not None:
             sym2_ind = _sym2_ind_rhs(chi, p)  # feeds the sym2-ind and tensor-ext2 rows
@@ -470,7 +481,9 @@ def predict_siegel(
         entries.append(_compared(Identity.TENSOR_SQ, p, *_check_tensor_square(ld.spin, ext2)))
         entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 
-    if transfer == "sym3" and "multiplicative" in regimes:
+    # once is empty for the tensor; for Sym^3 it holds the primes of the squarefree N,
+    # each multiplicative (reduction_at checked it)
+    if any(p <= pmax for p in once):
         notes.append(
             "level at multiplicative primes follows the squarefree rule (exponent 1); the "
             "symmetric-cube Weil-Deligne parameter classically has conductor exponent 3 "
@@ -483,10 +496,8 @@ def predict_siegel(
         level=m_level,
         iwahori_note=_iwahori_note(once),
         arch=arch,
-        classification=classify(arch),
         spin_factors=spin,
         std_factors=std,
-        flags={"cap": False, "endoscopic": False},
         verification=VerifyReport(tuple(entries)),
         notes=tuple(notes),
     )

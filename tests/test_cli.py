@@ -13,8 +13,8 @@ import pytest
 
 from siegellift import cli, dirichlet_coeffs, sym3_object
 from siegellift.cli import main
-from siegellift.localfactor import Identity
 from siegellift.modform import CurveData
+from siegellift.predictor import Identity
 
 CURVE = "0,-1,1,0,0"
 
@@ -481,7 +481,7 @@ def test_usage_errors_are_one_error_line(capsys, argv):
 
 
 def test_identity_choices_are_the_identity_values():
-    # written out in cli, so that building the parser loads no localfactor
+    # written out in cli, so that building the parser loads no predictor
     assert list(cli._IDENTITIES) == sorted(i.value for i in Identity) + ["ap-match"]
 
 

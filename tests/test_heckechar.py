@@ -36,13 +36,9 @@ def test_supported_discriminants_only():
 
 
 def test_unit_group_orders():
-    assert ImagQuadField(-4).unit_order == 4
-    assert ImagQuadField(-3).unit_order == 6
-    assert ImagQuadField(-7).unit_order == 2
-    for d in (-3, -4, -7, -11):
-        field = ImagQuadField(d)
-        units = field.units()
-        assert len(set(units)) == field.unit_order
+    for d, order in ((-3, 6), (-4, 4), (-7, 2), (-11, 2)):
+        units = ImagQuadField(d).units()
+        assert len(set(units)) == order
         assert all(u.norm() == 1 for u in units)
 
 

@@ -101,8 +101,8 @@ EXPORTED = {
                  "conductor_ind induced_factor prime_above restriction_char splitting",
     "localfactor": "CombineMode Functor LocalFactor combine exact_divide "
                    "from_power_sums is_selfdual_pure plethysm power_sums tate_factor tate_twist",
-    "modform": "CurveData NewformData ReductionData ReductionKind ap_good invariants_of "
-               "local_factor_gl2 parse_eigenfile point_count reduction_bad",
+    "modform": "CurveData NewformData ReductionData ReductionKind ap_good local_factor_gl2 "
+               "parse_eigenfile point_count reduction_bad",
     "lseries": "CompareResult EvalResult LocalData LObject compare_coeffwise dirichlet_coeffs "
                "eval_partial gl2_object local_data sym3_object tensor_object",
     "predictor": "Identity LevelRule ReportEntry SiegelPrediction Status VerifyReport "
@@ -118,15 +118,6 @@ def test_exported_names_resolve_to_their_home_objects(home):
     for name in EXPORTED[home].split():
         assert getattr(siegellift, name) is getattr(module, name), name
         assert name in listed and name in siegellift.__all__, name
-
-
-def test_predictor_reexports_the_lseries_names():
-    # each is defined once, in lseries; predictor hands on the same objects
-    from siegellift import lseries, predictor
-
-    for name in EXPORTED["lseries"].split():
-        assert getattr(predictor, name) is getattr(lseries, name), name
-        assert getattr(lseries, name).__module__ == "siegellift.lseries", name
 
 
 def test_unknown_name_raises_attribute_error():

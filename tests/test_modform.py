@@ -10,7 +10,6 @@ from siegellift import (
     CurveData,
     ReductionKind,
     ap_good,
-    invariants_of,
     is_selfdual_pure,
     local_factor_gl2,
     modform,
@@ -53,7 +52,7 @@ def translated(curve, r, s, t):
 
 
 def test_invariants_11a3(curve_11a3):
-    b2, b4, b6, b8, disc = invariants_of(curve_11a3)
+    b2, b4, b6, b8, _, _, disc = curve_11a3.invariants
     assert (b2, b4, b6, b8) == (-4, 0, 1, -1)
     assert disc == -11
 

@@ -19,6 +19,7 @@ from siegellift import (
     NewformData,
     SiegelKind,
     Status,
+    classify,
     combine,
     compare_coeffwise,
     degree5_factor,
@@ -203,12 +204,12 @@ def test_level_rules():
 def test_predict_sym3_11a3(curve_11a3):
     pred = predict_siegel(curve_11a3, pmax=20)
     assert pred.level == 11
-    assert pred.classification.siegel_kind is SiegelKind.SCALAR
-    assert pred.classification.scalar_weight == 3
+    assert classify(pred.arch).siegel_kind is SiegelKind.SCALAR
+    assert classify(pred.arch).scalar_weight == 3
     assert pred.spin_factors[2].coeffs == (1, 0, 0, 0, 64)
     assert pred.spin_factors[11].coeffs == (1, -1, 0, 0, 0)  # Steinberg line
     assert 11 not in pred.std_factors
-    assert pred.flags == {"cap": False, "endoscopic": False}
+    assert pred.to_json()["flags"] == {"cap": False, "endoscopic": False}
     assert pred.verification.ok
     assert any("conductor exponent 3" in note for note in pred.notes)
     assert "11" in pred.iwahori_note
@@ -222,8 +223,8 @@ def test_predict_rejects_incompatible_character(curve_11a3):
 def test_predict_delta(delta_form):
     pred = predict_siegel(delta_form, pmax=10)
     assert pred.level == 1
-    assert pred.classification.siegel_kind is SiegelKind.VECTOR
-    assert pred.classification.vector_weight == (33, 11)
+    assert classify(pred.arch).siegel_kind is SiegelKind.VECTOR
+    assert classify(pred.arch).vector_weight == (33, 11)
     assert pred.spin_factors[2] == plethysm(LocalFactor(2, 11, (1, 24, 2048)), Functor.SYM3)
     assert pred.verification.ok
     assert "no prime divides the level exactly once" in pred.iwahori_note
@@ -234,7 +235,7 @@ def test_predict_tensor(curve_11a3, chi_gauss):
     assert pred.level == 1936
     assert pred.transfer == "tensor"
     assert pred.arch.exponents == (5, 3)
-    assert pred.classification.siegel_kind is SiegelKind.VECTOR
+    assert classify(pred.arch).siegel_kind is SiegelKind.VECTOR
     assert sorted(pred.spin_factors) == primes_upto(30)
     for p, f in pred.spin_factors.items():
         assert f.weight == 5 and f.degree == 4

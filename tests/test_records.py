@@ -73,11 +73,10 @@ RECORDS = {
     "VerifyReport": _report,
     "LocalData": lambda: LocalData(5, "good", False, _factor(), None, _factor(), ""),
     "SiegelPrediction": lambda: SiegelPrediction(
-        "curve 0,-1,1,0,0", "sym3", 11, "note", ArchParam((3, 1), 3),
-        Classification(True, True, SiegelKind.SCALAR, scalar_weight=3),
-        {5: _factor()}, {}, {"cap": False}, _report(), ("a note",),
+        "curve 0,-1,1,0,0", "sym3", 11, "note", ArchParam((3, 1), 3), {5: _factor()}, {},
+        _report(), ("a note",),
     ),
-    "LObject": lambda: LObject("gl2", 1, {5: _factor()}, ArchParam((1,), 1), 11),
+    "LObject": lambda: LObject("gl2", 1, {5: _factor()}),
     "CompareResult": lambda: CompareResult(False, 4),
     "EvalResult": lambda: EvalResult(0.5, 0.01, 5.0, 500),
 }
