@@ -58,7 +58,7 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
     ones included; with ``depth`` it stops after c_depth (see
     :func:`plethysm`)."""
     red = reduction_at(source, p)
-    eta = red.factor(source.weight)
+    eta = red.factor(source)
     ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
     if red.regime != "good":
         skip = f"skipped ({red.regime} reduction)"
@@ -195,7 +195,7 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
 
 def gl2_object(source: Source, pmax: int) -> LObject:
     """Degree-2 Euler product of the curve/newform, all p <= pmax."""
-    factors = {p: reduction_at(source, p).factor(source.weight) for p in primes_upto(pmax)}
+    factors = {p: reduction_at(source, p).factor(source) for p in primes_upto(pmax)}
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 

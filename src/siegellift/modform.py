@@ -23,7 +23,8 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
     3 252
 
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
-character of an imaginary quadratic field of discriminant D.
+character of an imaginary quadratic field of discriminant D; it is the
+(D/p) in the T^2 coefficient of a good prime's factor.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
 table): its label, its conductor N with the one factorization a prediction
@@ -116,6 +117,9 @@ class CurveData(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> "CurveData":
+        unknown = sorted(set(data) - {"a", "conductor"})
+        if unknown:
+            raise InputError(f'curve JSON has an unknown key {unknown[0]!r} (keys: "a", "conductor")')
         a = data.get("a")
         if not isinstance(a, (list, tuple)) or len(a) != 5:
             raise InputError('curve JSON needs "a": [a1,a2,a3,a4,a6]')
@@ -146,13 +150,19 @@ class ReductionData(Record):
             return "multiplicative"
         return self.kind.value
 
-    def factor(self, k: int) -> LocalFactor:
-        """Degree-2 local factor of weight k-1: 1 - a_p T + p^(k-1) T^2 when
-        good, else 1 - a_p T at nominal degree 2 (a_p = 0 when additive)."""
+    def factor(self, source: Source) -> LocalFactor:
+        """Degree-2 local factor at this prime of ``source``, of weight k-1:
+        1 - a_p T + eps(p) p^(k-1) T^2 when good, eps the character of the
+        source (trivial for a curve, (D/p) for a table's ``delta D``), else
+        1 - a_p T at nominal degree 2 (a_p = 0 when additive)."""
         from .localfactor import LocalFactor
 
-        p = self.prime
-        c2 = p ** (k - 1) if self.kind is ReductionKind.GOOD else 0
+        p, k = self.prime, source.weight
+        c2 = 0
+        if self.kind is ReductionKind.GOOD:
+            c2 = p ** (k - 1)
+            if isinstance(source, NewformData) and source.character is CharacterKind.DELTA:
+                c2 *= kronecker_at_prime(source.character_disc, p)
         return LocalFactor(p, k - 1, (1, -self.ap, c2))
 
 
@@ -472,10 +482,11 @@ def _source_label(source: Source) -> str:
 def local_factor_gl2(source: Source, p: int) -> LocalFactor:
     """Degree-2 local factor of the curve/newform at p, weight k-1.
 
-    Good p: 1 - a_p T + p^(k-1) T^2.  Multiplicative p: 1 - a_p T at nominal
-    degree 2.  Additive p: the trivial factor.
+    Good p: 1 - a_p T + eps(p) p^(k-1) T^2, eps the source's character.
+    Multiplicative p: 1 - a_p T at nominal degree 2.  Additive p: the
+    trivial factor.
     """
-    return reduction_at(source, p).factor(source.weight)
+    return reduction_at(source, p).factor(source)
 
 
 def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformData:

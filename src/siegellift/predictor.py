@@ -214,6 +214,14 @@ def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -
     return _compared(name, ld.prime, *_ext2_sides(ld, chi))
 
 
+def _require_trivial_character(source: Optional[Source], what: str) -> None:
+    """sym3-ext2 and tensor-ext2 are stated for det = p^(k-1) at good p."""
+    if isinstance(source, NewformData) and source.character is not CharacterKind.TRIVIAL:
+        raise InputError(
+            f"{what} needs a trivial character, the table declares delta {source.character_disc}"
+        )
+
+
 def _require_inputs(name: Identity, source: Optional[Source], chi: Optional[AntiCycChar]) -> None:
     missing = []
     if source is None and name is not Identity.SYM2_IND:
@@ -227,6 +235,8 @@ def _require_inputs(name: Identity, source: Optional[Source], chi: Optional[Anti
     if source is not None and name is Identity.SYM2_IND:
         flag = "--curve" if isinstance(source, CurveData) else "--eigenfile"
         raise InputError(f"{name.value} reads no curve or newform: drop {flag}")
+    if name in (Identity.SYM3_EXT2, Identity.TENSOR_EXT2):
+        _require_trivial_character(source, name.value)
 
 
 def verify_identity(
@@ -512,6 +522,7 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     operation chains; at bad primes both sides carry the same factor by
     construction (the identity is an unramified statement).
     """
+    _require_trivial_character(source, "the sym3-ext2 objects")
     lhs_factors = {}
     rhs_factors = {}
     for p in primes_upto(bound):

@@ -341,6 +341,56 @@ def test_curve_data_must_be_exact_integers(capsys, curve):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_curve_json_rejects_an_unknown_key(capsys):
+    # a misspelt conductor was dropped, so N = 37 went unchecked and ap exited 0
+    curve = '{"a": [0, -1, 1, 0, 0], "condutor": 37}'
+    code, out, err = run(capsys, "ap", "--curve", curve, "--p", "11")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'condutor'" in err
+
+
+#: eta(z)^3 eta(7z)^3, the CM newform of weight 3, level 7 and character (-7/.)
+ETA7 = "weight 3 level 7 character delta -7\n2 -3\n3 0\n5 0\n7 -7\n11 -6\n13 0\n"
+
+
+@pytest.fixture
+def eta7_path(tmp_path):
+    path = tmp_path / "eta7.txt"
+    path.write_text(ETA7)
+    return path
+
+
+def test_delta_table_coefficients(capsys, eta7_path):
+    # the good factor is 1 - a_p T + (-7/p) p^2 T^2, so a_9 = a_3^2 - (-7/3) 3^2 = 9
+    code, out, _ = run(capsys, "lcoeffs", "--eigenfile", str(eta7_path), "--X", "15", "--format", "csv")
+    assert code == 0
+    coeffs = [int(row.split(",")[1]) for row in out.splitlines()[1:]]
+    assert coeffs == [1, -3, 0, 5, 0, 0, -7, -3, 9, 0, -6, 0, 0, 21, 0]
+
+
+def test_delta_table_factor(capsys, eta7_path):
+    code, out, _ = run(capsys, "factor", "--eigenfile", str(eta7_path), "--p", "3")
+    assert (code, out) == (0, "p=3: 1 - 9*T^2  (weight 2)\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--identity", "sym3-ext2"], ["--identity", "tensor-ext2", "--D", "-4", "--m", "2"]]
+)
+def test_verify_refuses_a_delta_table(capsys, eta7_path, argv):
+    # both identities are stated for det = p^(k-1); they printed OK on this table
+    code, out, err = run(capsys, "verify", *argv, "--eigenfile", str(eta7_path), "--pmax", "5")
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1]} needs a trivial character, the table declares delta -7\n"
+
+
+@pytest.mark.parametrize("pmax, noted", [("7", False), ("11", True)])
+def test_predict_sym3_note_once_pmax_reaches_the_level(capsys, pmax, noted):
+    # the note on the conductor exponent at multiplicative primes needs one p | N up to pmax
+    code, out, _ = run(capsys, "predict", "--curve", CURVE, "--pmax", pmax)
+    assert code == 0
+    assert ("note: level at multiplicative primes" in out) is noted
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -598,3 +648,22 @@ def test_observed_under_a_tracer():
         assert cli._observed()
     finally:
         sys.settrace(previous)
+
+
+class _Monitoring:
+    """The part of ``sys.monitoring`` (Python 3.12+) that ``_observed`` reads."""
+
+    def __init__(self, tools):
+        self.tools = tools
+
+    def get_tool(self, tool_id):
+        return self.tools.get(tool_id)
+
+
+@pytest.mark.parametrize("tools, observed", [({}, False), ({2: "profiler"}, True)])
+def test_observed_reads_sys_monitoring(monkeypatch, tools, observed):
+    # runs the sys.monitoring branch on every version, whatever tracer pytest has
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(tools), raising=False)
+    assert cli._observed() is observed

@@ -120,6 +120,13 @@ def test_exported_names_resolve_to_their_home_objects(home):
         assert name in listed and name in siegellift.__all__, name
 
 
+def test_every_listed_name_resolves_in_its_home():
+    # __all__ is built from the table of homes, where a stale entry would
+    # otherwise go unseen: it raises AttributeError here
+    for name in siegellift.__all__:
+        assert getattr(siegellift, name).__module__ == f"siegellift.{siegellift._HOMES[name]}", name
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         siegellift.no_such_name

@@ -433,6 +433,14 @@ def test_newform_square_level_needs_zero_eigenvalue():
         reduction_at(NewformData(2, 49, eigenvalues={7: 1}), 7)
 
 
+def test_delta_character_enters_the_good_factor():
+    # eta(z)^3 eta(7z)^3: (-7/2) = 1 and (-7/3) = -1
+    form = NewformData(3, 7, CharacterKind.DELTA, -7, eigenvalues={2: -3, 3: 0, 7: -7})
+    assert local_factor_gl2(form, 2).coeffs == (1, 3, 4)
+    assert local_factor_gl2(form, 3).coeffs == (1, 0, -9)
+    assert local_factor_gl2(form, 7).coeffs == (1, 7, 0)
+
+
 def test_newform_check_skips_primes_of_the_nebentypus():
     # the delta character of Q(sqrt(-7)) is ramified at 7, where a_7 has
     # absolute value 7^((k-1)/2); only the other primes are checked

@@ -51,7 +51,7 @@ from siegellift.errors import (
 from siegellift import heckechar
 from siegellift.predictor import ap_match_report
 from siegellift._primes import primes_upto
-from siegellift.modform import parse_eigenfile
+from siegellift.modform import CharacterKind, parse_eigenfile
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +324,13 @@ def test_compare_coeffwise():
 def test_lambda2_sym3_cross_check(curve_11a3):
     lhs, rhs = lambda2_sym3_objects(curve_11a3, 300)
     assert compare_coeffwise(lhs, rhs, 300).equal
+
+
+def test_lambda2_sym3_objects_refuse_a_character():
+    # the twisted Sym^4 side is stated for det = p^(k-1)
+    table = NewformData(3, 7, CharacterKind.DELTA, -7, {2: -3, 3: 0, 5: 0, 7: -7})
+    with pytest.raises(InputError, match="trivial character"):
+        lambda2_sym3_objects(table, 5)
 
 
 def test_lobject_weight_invariant():
