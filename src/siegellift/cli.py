@@ -9,9 +9,12 @@ is serial.
 Exit codes: 0 success / all checks OK; 1 any verification FAIL or a
 non-symplectic factor; 2 invalid input or I/O failure.
 
-Each command imports the library modules it calls, and ``json`` only to
-read or write JSON, so a short command does not load (or, without a
-bytecode cache, compile) the modules it never runs.
+Each command imports the library modules it calls, so a short command does
+not load (or, without a bytecode cache, compile) the modules it never runs.
+``--format json`` is written by :mod:`siegellift._jsonwrite`, byte-identical
+to ``json.dumps(indent=2, sort_keys=True)``; ``json`` itself is imported
+only to read a ``--curve '{...}'`` and, through the writer's C string
+encoder, to write JSON.
 
 A process ends as cheaply as it starts: :func:`entry` flushes stdout and
 stderr after :func:`main` returns and exits with ``os._exit``, skipping the
@@ -125,9 +128,9 @@ def _emit(args, text: str) -> None:
 
 
 def _to_json(payload) -> str:
-    import json
+    from ._jsonwrite import dumps
 
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return dumps(payload)
 
 
 def _factor_rows(args, factors):

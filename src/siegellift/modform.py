@@ -24,7 +24,8 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
 
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D; it is the
-(D/p) in the T^2 coefficient of a good prime's factor.
+(D/p) in the T^2 coefficient of a good prime's factor.  Its conductor |D|
+must divide the level, and as (D/-1) = -1 the weight must be odd.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
 table): its label, its conductor N with the one factorization a prediction
@@ -181,8 +182,8 @@ class NewformData(Record):
             raise InputError(f"newform weight must be >= 2, got {weight}")
         if level < 1:
             raise InputError(f"newform level must be positive, got {level}")
-        if character is CharacterKind.DELTA and character_disc is None:
-            raise InputError("delta character needs a declared discriminant")
+        if character is CharacterKind.DELTA:
+            _check_delta(weight, level, character_disc)
         self.weight = weight
         self.level = level
         self.character = character
@@ -190,6 +191,24 @@ class NewformData(Record):
         self.eigenvalues = {} if eigenvalues is None else eigenvalues
         for p, ap in self.eigenvalues.items():
             _warn_ramanujan(p, ap, weight, level)
+
+
+def _check_delta(weight: int, level: int, disc: Optional[int]) -> None:
+    """A newform with the character (D/.) has a level that its conductor
+    |D| divides, and (-1)^k = (D/-1), the sign of D: odd weight for an
+    imaginary quadratic field."""
+    if disc is None:
+        raise InputError("delta character needs a declared discriminant")
+    if disc == 0 or level % disc != 0:
+        raise EigenfileError(
+            f"character delta {disc} has conductor {abs(disc)}, "
+            f"which does not divide the level {level}"
+        )
+    if (weight % 2 == 1) != (disc < 0):
+        parity = "odd" if disc < 0 else "even"
+        raise EigenfileError(
+            f"character delta {disc} is {parity}, so the weight must be {parity}, got {weight}"
+        )
 
 
 Source = Union[CurveData, NewformData]

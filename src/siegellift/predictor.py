@@ -90,13 +90,21 @@ class ReportEntry(Value):
         return (self.prime, self.identity, self.status, self.reason, self.lhs, self.rhs)
 
     def to_json(self) -> dict:
+        """The row as JSON.  Sides that are one object (``_compared`` gives
+        an OK row its lhs twice) share one dict, so each coefficient is
+        converted to decimal once."""
+        lhs = self.lhs.to_json() if self.lhs is not None else None
+        if self.rhs is self.lhs:
+            rhs = lhs
+        else:
+            rhs = self.rhs.to_json() if self.rhs is not None else None
         return {
             "p": self.prime,
             "identity": self.identity,
             "status": self.status.value,
             "reason": self.reason,
-            "lhs": self.lhs.to_json() if self.lhs is not None else None,
-            "rhs": self.rhs.to_json() if self.rhs is not None else None,
+            "lhs": lhs,
+            "rhs": rhs,
         }
 
 
@@ -194,8 +202,8 @@ def _ext2_sides(
 
 
 def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> ReportEntry:
-    if lhs == rhs:
-        return ReportEntry(p, name.value, Status.OK, "", lhs, rhs)
+    if lhs == rhs:  # one object for both sides: ReportEntry.to_json renders it once
+        return ReportEntry(p, name.value, Status.OK, "", lhs, lhs)
     return ReportEntry(p, name.value, Status.FAIL, "exact mismatch", lhs, rhs)
 
 

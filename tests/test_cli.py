@@ -374,6 +374,25 @@ def test_delta_table_factor(capsys, eta7_path):
 
 
 @pytest.mark.parametrize(
+    "table, pmax, message",
+    [
+        # 7 was a good prime where (-7/7) = 0: factor printed p=7: 1 + 7*T and exited 0
+        ("weight 3 level 1 character delta -7\n2 1\n3 0\n5 0\n7 -7\n", "7",
+         "character delta -7 has conductor 7, which does not divide the level 1"),
+        # (-7/.) is odd, so no newform of even weight carries it
+        ("weight 2 level 7 character delta -7\n2 1\n", "2",
+         "character delta -7 is odd, so the weight must be odd, got 2"),
+    ],
+    ids=["level", "weight"],
+)
+def test_delta_table_that_contradicts_itself_is_rejected(capsys, tmp_path, table, pmax, message):
+    path = tmp_path / "table.txt"
+    path.write_text(table)
+    code, out, err = run(capsys, "factor", "--eigenfile", str(path), "--pmax", pmax)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["--identity", "sym3-ext2"], ["--identity", "tensor-ext2", "--D", "-4", "--m", "2"]]
 )
 def test_verify_refuses_a_delta_table(capsys, eta7_path, argv):

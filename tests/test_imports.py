@@ -1,9 +1,9 @@
 """What each command loads, and the lazy package namespace.
 
 ``import siegellift`` loads no module of the package; each command of the
-CLI imports only the modules it runs, ``json`` only to read or write JSON,
-and never ``pathlib``.  Without a bytecode cache every loaded module is
-compiled, so a module a command never runs costs it time.
+CLI imports only the modules it runs, ``json`` and the JSON writer only to
+read or write JSON, and never ``pathlib``.  Without a bytecode cache every
+loaded module is compiled, so a module a command never runs costs it time.
 """
 
 import ast
@@ -28,6 +28,8 @@ LSERIES = FACTORS | {"siegellift.lseries"}
 #: verify and predict load heckechar only with a character.
 VERIFY = LSERIES | {"siegellift.predictor"}
 PREDICT = VERIFY | {"siegellift.archimedean"}
+#: --format json adds the JSON writer.
+JSON = {"siegellift._jsonwrite"}
 
 # the child reports through repr, so that reporting loads nothing
 CHILD = """
@@ -43,6 +45,7 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
     "argv, modules, json_loaded",
     [
         (["ap", "--curve", "0,-1,1,0,0", "--p", "2"], AP, False),
+        (["ap", "--curve", "0,-1,1,0,0", "--p", "2", "--format", "json"], AP | JSON, True),
         (["factor", "--curve", "0,-1,1,0,0", "--p", "5"], FACTORS, False),
         (
             ["induce", "--D", "-4", "--m", "2", "--pmax", "10"],
@@ -61,7 +64,8 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
             LSERIES | {"siegellift.heckechar"},
             False,
         ),
-        (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"], PREDICT, True),
+        (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"],
+         PREDICT | JSON, True),
         (
             ["predict", "--curve", "0,-1,1,0,0", "--D", "-4", "--m", "2", "--pmax", "10"],
             PREDICT | {"siegellift.heckechar"},
@@ -73,8 +77,8 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
             False,
         ),
     ],
-    ids=["ap", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor", "predict-json",
-         "predict-tensor", "verify-sym3"],
+    ids=["ap", "ap-json", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor",
+         "predict-json", "predict-tensor", "verify-sym3"],
 )
 def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
     # a fresh interpreter without site, so that nothing but the command loads modules

@@ -17,6 +17,7 @@ from siegellift import (
     LObject,
     LocalFactor,
     NewformData,
+    ReportEntry,
     SiegelKind,
     Status,
     classify,
@@ -107,6 +108,21 @@ def test_tensor_square_formal(curve_11a3):
     assert entry.status is Status.OK
     assert entry.lhs == combine(f, f, CombineMode.TENSOR)
     assert entry.lhs.degree == 16
+
+
+def test_report_entry_json_renders_equal_sides_once(curve_11a3):
+    ok = verify_identity(Identity.SYM3_EXT2, 5, source=curve_11a3)
+    assert ok.status is Status.OK and ok.lhs.degree == 6
+    data = ok.to_json()
+    assert data["lhs"] == ok.lhs.to_json() == ok.rhs.to_json()
+    assert data["rhs"] is data["lhs"]  # the coefficients went through str() once
+    f, g = LocalFactor(5, 1, (1, 2, 5)), LocalFactor(5, 1, (1, -2, 5))
+    for lhs, rhs in ((f, g), (f, LocalFactor(5, 1, (1, 2, 5)))):
+        data = ReportEntry(5, "x", Status.FAIL, "exact mismatch", lhs, rhs).to_json()
+        assert (data["lhs"], data["rhs"]) == (lhs.to_json(), rhs.to_json())
+        assert data["rhs"] is not data["lhs"]
+    data = ReportEntry(5, "r5-extract", Status.OK, "", f).to_json()
+    assert (data["lhs"], data["rhs"]) == (f.to_json(), None)
 
 
 def test_identity_report_jobs_deterministic(curve_11a3):
