@@ -7,9 +7,14 @@ at a time.  Here a list of strings, which is where the bulk of the output
 goes (the decimal coefficients of local factors), is written by one
 ``str.join`` over the C string encoder, and a dict met again at the same
 indent (the two equal sides of a verification row) is written once.
+The C string encoder is taken from ``_json`` itself, which is what
+``json.encoder`` exports too, so that writing loads no ``json`` package.
 """
 
-from json.encoder import encode_basestring_ascii as _quote
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 #: The spellings ``json.dumps`` gives the floats that are not numbers.
 _FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -9,6 +9,9 @@ equal to a record of the same class with the same constructor arguments
 ``_args()``, hashed by them, and pickled by them, since the raising
 ``__setattr__`` rules out the default unpickling of slot classes.
 ``Value.__init__`` methods set their fields through ``_set`` or ``_fill``.
+A slot whose name starts with ``_`` is a cache derived from the fields:
+one such slot sits outside ``_args`` (``LocalFactor._sums``), so it does
+not enter ==, hash or pickle, and the repr leaves it out too.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ class Record:
             _set(self, name, value)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__name__}({fields})"
 
 

@@ -17,8 +17,11 @@ negative Tate twist whose power of p does not divide the coefficients.
 
 The single internal intermediate is the plain tuple of power sums
 (s_1, ..., s_n), s_m = sum_j alpha_j^m; with n = 0 it is (), which
-converts back to the trivial factor 1.  Newton's identities convert both
-ways:
+converts back to the trivial factor 1.  Each factor carries the power
+sums computed from it so far, so they are worked out once per factor: a
+factor built from power sums starts with the s_1..s_degree it was given,
+and :func:`power_sums` extends them only past the longest prefix asked
+for before.  Newton's identities convert both ways:
 
     s_k = -k c_k - sum_{i=1}^{k-1} c_i s_{k-i}
     c_k = -(s_k + sum_{i=1}^{k-1} c_i s_{k-i}) / k
@@ -96,12 +99,15 @@ class LocalFactor(Value):
     ``effective_degree``.
     """
 
-    __slots__ = ("prime", "weight", "coeffs")
+    # _sums holds the power sums s_1, s_2, ... computed so far; it is
+    # derived from coeffs, so ==, hash, pickle and repr leave it out
+    __slots__ = ("prime", "weight", "coeffs", "_sums")
 
     def __init__(self, prime: int, weight: int, coeffs: Sequence[int]):
         _set(self, "prime", prime)
         _set(self, "weight", weight)
         _set(self, "coeffs", coeffs)
+        _set(self, "_sums", ())
         self.__post_init__()
 
     def _args(self) -> tuple:
@@ -186,24 +192,33 @@ def tate_factor(p: int, j: int) -> LocalFactor:
 
 
 def power_sums(f: LocalFactor, count: int) -> tuple:
-    """The power sums s_1..s_count of the inverse roots (Newton identities)."""
+    """The power sums s_1..s_count of the inverse roots (Newton identities),
+    extending those ``f`` carries."""
     if count < 0:
         raise InputError("power_sums needs count >= 0")
+    known = f._sums
+    if count <= len(known):
+        return known[:count]
     c, d = f.coeffs, f.degree
-    s: list[int] = []
-    for k in range(1, count + 1):
-        acc = -k * c[k] if k <= d else 0
-        for i in range(1, min(k, d + 1)):
-            acc -= c[i] * s[k - i - 1]
-        s.append(acc)
-    return tuple(s)
+    terms = tuple(enumerate(c[1:], start=1))  # (i, c_i), i = 1..d
+    s = list(known)
+    for k in range(len(known) + 1, count + 1):
+        acc = 0
+        for i, ci in terms[: k - 1]:
+            acc -= ci * s[-i]  # s holds s_1..s_(k-1), so s[-i] is s_(k-i)
+        s.append(acc - k * c[k] if k <= d else acc)
+    known = tuple(s)
+    _set(f, "_sums", known)
+    return known
 
 
 def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -> LocalFactor:
     """Inverse of :func:`power_sums`; needs at least ``degree`` power sums.
 
-    Raises ``InputError`` when the sums are not those of an integral
-    polynomial (a division by k leaves a remainder).
+    The factor carries s_1..s_degree: Newton's identities are a bijection,
+    so they are the sums its coefficients give.  Raises ``InputError`` when
+    the sums are not those of an integral polynomial (a division by k
+    leaves a remainder).
     """
     if len(sums) < degree:
         raise DegreeError(f"need {degree} power sums, got {len(sums)}")
@@ -213,7 +228,9 @@ def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -
         for i in range(1, k):
             acc += c[i] * sums[k - i - 1]
         c.append(_div(-acc, k))
-    return LocalFactor(p, weight, tuple(c))
+    f = LocalFactor(p, weight, tuple(c))
+    _set(f, "_sums", tuple(sums[:degree]))
+    return f
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -253,9 +270,7 @@ def combine(
         return LocalFactor(a.prime, a.weight, tuple(_poly_mul(a.coeffs, b.coeffs)))
     if mode is CombineMode.TENSOR:
         d = a.degree * b.degree if depth is None else min(a.degree * b.degree, depth)
-        sa = power_sums(a, d)
-        sb = sa if b is a else power_sums(b, d)
-        mixed = [x * y for x, y in zip(sa, sb)]
+        mixed = [x * y for x, y in zip(power_sums(a, d), power_sums(b, d))]
         return from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight)
     raise InputError(f"unknown combine mode {mode!r}")
 

@@ -23,9 +23,10 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
     3 252
 
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
-character of an imaginary quadratic field of discriminant D; it is the
-(D/p) in the T^2 coefficient of a good prime's factor.  Its conductor |D|
-must divide the level, and as (D/-1) = -1 the weight must be odd.
+character of an imaginary quadratic field of discriminant D (a negative
+fundamental discriminant; any other D is refused); it is the (D/p) in the
+T^2 coefficient of a good prime's factor.  Its conductor |D| must divide
+the level, and as (D/-1) = -1 the weight must be odd.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
 table): its label, its conductor N with the one factorization a prediction
@@ -194,21 +195,39 @@ class NewformData(Record):
 
 
 def _check_delta(weight: int, level: int, disc: Optional[int]) -> None:
-    """A newform with the character (D/.) has a level that its conductor
-    |D| divides, and (-1)^k = (D/-1), the sign of D: odd weight for an
-    imaginary quadratic field."""
+    """D is the discriminant of an imaginary quadratic field, and a newform
+    with the character (D/.) has a level that its conductor |D| divides,
+    and (-1)^k = (D/-1) = -1: odd weight."""
     if disc is None:
         raise InputError("delta character needs a declared discriminant")
-    if disc == 0 or level % disc != 0:
+    if not _is_imaginary_discriminant(disc):
+        raise EigenfileError(
+            f"character delta {disc}: {disc} is not the discriminant of an "
+            "imaginary quadratic field"
+        )
+    if level % disc != 0:
         raise EigenfileError(
             f"character delta {disc} has conductor {abs(disc)}, "
             f"which does not divide the level {level}"
         )
-    if (weight % 2 == 1) != (disc < 0):
-        parity = "odd" if disc < 0 else "even"
+    if weight % 2 == 0:
         raise EigenfileError(
-            f"character delta {disc} is {parity}, so the weight must be {parity}, got {weight}"
+            f"character delta {disc} is odd, so the weight must be odd, got {weight}"
         )
+
+
+def _is_imaginary_discriminant(d: int) -> bool:
+    """Whether d < 0 is a fundamental discriminant: d = 1 mod 4 squarefree,
+    or d = 4m with m = 2 or 3 mod 4 squarefree."""
+    if d >= 0:
+        return False
+    if d % 4 == 1:
+        m = d
+    elif d % 16 in (8, 12):
+        m = d // 4
+    else:
+        return False
+    return all(e == 1 for _, e in factorize(-m))
 
 
 Source = Union[CurveData, NewformData]

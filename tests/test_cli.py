@@ -1,5 +1,6 @@
 """CLI contract: thin wrappers, deterministic bytes, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -382,14 +383,38 @@ def test_delta_table_factor(capsys, eta7_path):
         # (-7/.) is odd, so no newform of even weight carries it
         ("weight 2 level 7 character delta -7\n2 1\n", "2",
          "character delta -7 is odd, so the weight must be odd, got 2"),
+        # (-1/.) agrees with (-4/.) at odd primes; factor printed p=2: 1 - 4*T^2 and exited 0
+        ("weight 3 level 1 character delta -1\n2 0\n3 0\n5 2\n", "5",
+         "character delta -1: -1 is not the discriminant of an imaginary quadratic field"),
+        # Q(sqrt 5) is real
+        ("weight 2 level 5 character delta 5\n2 1\n", "2",
+         "character delta 5: 5 is not the discriminant of an imaginary quadratic field"),
+        # -12 = 4 * -3 is the discriminant of an order, not of Q(sqrt -3)
+        ("weight 3 level 12 character delta -12\n5 0\n", "5",
+         "character delta -12: -12 is not the discriminant of an imaginary quadratic field"),
     ],
-    ids=["level", "weight"],
+    ids=["level", "weight", "discriminant-1", "discriminant5", "discriminant-12"],
 )
 def test_delta_table_that_contradicts_itself_is_rejected(capsys, tmp_path, table, pmax, message):
     path = tmp_path / "table.txt"
     path.write_text(table)
     code, out, err = run(capsys, "factor", "--eigenfile", str(path), "--pmax", pmax)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "disc, out",
+    [
+        (-3, "p=11: 1 - 121*T^2  (weight 2)\n"),  # (D/11) 11^2 T^2
+        (-4, "p=11: 1 - 121*T^2  (weight 2)\n"),
+        (-7, "p=11: 1 + 121*T^2  (weight 2)\n"),
+        (-8, "p=11: 1 + 121*T^2  (weight 2)\n"),
+    ],
+)
+def test_delta_table_of_a_field_discriminant_loads(capsys, tmp_path, disc, out):
+    path = tmp_path / "table.txt"
+    path.write_text(f"weight 3 level {-disc} character delta {disc}\n11 0\n")
+    assert run(capsys, "factor", "--eigenfile", str(path), "--p", "11") == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -549,6 +574,61 @@ def test_usage_errors_are_one_error_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def parsed(capsys, parser, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+COMMANDS = [name for name, *_ in cli._COMMANDS]
+
+
+def choices(parser):
+    """The subcommands ``parser`` holds."""
+    return [
+        name for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        for name in action.choices
+    ]
+
+
+def test_command_parser_holds_that_command_only():
+    assert choices(cli._build_parser()) == COMMANDS
+    assert choices(cli._build_parser("bogus")) == COMMANDS
+    for command in COMMANDS:
+        assert choices(cli._build_parser(command)) == [command]
+
+
+@pytest.mark.parametrize(
+    "tail", [["-h"], ["--bogus"], ["--jobs", "x"], ["--format", "xml"], ["extra"]],
+    ids=["help", "unknown-flag", "bad-int", "bad-choice", "extra-argument"],
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_prints_what_the_full_parser_prints(capsys, command, tail):
+    # main() builds the command's own parser; its help and usage errors must not
+    # depend on the sibling commands left out
+    argv = [command, *tail]
+    code, out, err = parsed(capsys, cli._build_parser(), argv)
+    assert (code, bool(out), bool(err)) == ((0, True, False) if tail == ["-h"] else (2, False, True))
+    assert in_process(capsys, argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["bogus"]], ids=["help", "none", "bogus"])
+def test_top_level_parser_lists_every_command(capsys, argv):
+    code, out, err = in_process(capsys, argv)
+    assert (code, out, err) == parsed(capsys, cli._build_parser(), argv)
+    if argv == ["-h"]:
+        assert code == 0 and err == "" and "{" + ",".join(COMMANDS) + "}" in out
+        assert all(f"\n    {name} " in out for name in COMMANDS)
+    elif argv == []:
+        assert (code, out, err) == (2, "", "error: the following arguments are required: command\n")
+    else:
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: argument command: invalid choice: 'bogus' (choose from ")
+        assert all(name in err.split("(choose from ")[1] for name in COMMANDS)
+
+
 def test_identity_choices_are_the_identity_values():
     # written out in cli, so that building the parser loads no predictor
     assert list(cli._IDENTITIES) == sorted(i.value for i in Identity) + ["ap-match"]
@@ -686,3 +766,18 @@ def test_observed_reads_sys_monitoring(monkeypatch, tools, observed):
     monkeypatch.setattr(sys, "getprofile", lambda: None)
     monkeypatch.setattr(sys, "monitoring", _Monitoring(tools), raising=False)
     assert cli._observed() is observed
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="sys.monitoring is new in Python 3.12")
+def test_observed_under_a_monitoring_tool(monkeypatch):
+    # the real sys.monitoring, with no tracer or profiler in the way
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    free = [i for i in range(6) if sys.monitoring.get_tool(i) is None]
+    if not free:
+        pytest.skip("every sys.monitoring tool id is taken")
+    sys.monitoring.use_tool_id(free[0], "siegellift test")
+    try:
+        assert cli._observed()
+    finally:
+        sys.monitoring.free_tool_id(free[0])

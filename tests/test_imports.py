@@ -1,9 +1,11 @@
 """What each command loads, and the lazy package namespace.
 
 ``import siegellift`` loads no module of the package; each command of the
-CLI imports only the modules it runs, ``json`` and the JSON writer only to
-read or write JSON, and never ``pathlib``.  Without a bytecode cache every
-loaded module is compiled, so a module a command never runs costs it time.
+CLI imports only the modules it runs, the JSON writer only to write JSON,
+``json`` only to read a ``--curve '{...}'`` (the writer takes the C string
+encoder from ``_json``), and never ``pathlib``.  Without a bytecode cache
+every loaded module is compiled, so a module a command never runs costs it
+time.
 """
 
 import ast
@@ -45,7 +47,8 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
     "argv, modules, json_loaded",
     [
         (["ap", "--curve", "0,-1,1,0,0", "--p", "2"], AP, False),
-        (["ap", "--curve", "0,-1,1,0,0", "--p", "2", "--format", "json"], AP | JSON, True),
+        (["ap", "--curve", "0,-1,1,0,0", "--p", "2", "--format", "json"], AP | JSON, False),
+        (["ap", "--curve", '{"a": [0, -1, 1, 0, 0]}', "--p", "2"], AP, True),
         (["factor", "--curve", "0,-1,1,0,0", "--p", "5"], FACTORS, False),
         (
             ["induce", "--D", "-4", "--m", "2", "--pmax", "10"],
@@ -65,7 +68,7 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
             False,
         ),
         (["predict", "--curve", "0,-1,1,0,0", "--pmax", "10", "--format", "json"],
-         PREDICT | JSON, True),
+         PREDICT | JSON, False),
         (
             ["predict", "--curve", "0,-1,1,0,0", "--D", "-4", "--m", "2", "--pmax", "10"],
             PREDICT | {"siegellift.heckechar"},
@@ -77,7 +80,7 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
             False,
         ),
     ],
-    ids=["ap", "ap-json", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor",
+    ids=["ap", "ap-json", "ap-curve-json", "factor", "induce", "sym3", "lcoeffs-csv", "eval-tensor",
          "predict-json", "predict-tensor", "verify-sym3"],
 )
 def test_command_loads_only_what_it_runs(argv, modules, json_loaded):

@@ -1,5 +1,6 @@
 """Euler-factor algebra against brute-force root-multiset oracles."""
 
+import pickle
 import random
 import subprocess
 import sys
@@ -122,6 +123,77 @@ def test_power_sums_against_root_multisets():
         got = power_sums(f, 6)
         for m in range(1, 7):
             assert got[m - 1] == sum(r**m for r in roots)
+
+
+# ---------------------------------------------------------------------------
+# the power sums a factor carries
+
+def fresh(f):
+    """An equal factor that carries no power sums yet."""
+    return LocalFactor(f.prime, f.weight, f.coeffs)
+
+
+def random_integral_factor(rng, degree):
+    coeffs = [1] + [rng.randrange(-40, 41) for _ in range(degree)]
+    if degree and rng.random() < 0.3:
+        coeffs[-1] = 0  # degenerate: honest degree below nominal
+    return LocalFactor(rng.choice([2, 3, 5, 7, 13]), rng.randrange(0, 4), coeffs)
+
+
+def test_power_sums_asked_in_any_order_match_a_fresh_factor():
+    rng = random.Random(271828)
+    for _ in range(120):
+        f = random_integral_factor(rng, rng.randrange(0, 7))
+        counts = [3, 20, 7, 12, 0] + [rng.randrange(0, 25) for _ in range(4)]
+        rng.shuffle(counts)
+        for count in counts:
+            assert power_sums(f, count) == power_sums(fresh(f), count), (f, count)
+
+
+def built_factors(rng, f, g, e2):
+    """Factors built from power sums, each with and without a depth."""
+    depth = rng.randrange(1, 6)
+    # sums beyond the degree, which the result must not take for its own
+    cut = rng.randrange(0, f.degree + 1)
+    yield from_power_sums(f.prime, cut, power_sums(fresh(f), f.degree + 2), weight=f.weight)
+    for functor in (Functor.SYM2, Functor.EXT2):
+        yield plethysm(f, functor)
+        yield plethysm(f, functor, depth)
+    for functor in (Functor.SYM3, Functor.SYM4):
+        yield plethysm(e2, functor)
+        yield plethysm(e2, functor, depth)
+    for a, b in ((f, g), (f, f)):
+        yield combine(a, b, CombineMode.TENSOR)
+        yield combine(a, b, CombineMode.TENSOR, depth)
+
+
+def test_built_factors_carry_the_sums_of_their_coefficients():
+    rng = random.Random(141421)
+    for _ in range(60):
+        f = random_integral_factor(rng, rng.randrange(0, 7))
+        g = LocalFactor(f.prime, 1, [1] + [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))])
+        e2 = LocalFactor(f.prime, 1, (1, rng.randrange(-9, 10), rng.choice([0, f.prime])))
+        for h in built_factors(rng, f, g, e2):
+            # seeded with s_1..s_degree, which its coefficients give
+            assert h._sums == power_sums(fresh(h), h.degree), h
+            counts = list(range(3 * h.degree + 1))
+            rng.shuffle(counts)
+            for count in counts:
+                assert power_sums(h, count) == power_sums(fresh(h), count), (h, count)
+
+
+def test_power_sum_memo_stays_out_of_equality_hash_pickle_and_repr():
+    f = LocalFactor(5, 1, (1, -2, 5))
+    e = plethysm(f, Functor.SYM3)  # seeded by from_power_sums
+    for g in (f, e):
+        bare = fresh(g)
+        power_sums(g, 9)
+        assert g._sums and not bare._sums
+        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+        assert "_sums" not in repr(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back._sums == ()
+        assert pickle.dumps(g) == pickle.dumps(bare)
 
 
 # ---------------------------------------------------------------------------
