@@ -556,6 +556,23 @@ def test_conductor_and_level_messages(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--curve", CURVE + ",209", "--X", "100"],
+         "good reduction at p=19 contradicts the conductor 209"),
+        (["--eigenfile", str(Path(__file__).parent / "data" / "delta_weight12.txt"), "--X", "300"],
+         "no eigenvalue a_223 in the table"),
+    ],
+    ids=["conductor", "missing-eigenvalue"],
+)
+def test_tensor_expansion_checks_inert_primes_above_the_root(capsys, argv, message):
+    # 19 and 223 are inert in Q(i) and their squares exceed X, so the cut
+    # factor there needs no a_p; the checks at p still run
+    code, out, err = run(capsys, "lcoeffs", *argv, "--D", "-4", "--m", "2", "--transfer", "tensor")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["ap", "--curve", CURVE, "--bogus"],
