@@ -15,8 +15,17 @@ from typing import TYPE_CHECKING, Dict, Optional
 from ._primes import primes_upto, smallest_prime_factors
 from ._record import Record, Value
 from .errors import ConvergenceDomainError, InputError, MissingPrimeError
-from .localfactor import CombineMode, Functor, LocalFactor, _series_div, combine, plethysm
-from .modform import Source, _source_label, reduction_at
+from .localfactor import (
+    CombineMode,
+    Functor,
+    LocalFactor,
+    _series_div,
+    combine,
+    from_power_sums,
+    plethysm,
+    power_sums,
+)
+from .modform import Source, _source_label, checked_regime, reduction_at
 
 if TYPE_CHECKING:
     from .heckechar import AntiCycChar
@@ -50,13 +59,11 @@ class LocalData(Value):
         return (self.prime, self.regime, self.ramified, self.eta, self.ind, self.spin, self.skip)
 
 
-def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
-               depth: Optional[int] = None) -> LocalData:
+def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
     """Local data at p of the symmetric cube of ``source`` (no character)
-    or of its tensor product with the induction of ``chi``.  The spin
-    factor is Sym^3 eta or eta x Ind chi_p at every p, bad and ramified
-    ones included; with ``depth`` it stops after c_depth (see
-    :func:`plethysm`)."""
+    or of its tensor product with the induction of ``chi``, whole factors
+    for ``predict`` and ``verify``.  The spin factor is Sym^3 eta or
+    eta x Ind chi_p at every p, bad and ramified ones included."""
     red = reduction_at(source, p)
     eta = red.factor(source)
     ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
@@ -64,14 +71,19 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int,
         skip = f"skipped ({red.regime} reduction)"
     else:
         skip = _RAMIFIED if ramified else ""
-    if chi is None:
-        ind, spin = None, plethysm(eta, Functor.SYM3, depth)
-    else:
+    ind = None
+    if chi is not None:
         from .heckechar import induced_factor
 
         ind = induced_factor(chi, p)
-        spin = combine(eta, ind, CombineMode.TENSOR, depth)
-    return LocalData(p, red.regime, ramified, eta, ind, spin, skip)
+    return LocalData(p, red.regime, ramified, eta, ind, _spin(eta, ind), skip)
+
+
+def _spin(eta: LocalFactor, ind: Optional[LocalFactor], depth: Optional[int] = None) -> LocalFactor:
+    """Sym^3 eta (``ind`` None) or eta x ind, stopped after c_depth."""
+    if ind is None:
+        return plethysm(eta, Functor.SYM3, depth)
+    return combine(eta, ind, CombineMode.TENSOR, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +211,20 @@ def gl2_object(source: Source, pmax: int) -> LObject:
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 
+def _depth(p: int, pmax: int) -> int:
+    """The spin factor's coefficients that ``dirichlet_coeffs(obj, pmax)``
+    reads: c_1..c_e, p^e <= pmax, of at most four."""
+    return min(_exponent(p, pmax), 4)
+
+
 def sym3_object(source: Source, pmax: int) -> LObject:
     """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
     ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
     additive primes the trivial factor.  The factor at p stops after c_e,
     p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
     c_1 above sqrt(pmax)."""
-    factors = {p: local_data(source, None, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
+    factors = {p: _spin(reduction_at(source, p).factor(source), None, _depth(p, pmax))
+               for p in primes_upto(pmax)}
     return LObject(f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
 
@@ -214,6 +233,23 @@ def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     its factors cut as in :func:`sym3_object`.  At a bad or ramified prime
     the factor is still eta x Ind chi_p: Ind chi_p with T -> a_p T at p | N,
     eta with T -> chi(pi) T at p | D, the product of the two degree-1 lines
-    at p | gcd(N, D)."""
-    factors = {p: local_data(source, chi, p, _exponent(p, pmax)).spin for p in primes_upto(pmax)}
-    return LObject(f"{_source_label(source)} x chi", source.weight - 1 + chi.weight, factors, degree=4)
+    at p | gcd(N, D).
+
+    The tensor's power sums are s_k(eta) s_k(Ind chi_p), so where those of
+    Ind chi_p that the cut factor reads are all zero, it is built from zeros
+    and eta is never formed: at every inert p above sqrt(pmax), where
+    c_1 = -a_p tr(Ind chi_p) and the trace is 0, no points are counted.
+    Every check that :func:`reduction_at` makes at p still runs there
+    (:func:`checked_regime`), in the same order of primes."""
+    from .heckechar import induced_factor
+
+    weight = source.weight - 1 + chi.weight
+    factors = {}
+    for p in primes_upto(pmax):
+        depth, ind = _depth(p, pmax), induced_factor(chi, p)
+        if any(power_sums(ind, depth)):
+            factors[p] = _spin(reduction_at(source, p).factor(source), ind, depth)
+        else:
+            checked_regime(source, p)
+            factors[p] = from_power_sums(p, depth, (0,) * depth, weight)
+    return LObject(f"{_source_label(source)} x chi", weight, factors, degree=4)

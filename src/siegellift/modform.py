@@ -26,7 +26,9 @@ The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D (a negative
 fundamental discriminant; any other D is refused); it is the (D/p) in the
 T^2 coefficient of a good prime's factor.  Its conductor |D| must divide
-the level, and as (D/-1) = -1 the weight must be odd.
+the level, and as (D/-1) = -1 the weight must be odd.  At p | D the factor
+is 1 - a_p T whatever the exponent of p in the level, with |a_p|^2 =
+p^(k-1) when the level and D have the same p-part and a_p = 0 otherwise.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
 table): its label, its conductor N with the one factorization a prediction
@@ -156,7 +158,8 @@ class ReductionData(Record):
         """Degree-2 local factor at this prime of ``source``, of weight k-1:
         1 - a_p T + eps(p) p^(k-1) T^2 when good, eps the character of the
         source (trivial for a curve, (D/p) for a table's ``delta D``), else
-        1 - a_p T at nominal degree 2 (a_p = 0 when additive)."""
+        1 - a_p T at nominal degree 2 (a_p = 0 when additive, unless p
+        divides the D of a ``delta D`` table whose level has the p-part of D)."""
         from .localfactor import LocalFactor
 
         p, k = self.prime, source.weight
@@ -436,36 +439,57 @@ def reduction_at(source: Source, p: int) -> ReductionData:
 
     A curve is good at p not dividing its discriminant; otherwise c4 and
     c6 decide (:func:`reduction_bad`).  A newform's level decides by the
-    rule in :data:`_REGIMES`, split multiplicative when a_p > 0.  A supplied
-    conductor or level must agree with the local data at p.
+    rule in :data:`_REGIMES`, split multiplicative when a_p > 0; at a prime
+    of its ``delta D`` character it keeps the table's a_p (0 if absent), so
+    its factor is 1 - a_p T at any exponent of p in the level.  The checks
+    are those of :func:`checked_regime`.
+    """
+    regime = checked_regime(source, p)
+    if isinstance(source, CurveData):
+        if regime == "good":
+            return ReductionData(p, ReductionKind.GOOD, ap_good(source, p))
+        return reduction_bad(source, p)
+    ap = source.eigenvalues.get(p, 0)
+    if regime == "multiplicative":
+        return ReductionData(p, ReductionKind.SPLIT_MULT if ap > 0 else ReductionKind.NONSPLIT_MULT, ap)
+    return ReductionData(p, ReductionKind(regime), ap)  # GOOD or ADDITIVE
+
+
+def checked_regime(source: Source, p: int) -> str:
+    """The reduction at p ("good", "multiplicative" or "additive") after
+    every check that :func:`reduction_at` makes there, with no point count:
+    a supplied conductor must agree with a curve's reduction, and a table
+    must give a_p wherever the level asks for a nonzero one, of the size
+    the level rule asks:
+
+    - at p || N, a_p^2 = p^(k-2) (Steinberg twisted by an unramified
+      character); at p^2 | N, a_p = 0;
+    - at p | D for the character ``delta D``, which is ramified there
+      (Miyake, Modular Forms, Thm 4.6.17): a_p^2 = p^(k-1) when N and D
+      have the same p-part, else a_p = 0.
     """
     if isinstance(source, CurveData):
-        if source.discriminant % p != 0:
-            red = ReductionData(p, ReductionKind.GOOD, ap_good(source, p))
-        else:
-            red = reduction_bad(source, p)
+        regime = reduction_bad(source, p).regime if source.discriminant % p == 0 else "good"
         if source.conductor is not None:
-            _check_conductor(source.conductor, red)
-        return red
+            _check_conductor(source.conductor, p, regime)
+        return regime
     if not isinstance(source, NewformData):
         raise InputError(f"unsupported source {type(source).__name__}")
-    n, table = source.level, source.eigenvalues
+    n, table, k = source.level, source.eigenvalues, source.weight
     regime = _regime_at(n, p)
-    if regime != "additive" and p not in table:
-        raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
-    if regime == "good":
-        return ReductionData(p, ReductionKind.GOOD, table[p])
-    if regime == "additive":
-        red, want = ReductionData(p, ReductionKind.ADDITIVE, 0), 0
+    if source.character is CharacterKind.DELTA and source.character_disc % p == 0:
+        # |D| divides N, so the two have the same p-part when p does not divide N/|D|
+        want = p ** (k - 1) if n // -source.character_disc % p else 0
+    elif regime == "good":
+        want = None
     else:
-        kind = ReductionKind.SPLIT_MULT if table[p] > 0 else ReductionKind.NONSPLIT_MULT
-        red, want = ReductionData(p, kind, table[p]), p ** (source.weight - 2)
-    # Steinberg twisted by an unramified character at p || N, a_p = 0 at
-    # p^2 | N; a nebentypus ramified at p changes a_p, so it is not checked
+        want = p ** (k - 2) if regime == "multiplicative" else 0
+    if want != 0 and p not in table:
+        raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
     ap = table.get(p, 0)
-    if ap * ap != want and (source.character is CharacterKind.TRIVIAL or source.character_disc % p):
+    if want is not None and ap * ap != want:
         raise EigenfileError(f"a_{p} = {ap} contradicts the level {n}: a_p^2 must be {want}")
-    return red
+    return regime
 
 
 #: The conductor-exponent rule, written once: the reduction at p is _REGIMES[e]
@@ -480,10 +504,10 @@ def _regime_at(n: int, p: int) -> str:
     return _REGIMES[0 if n % p else 1 if n % (p * p) else 2]
 
 
-def _check_conductor(n: int, red: ReductionData) -> None:
-    if red.regime != _regime_at(n, red.prime):
-        error = InputError if red.regime == "good" else NonMinimalModelError
-        raise error(f"{red.regime} reduction at p={red.prime} contradicts the conductor {n}")
+def _check_conductor(n: int, p: int, regime: str) -> None:
+    if regime != _regime_at(n, p):
+        error = InputError if regime == "good" else NonMinimalModelError
+        raise error(f"{regime} reduction at p={p} contradicts the conductor {n}")
 
 
 def _conductor(source: Source) -> Tuple[int, Factors]:
@@ -496,12 +520,12 @@ def _conductor(source: Source) -> Tuple[int, Factors]:
         factors = factorize(source.level)
         for p, _ in factors:  # a missing a_p is reported where a command reaches p
             if p in source.eigenvalues:
-                reduction_at(source, p)
+                checked_regime(source, p)
         return source.level, factors
     n = source.conductor
     factors = factorize(abs(source.discriminant) if n is None else n)
-    # reduction_at checks a supplied N at each of its primes
-    derived = [(p, _REGIMES.index(reduction_at(source, p).regime)) for p, _ in factors]
+    # checked_regime checks a supplied N at each of its primes
+    derived = [(p, _REGIMES.index(checked_regime(source, p))) for p, _ in factors]
     if n is not None:
         return n, factors
     for p, e in derived:

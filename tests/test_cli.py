@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from siegellift import cli, dirichlet_coeffs, sym3_object
+from siegellift import AntiCycChar, ImagQuadField, cli, dirichlet_coeffs, induced_factor, sym3_object
 from siegellift.cli import main
 from siegellift.modform import CurveData
 from siegellift.predictor import Identity
@@ -392,14 +392,38 @@ def test_delta_table_factor(capsys, eta7_path):
         # -12 = 4 * -3 is the discriminant of an order, not of Q(sqrt -3)
         ("weight 3 level 12 character delta -12\n5 0\n", "5",
          "character delta -12: -12 is not the discriminant of an imaginary quadratic field"),
+        # 2 is ramified for (-4/.), and the level and D have the same 2-part 4
+        ("weight 5 level 4 character delta -4\n2 -3\n", "2",
+         "a_2 = -3 contradicts the level 4: a_p^2 must be 16"),
+        ("weight 5 level 4 character delta -4\n3 0\n", "3", "no eigenvalue a_2 in the table"),
+        # the level has the larger 2-part 8
+        ("weight 5 level 8 character delta -4\n2 -4\n", "2",
+         "a_2 = -4 contradicts the level 8: a_p^2 must be 0"),
     ],
-    ids=["level", "weight", "discriminant-1", "discriminant5", "discriminant-12"],
+    ids=["level", "weight", "discriminant-1", "discriminant5", "discriminant-12",
+         "ramified-size", "ramified-missing", "ramified-zero"],
 )
 def test_delta_table_that_contradicts_itself_is_rejected(capsys, tmp_path, table, pmax, message):
     path = tmp_path / "table.txt"
     path.write_text(table)
     code, out, err = run(capsys, "factor", "--eigenfile", str(path), "--pmax", pmax)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("D, m, level", [(-4, 2, 4), (-8, 1, 8)])
+def test_delta_table_keeps_a_p_where_the_character_ramifies(capsys, tmp_path, D, m, level):
+    # p = 2 divides the level at least twice, so a_2 was read as 0: factor printed
+    # p=2: 1 and lcoeffs a_2 = a_4 = a_8 = 0, where the CM form of chi has a_2^e
+    chi = AntiCycChar(ImagQuadField(D), m)
+    rows = [f"{p} {-induced_factor(chi, p).coeffs[1]}" for p in (2, 3, 5, 7)]
+    path = tmp_path / "table.txt"
+    path.write_text(f"weight {2 * m + 1} level {level} character delta {D}\n" + "\n".join(rows) + "\n")
+    _, induced, _ = run(capsys, "induce", "--D", str(D), "--m", str(m), "--pmax", "7")
+    assert run(capsys, "factor", "--eigenfile", str(path), "--pmax", "7") == (0, induced, "")
+    code, out, _ = run(capsys, "lcoeffs", "--eigenfile", str(path), "--transfer", "none", "--X", "8",
+                       "--format", "csv")
+    a = [0] + [int(row.split(",")[1]) for row in out.splitlines()[1:]]
+    assert code == 0 and a[2] != 0 and (a[4], a[8]) == (a[2] ** 2, a[2] ** 3)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from siegellift import (
     splitting,
 )
 from siegellift.errors import InputError, UnitCompatibilityError, UnsupportedFieldError
+from siegellift.modform import CharacterKind, NewformData, local_factor_gl2
 from siegellift._primes import primes_upto
 
 
@@ -188,6 +189,19 @@ def test_sym2_ind_identity(chi_gauss):
             CombineMode.SUM,
         )
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "D, m", [(-3, 3), (-4, 2)] + [(d, m) for d in (-7, -8, -11, -19, -43, -67, -163) for m in (1, 2)]
+)
+def test_cm_table_of_chi_gives_the_induced_factor(D, m):
+    """Ind chi is the CM newform of weight 2m + 1, level |D| and character
+    (D/.): read as a ``delta D`` table, its GL(2) factor is the induced one
+    at every p, the ramified primes (|a_p| = p^m) included."""
+    chi = AntiCycChar(ImagQuadField(D), m)
+    induced = {p: induced_factor(chi, p) for p in primes_upto(500)}
+    table = NewformData(2 * m + 1, -D, CharacterKind.DELTA, D, {p: -f.coeffs[1] for p, f in induced.items()})
+    assert {p: local_factor_gl2(table, p) for p in induced} == induced
 
 
 def test_restriction_char(chi_gauss):

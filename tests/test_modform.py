@@ -443,8 +443,19 @@ def test_delta_character_enters_the_good_factor():
 
 def test_newform_check_skips_primes_of_the_nebentypus():
     # the delta character of Q(sqrt(-7)) is ramified at 7, where a_7 has
-    # absolute value 7^((k-1)/2); only the other primes are checked
+    # absolute value 7^((k-1)/2), not the Steinberg 7^((k-2)/2)
     form = NewformData(3, 7, CharacterKind.DELTA, -7, eigenvalues={7: -7, 2: 1})
     assert reduction_at(form, 7).ap == -7
     with pytest.raises(EigenfileError, match="a_3"):
         reduction_at(NewformData(3, 147, CharacterKind.DELTA, -7, eigenvalues={3: 1}), 3)
+
+
+def test_newform_at_a_prime_of_the_nebentypus():
+    # Miyake, Thm 4.6.17: |a_p|^2 = p^(k-1) where the level and D have the
+    # same p-part, else a_p = 0; the factor is 1 - a_p T either way
+    form = NewformData(5, 4, CharacterKind.DELTA, -4, eigenvalues={2: -4})
+    red = reduction_at(form, 2)
+    assert (red.regime, red.ap, local_factor_gl2(form, 2).coeffs) == ("additive", -4, (1, 4, 0))
+    assert local_factor_gl2(NewformData(3, 49, CharacterKind.DELTA, -7), 7).coeffs == (1, 0, 0)
+    with pytest.raises(EigenfileError, match="a_7 = 7 .* a_p\\^2 must be 0$"):
+        reduction_at(NewformData(3, 49, CharacterKind.DELTA, -7, eigenvalues={7: 7}), 7)

@@ -49,7 +49,7 @@ from siegellift.errors import (
     UnitCompatibilityError,
     UnsupportedLevelError,
 )
-from siegellift import heckechar
+from siegellift import heckechar, modform
 from siegellift.predictor import ap_match_report
 from siegellift._primes import primes_upto
 from siegellift.modform import CharacterKind, parse_eigenfile
@@ -414,12 +414,35 @@ def test_ap_match(curve_11a3, delta_path, tmp_path):
 
 def _sources(delta_form):
     curve = CurveData(0, -1, 1, 0, 0, conductor=11)
+    additive = CurveData(0, 0, 0, 0, 2)  # y^2 = x^3 + 2, additive at 2 and 3
+
+    def chi(D, m):
+        return AntiCycChar(ImagQuadField(D), m)
+
     return {
         "11a3": (curve, None),
         "delta": (delta_form, None),
-        "11a3 x chi(-4, 2)": (curve, AntiCycChar(ImagQuadField(-4), 2)),
-        "additive, no conductor": (CurveData(0, 0, 0, 0, 2), None),  # y^2 = x^3 + 2
+        "11a3 x chi(-4, 2)": (curve, chi(-4, 2)),
+        "11a3 x chi(-7, 2)": (curve, chi(-7, 2)),
+        "11a3 x chi(-3, 3)": (curve, chi(-3, 3)),
+        "11a3 x chi(-11, 2)": (curve, chi(-11, 2)),  # 11 is bad for the curve and ramified
+        "delta x chi(-4, 2)": (delta_form, chi(-4, 2)),
+        "additive, no conductor": (additive, None),
+        "additive, no conductor x chi(-4, 2)": (additive, chi(-4, 2)),
     }
+
+
+#: The primes p <= 100 of each tensor source where the curve or form is bad
+#: or p ramifies in the field of chi.
+_SKIPPED = {
+    "11a3 x chi(-4, 2)": [2, 11],
+    "11a3 x chi(-7, 2)": [7, 11],
+    "11a3 x chi(-3, 3)": [3, 11],
+    "11a3 x chi(-11, 2)": [11],
+    "delta x chi(-4, 2)": [2],
+    "additive, no conductor x chi(-4, 2)": [2, 3],
+}
+_NAMES = ["11a3", "delta", "additive, no conductor", *_SKIPPED]
 
 
 def _object(source, chi, bound):
@@ -436,7 +459,7 @@ def _assert_cut(obj, whole, bound):
         assert got.coeffs == f.coeffs[: min(e, 4) + 1] and got.weight == f.weight
 
 
-@pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)", "additive, no conductor"])
+@pytest.mark.parametrize("name", _NAMES)
 def test_consumers_agree(delta_form, name):
     source, chi = _sources(delta_form)[name]
     record = local_data(source, chi, 5)
@@ -446,10 +469,13 @@ def test_consumers_agree(delta_form, name):
     etas = {p: local_factor_gl2(source, p) for p in primes}
     assert gl2_object(source, pmax).factors == etas
     whole = {p: local_data(source, chi, p).spin for p in primes}
-    if name == "additive, no conductor":
+    if name.startswith("additive"):
         assert etas[2].coeffs == etas[3].coeffs == (1, 0, 0)
         with pytest.raises(InputError):
-            predict_siegel(source, pmax=pmax)
+            predict_siegel(source, chi, pmax=pmax)
+    elif name == "11a3 x chi(-11, 2)":
+        with pytest.raises(UnsupportedLevelError):  # no level rule for gcd(N, D) > 1
+            predict_siegel(source, chi, pmax=pmax)
     else:
         assert predict_siegel(source, chi, pmax=pmax).spin_factors == whole
     _assert_cut(_object(source, chi, pmax), whole, pmax)
@@ -462,7 +488,7 @@ def test_consumers_agree(delta_form, name):
                 assert lhs.factors[p] == plethysm(whole[p], Functor.EXT2)
     else:
         skipped = [p for p in primes if local_data(source, chi, p).skip]
-        assert skipped == [2, 11]  # ramified in Q(i), bad for the curve
+        assert skipped == _SKIPPED[name]
         assert whole == {p: combine(etas[p], induced_factor(chi, p), CombineMode.TENSOR) for p in primes}
 
 
@@ -505,7 +531,7 @@ def test_tensor_factor_at_bad_and_ramified_primes(curve_11a3, delta_form, name, 
         assert {(p, i) for p in bad for i in ("tensor-ext2", "r5-extract")} <= skipped
 
 
-@pytest.mark.parametrize("name", ["11a3", "delta", "11a3 x chi(-4, 2)"])
+@pytest.mark.parametrize("name", _NAMES)
 def test_truncated_objects_match_whole_factors(delta_form, name):
     """The builders stop the factor at p after c_e, p^e <= X (at most c_4):
     coefficient by coefficient those of the whole factor, with the same
@@ -532,3 +558,13 @@ def test_tensor_object_splits_each_prime_once(monkeypatch):
     curve_43a1 = CurveData(0, 1, 1, 0, 0, conductor=43)
     tensor_object(curve_43a1, AntiCycChar(ImagQuadField(-163), 2), 5000)
     assert len(calls) == 669 and calls == primes_upto(5000)
+
+
+def test_tensor_object_counts_points_only_where_the_cut_factor_reads_a_p(monkeypatch):
+    # above sqrt(X) the cut factor keeps c_1 = -a_p tr(Ind chi_p), and the
+    # trace is 0 at the primes inert in Q(i), p = 3 mod 4
+    counted = []
+    count = modform._ap_good_cached
+    monkeypatch.setattr(modform, "_ap_good_cached", lambda curve, p: counted.append(p) or count(curve, p))
+    tensor_object(CurveData(0, -1, 1, 0, 0, conductor=11), AntiCycChar(ImagQuadField(-4), 2), 5000)
+    assert counted == [p for p in primes_upto(5000) if p != 11 and (p % 4 != 3 or p * p <= 5000)]
