@@ -211,19 +211,13 @@ def gl2_object(source: Source, pmax: int) -> LObject:
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 
-def _depth(p: int, pmax: int) -> int:
-    """The spin factor's coefficients that ``dirichlet_coeffs(obj, pmax)``
-    reads: c_1..c_e, p^e <= pmax, of at most four."""
-    return min(_exponent(p, pmax), 4)
-
-
 def sym3_object(source: Source, pmax: int) -> LObject:
     """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
     ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
     additive primes the trivial factor.  The factor at p stops after c_e,
     p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
     c_1 above sqrt(pmax)."""
-    factors = {p: _spin(reduction_at(source, p).factor(source), None, _depth(p, pmax))
+    factors = {p: _spin(reduction_at(source, p).factor(source), None, _exponent(p, pmax))
                for p in primes_upto(pmax)}
     return LObject(f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
 
@@ -246,7 +240,7 @@ def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     weight = source.weight - 1 + chi.weight
     factors = {}
     for p in primes_upto(pmax):
-        depth, ind = _depth(p, pmax), induced_factor(chi, p)
+        depth, ind = min(_exponent(p, pmax), 4), induced_factor(chi, p)  # the spin has degree 4
         if any(power_sums(ind, depth)):
             factors[p] = _spin(reduction_at(source, p).factor(source), ind, depth)
         else:
