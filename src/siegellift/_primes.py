@@ -63,19 +63,6 @@ def primes_upto(bound: int) -> list[int]:
     return list(compress(range(bound + 1), _sieve))
 
 
-def smallest_prime_factors(bound: int) -> list[int]:
-    """spf[n] = least prime factor of n, for 0 <= n <= bound (spf[0] = spf[1] = 0)."""
-    spf = list(range(bound + 1))
-    if bound >= 1:
-        spf[1] = 0
-    for i in range(2, int(bound**0.5) + 1):
-        if spf[i] == i:
-            for j in range(i * i, bound + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] with p ascending.
 

@@ -124,12 +124,6 @@ class QuadInt(Value):
         if self.field != other.field:
             raise InputError("mixed-field arithmetic")
 
-    def __str__(self):
-        return f"{self.x}{self.y:+}*w" if self.y else str(self.x)
-
-    def to_json(self) -> dict:
-        return {"x": str(self.x), "y": str(self.y)}
-
 
 class AntiCycChar(Value):
     """chi((alpha)) = alpha^(2m): unramified, anti-cyclotomic, weight 2m."""
@@ -152,17 +146,6 @@ class AntiCycChar(Value):
     @property
     def weight(self) -> int:
         return 2 * self.m
-
-    def to_json(self) -> dict:
-        return {"D": self.field.D, "m": self.m}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AntiCycChar":
-        for name in ("D", "m"):  # exactly int: a float, str or bool is rejected, never truncated
-            value = data[name]
-            if type(value) is not int:
-                raise InputError(f"character {name} must be int, got {type(value).__name__} {value!r}")
-        return cls(ImagQuadField(data["D"]), data["m"])
 
 
 def splitting(field: ImagQuadField, p: int) -> Splitting:

@@ -159,18 +159,6 @@ class LocalFactor(Value):
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LocalFactor":
-        try:
-            coeffs = tuple(int(c) if isinstance(c, str) else c for c in data["coeffs"])
-        except ValueError:
-            raise InputError(f"non-integer coefficient in {data['coeffs']!r}") from None
-        p, weight = data["p"], data["weight"]
-        for name, value in (("p", p), ("weight", weight)):
-            if type(value) is not int:
-                raise InputError(f"local factor {name} must be int, got {type(value).__name__} {value!r}")
-        return cls(p, weight, coeffs)
-
 
 class PurityReport(Record):
     """Outcome of the self-duality/purity coefficient symmetry check."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ._primes import primes_upto, smallest_prime_factors
+from ._primes import primes_upto
 from ._record import Record, Value
 from .errors import ConvergenceDomainError, InputError, MissingPrimeError
 from .localfactor import (
@@ -41,22 +41,21 @@ class LocalData(Value):
     """Everything the per-prime outputs are read from, built once per prime
     by :func:`local_data`."""
 
-    __slots__ = ("prime", "regime", "ramified", "eta", "ind", "spin", "skip")
+    __slots__ = ("prime", "ramified", "eta", "ind", "spin", "skip")
 
     def __init__(
         self,
         prime: int,
-        regime: str,  # "good", "multiplicative" or "additive"
         ramified: bool,  # p ramifies in the field of chi; False without chi
         eta: LocalFactor,  # degree-2 factor of the curve or newform
         ind: Optional[LocalFactor],  # Ind chi_p; None without chi
         spin: LocalFactor,  # Sym^3 eta, or eta x Ind chi_p, at every p
         skip: str,  # reason on skipped rows; "" at good unramified p
     ):
-        self._fill(prime, regime, ramified, eta, ind, spin, skip)
+        self._fill(prime, ramified, eta, ind, spin, skip)
 
     def _args(self) -> tuple:
-        return (self.prime, self.regime, self.ramified, self.eta, self.ind, self.spin, self.skip)
+        return (self.prime, self.ramified, self.eta, self.ind, self.spin, self.skip)
 
 
 def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
@@ -76,7 +75,7 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
         from .heckechar import induced_factor
 
         ind = induced_factor(chi, p)
-    return LocalData(p, red.regime, ramified, eta, ind, _spin(eta, ind), skip)
+    return LocalData(p, ramified, eta, ind, _spin(eta, ind), skip)
 
 
 def _spin(eta: LocalFactor, ind: Optional[LocalFactor], depth: Optional[int] = None) -> LocalFactor:
@@ -121,26 +120,26 @@ def _exponent(p: int, bound: int) -> int:
 
 def dirichlet_coeffs(obj: LObject, bound: int):
     """Exact Dirichlet coefficients a_1..a_bound (returned 1-indexed in a
-    list of length bound+1 with a[0] = 0)."""
+    list of length bound+1 with a[0] = 0).  The primes enter in ascending
+    order, each setting a[m p^e] = a[m] s_e, where 1/F_p(T) = sum s_e T^e,
+    for m taken downwards: no a[m] read is one that p has already set."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     needed = primes_upto(bound)
     missing = [p for p in needed if p not in obj.factors]
     if missing:
         raise MissingPrimeError(missing)
-    expansions = {}
-    for p in needed:
-        expansions[p] = _series_div((1,), obj.factors[p].coeffs, _exponent(p, bound) + 1)
-    spf = smallest_prime_factors(bound)
     a = [0] * (bound + 1)
     a[1] = 1
-    for n in range(2, bound + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        a[n] = a[m] * expansions[p][e]
+    for p in needed:
+        s = _series_div((1,), obj.factors[p].coeffs, _exponent(p, bound) + 1)
+        for m in range(bound // p, 0, -1):
+            am = a[m]
+            if am:
+                n, e = m * p, 1
+                while n <= bound:
+                    a[n] = am * s[e]
+                    n, e = n * p, e + 1
     return a
 
 

@@ -113,12 +113,6 @@ class CurveData(Value):
     def discriminant(self) -> int:
         return self.invariants[6]
 
-    def to_json(self) -> dict:
-        data = {"a": list(self.ainvs)}
-        if self.conductor is not None:
-            data["conductor"] = self.conductor
-        return data
-
     @classmethod
     def from_json(cls, data: dict) -> "CurveData":
         unknown = sorted(set(data) - {"a", "conductor"})

@@ -536,7 +536,7 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     for p in primes_upto(bound):
         ld = local_data(source, None, p)
         lhs, rhs = _ext2_sides(ld, None)
-        lhs_factors[p], rhs_factors[p] = lhs, (rhs if ld.regime == "good" else lhs)
+        lhs_factors[p], rhs_factors[p] = lhs, (lhs if ld.skip else rhs)
     label = _source_label(source)
     weight = 6 * (source.weight - 1)
     return (

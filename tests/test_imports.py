@@ -84,17 +84,38 @@ sys.stderr.write(repr((sorted(m for m in sys.modules if m.split(".")[0] == "sieg
          "predict-json", "predict-tensor", "verify-sym3"],
 )
 def test_command_loads_only_what_it_runs(argv, modules, json_loaded):
-    # a fresh interpreter without site, so that nothing but the command loads modules
+    loaded, json_seen, pathlib_seen = _run_child(argv)
+    assert set(loaded) == modules
+    assert json_seen is json_loaded
+    assert pathlib_seen is False
+
+
+def _run_child(argv):
+    """The package modules a command loaded, and whether json and pathlib
+    were loaded, from a fresh interpreter without site, so that nothing but
+    the command loads modules."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", CHILD, *argv],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout
-    loaded, json_seen, pathlib_seen = ast.literal_eval(proc.stderr)
-    assert set(loaded) == modules
-    assert json_seen is json_loaded
-    assert pathlib_seen is False
+    return ast.literal_eval(proc.stderr)
+
+
+#: The most source lines ``ap`` may load.  Without a bytecode cache each is
+#: compiled at every run, so the bound only comes down as code is deleted.
+AP_LINE_BUDGET = 1415
+
+
+def test_ap_loads_at_most_its_line_budget():
+    loaded, _, _ = _run_child(["ap", "--curve", "0,-1,1,0,0", "--p", "2"])
+    lines = 0
+    for name in loaded:
+        path = SRC.joinpath(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        lines += path.read_text().count("\n")
+    assert lines <= AP_LINE_BUDGET
 
 
 #: The names the package exported when it imported every module, with the

@@ -422,24 +422,6 @@ def test_constant_coefficient_enforced():
         LocalFactor(2, 0, (2, 1))
 
 
-def test_json_roundtrip():
-    f = LocalFactor(5, 8, (1, 1054, 390625 * 625))
-    assert LocalFactor.from_json(f.to_json()) == f
-
-
-@pytest.mark.parametrize("coeff", ["1/2", "0.5", "x", 2.7])
-def test_from_json_non_integer_coefficient(coeff):
-    with pytest.raises(InputError):
-        LocalFactor.from_json({"p": 2, "weight": 0, "coeffs": ["1", coeff]})
-
-
-@pytest.mark.parametrize("key, value", [("p", 2.0), ("p", "2"), ("weight", 0.5), ("weight", True)])
-def test_from_json_non_integer_prime_or_weight(key, value):
-    data = {"p": 2, "weight": 0, "coeffs": ["1", "1"], key: value}
-    with pytest.raises(InputError, match=f"{key} must be int"):
-        LocalFactor.from_json(data)
-
-
 def test_from_power_sums_remainder_raises():
     # s = (1, 0): c_1 = -1, c_2 = -(0 - 1)/2 = 1/2, not the sums of an integral factor
     with pytest.raises(InputError, match="division by 2"):

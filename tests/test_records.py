@@ -71,7 +71,7 @@ RECORDS = {
     "NewformData": lambda: NewformData(12, 1, CharacterKind.TRIVIAL, None, {2: -24}),
     "ReportEntry": lambda: ReportEntry(5, "sym3-ext2", Status.FAIL, "exact mismatch", _factor(), None),
     "VerifyReport": _report,
-    "LocalData": lambda: LocalData(5, "good", False, _factor(), None, _factor(), ""),
+    "LocalData": lambda: LocalData(5, False, _factor(), None, _factor(), ""),
     "SiegelPrediction": lambda: SiegelPrediction(
         "curve 0,-1,1,0,0", "sym3", 11, "note", ArchParam((3, 1), 3), {5: _factor()}, {},
         _report(), ("a note",),
