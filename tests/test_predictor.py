@@ -600,3 +600,15 @@ def test_tensor_object_counts_points_only_where_the_cut_factor_reads_a_p(monkeyp
     monkeypatch.setattr(modform, "_ap_good_cached", lambda curve, p: counted.append(p) or count(curve, p))
     tensor_object(CurveData(0, -1, 1, 0, 0, conductor=11), AntiCycChar(ImagQuadField(-4), 2), 5000)
     assert counted == [p for p in primes_upto(5000) if p != 11 and (p % 4 != 3 or p * p <= 5000)]
+
+
+@pytest.mark.parametrize("build", [lambda form: sym3_object(form, 2),
+                                   lambda form: tensor_object(form, AntiCycChar(ImagQuadField(-4), 2), 2)],
+                         ids=["sym3", "tensor"])
+def test_builders_refuse_a_float_eigenvalue(build):
+    # a table built in code may hold a float a_p; the builders reject it as
+    # the coefficient of the curve's factor, never as a float spin factor
+    form = NewformData(12, 1, eigenvalues={2: -24.0})
+    with pytest.raises(InputError) as raised:
+        build(form)
+    assert str(raised.value) == "local factor coefficients must be int, got float 24.0"
