@@ -13,6 +13,13 @@ generator-independent exactly when every unit u satisfies u^(2m) = 1,
 which pins m even for D = -4 and m divisible by 3 for D = -3.  The
 unitary value alpha^(2m) / |alpha|^(2m) = (alpha/conj(alpha))^m is
 inverted by conjugation, which is the anti-cyclotomic condition.
+
+The induced factor at p needs only tr(pi^(2m)) and the norm p^(2m) of a
+generator pi above p, so it is read off the trace t of pi, which
+Cornacchia's algorithm gives, through a Lucas sequence in t and p; no
+element of the field is formed.  ``prime_above`` and ``char_value``
+compute the generator and its character value themselves, and the tests
+check the factor against them.
 """
 
 from __future__ import annotations
@@ -162,35 +169,37 @@ def splitting(field: ImagQuadField, p: int) -> Splitting:
 def prime_above(field: ImagQuadField, p: int) -> QuadInt:
     """A generator of a prime above p (class number one makes it principal).
 
-    Split/ramified p: an element x + y*w of norm p.  With t = 2x + yD (twice
-    the real part) the norm equation reads t^2 + |D| y^2 = 4p, solved by
-    Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.3): t^2 = 8 + D at p = 2;
-    for odd p, Euclid on (2p, r), r = sqrt(D) mod p congruent to D mod 2, down
-    to the first remainder t <= 2 sqrt(p).  Every element of norm p is u*pi or
-    u*conj(pi) for a unit u; the one with the largest (t, y) is returned, so
-    the choice is reproducible.  Inert p: the rational prime itself (norm p^2).
+    Split/ramified p: an element x + y*w of norm p, from t = 2x + yD (twice
+    the real part) of :func:`_trace_above`, y^2 = (4p - t^2)/|D|.  Every
+    element of norm p is u*pi or u*conj(pi) for a unit u; the one with the
+    largest (t, y) is returned, so the choice is reproducible.  Inert p: the
+    rational prime itself (norm p^2).
     """
-    return _prime_above(field, p, splitting(field, p))
-
-
-def _prime_above(field: ImagQuadField, p: int, kind: Splitting) -> QuadInt:
-    """:func:`prime_above` for a caller that has the splitting of p."""
+    kind = splitting(field, p)
     if kind is Splitting.INERT:
         return field.element(p, 0)
-    D = field.D
-    if p == 2:
-        t = isqrt(8 + D)
-    else:
-        a, t, bound = 2 * p, sqrt_mod(D, p), isqrt(4 * p)
-        if (t - D) % 2:
-            t = p - t
-        while t > bound:
-            a, t = t, a % t
+    D, t = field.D, _trace_above(field.D, p)
     y = isqrt((4 * p - t * t) // -D)
     # (t', y') of u * (t +- y sqrt(D))/2 for each unit u = (ut + uy sqrt(D))/2
     units = [(u.trace(), u.y) for u in field.units()]
     t, y = max(((ut * t + uy * D * s) // 2, (ut * s + uy * t) // 2) for ut, uy in units for s in (y, -y))
     return field.element((t - D * y) // 2, y)
+
+
+def _trace_above(D: int, p: int) -> int:
+    """The trace t >= 0 of an element of norm p, at p split or ramified in
+    Q(sqrt(D)): the norm equation reads t^2 + |D| y^2 = 4p, solved by
+    Cornacchia's algorithm (Cohen, GTM 138, Alg. 1.5.3): t^2 = 8 + D at
+    p = 2; for odd p, Euclid on (2p, r), r = sqrt(D) mod p congruent to D
+    mod 2, down to the first remainder t <= 2 sqrt(p)."""
+    if p == 2:
+        return isqrt(8 + D)
+    a, t, bound = 2 * p, sqrt_mod(D, p), isqrt(4 * p)
+    if (t - D) % 2:
+        t = p - t
+    while t > bound:
+        a, t = t, a % t
+    return t
 
 
 def char_value(chi: AntiCycChar, pi: QuadInt) -> QuadInt:
@@ -201,19 +210,26 @@ def char_value(chi: AntiCycChar, pi: QuadInt) -> QuadInt:
 def induced_factor(chi: AntiCycChar, p: int) -> LocalFactor:
     """Degree-2 Euler factor over Q of the induction of chi, weight 2m.
 
-    Split p: (1 - chi(pi) T)(1 - chi(conj pi) T) with integer trace/norm
-    coefficients.  Inert p: 1 - p^(2m) T^2.  Ramified p: 1 - chi(pi) T at
-    nominal degree 2, with chi(pi) = +-p^m a rational integer.
+    Split p: (1 - chi(pi) T)(1 - chi(conj pi) T) = 1 - V T + p^(2m) T^2.
+    Inert p: 1 - p^(2m) T^2.  Ramified p: 1 - chi(pi) T at nominal degree
+    2, where pi^(2m) = conj(pi)^(2m) is the rational integer V/2.  Here V is
+    tr(pi^(2m)), the same for every generator pi since u^(2m) = 1 for every
+    unit u and conjugation keeps the trace: the term V_(2m) of the Lucas
+    sequence V_0 = 2, V_1 = t, V_(n+1) = t V_n - p V_(n-1) of the trace
+    t = tr(pi) (:func:`_trace_above`), as pi^2 = t pi - p.  No character
+    value is formed.
     """
     kind = splitting(chi.field, p)
     w = chi.weight
     if kind is Splitting.INERT:
         return LocalFactor(p, w, (1, 0, -(p**w)))
-    value = char_value(chi, _prime_above(chi.field, p, kind))
+    t = _trace_above(chi.field.D, p)
+    v0, v = 2, t
+    for _ in range(w - 1):
+        v0, v = v, t * v - p * v0
     if kind is Splitting.SPLIT:
-        return LocalFactor(p, w, (1, -value.trace(), value.norm()))
-    assert value.y == 0, "ramified character value must be rational"
-    return LocalFactor(p, w, (1, -value.x, 0))
+        return LocalFactor(p, w, (1, -v, p**w))
+    return LocalFactor(p, w, (1, -(v // 2), 0))
 
 
 def char_square(chi: AntiCycChar) -> AntiCycChar:

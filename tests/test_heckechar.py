@@ -24,6 +24,7 @@ from siegellift import (
     splitting,
 )
 from siegellift.errors import UnitCompatibilityError, UnsupportedFieldError
+from siegellift.heckechar import SUPPORTED_DISCRIMINANTS
 from siegellift.modform import CharacterKind, NewformData, local_factor_gl2
 from siegellift._primes import primes_upto
 
@@ -147,6 +148,27 @@ def test_induced_factor_examples(chi_gauss):
     ram = induced_factor(chi_gauss, 2)
     assert ram.coeffs == (1, 4, 0) and ram.effective_degree == 1
     assert induced_factor(chi_gauss, 5).weight == 4
+
+
+@pytest.mark.parametrize("d", SUPPORTED_DISCRIMINANTS)
+def test_induced_factor_against_char_value(d):
+    # the factor comes from tr(pi) by a Lucas sequence; the oracle forms
+    # v = pi^(2m) in the field and reads its trace, rational part and norm
+    K = ImagQuadField(d)
+    for m in range(1, 7):
+        if (d == -4 and m % 2) or (d == -3 and m % 3):
+            continue
+        chi = AntiCycChar(K, m)
+        for p in primes_upto(2000):
+            kind = splitting(K, p)
+            v = char_value(chi, prime_above(K, p))
+            if kind is Splitting.SPLIT:
+                want = (1, -v.trace(), v.norm())
+            elif kind is Splitting.RAMIFIED:
+                want = (1, -v.x, 0)
+            else:
+                want = (1, 0, -(p ** (2 * m)))
+            assert induced_factor(chi, p).coeffs == want, (d, m, p)
 
 
 def test_char_square_examples(chi_gauss):
