@@ -67,6 +67,17 @@ def _div(a: int, k: int) -> int:
     return q
 
 
+def _int_coeffs(coeffs: Sequence[int]) -> tuple:
+    """``coeffs`` as a tuple, checked to hold ints only."""
+    coeffs = tuple(coeffs)
+    bad = [c for c in coeffs if type(c) is not int]
+    if bad:
+        raise InputError(
+            f"local factor coefficients must be int, got {type(bad[0]).__name__} {bad[0]!r}"
+        )
+    return coeffs
+
+
 class CombineMode(Enum):
     SUM = "sum"
     TENSOR = "tensor"
@@ -118,12 +129,7 @@ class LocalFactor(Value):
     def __post_init__(self):
         if not is_prime(self.prime):
             raise InputError(f"{self.prime} is not prime")
-        coeffs = tuple(self.coeffs)
-        bad = [c for c in coeffs if type(c) is not int]
-        if bad:
-            raise InputError(
-                f"local factor coefficients must be int, got {type(bad[0]).__name__} {bad[0]!r}"
-            )
+        coeffs = _int_coeffs(self.coeffs)
         if not coeffs or coeffs[0] != 1:
             raise InputError("constant coefficient of a local factor must be 1")
         _set(self, "coeffs", coeffs)
@@ -187,7 +193,15 @@ def power_sums(f: LocalFactor, count: int) -> tuple:
     known = f._sums
     if count <= len(known):
         return known[:count]
-    c, d = f.coeffs, f.degree
+    known = _newton(f.coeffs, known, count)
+    _set(f, "_sums", known)
+    return known
+
+
+def _newton(c: Sequence[int], known: tuple, count: int) -> tuple:
+    """The power sums s_1..s_count of the polynomial with coefficients
+    ``c``, extending its first sums ``known`` (fewer than ``count``)."""
+    d = len(c) - 1
     terms = tuple(enumerate(c[1:], start=1))  # (i, c_i), i = 1..d
     s = list(known)
     for k in range(len(known) + 1, count + 1):
@@ -195,9 +209,7 @@ def power_sums(f: LocalFactor, count: int) -> tuple:
         for i, ci in terms[: k - 1]:
             acc -= ci * s[-i]  # s holds s_1..s_(k-1), so s[-i] is s_(k-i)
         s.append(acc - k * c[k] if k <= d else acc)
-    known = tuple(s)
-    _set(f, "_sums", known)
-    return known
+    return tuple(s)
 
 
 def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -> LocalFactor:
@@ -258,9 +270,14 @@ def combine(
         return LocalFactor(a.prime, a.weight, tuple(_poly_mul(a.coeffs, b.coeffs)))
     if mode is CombineMode.TENSOR:
         d = a.degree * b.degree if depth is None else min(a.degree * b.degree, depth)
-        mixed = [x * y for x, y in zip(power_sums(a, d), power_sums(b, d))]
-        return from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight)
+        return from_power_sums(a.prime, d, _tensor(power_sums(a, d), power_sums(b, d)),
+                               weight=a.weight + b.weight)
     raise InputError(f"unknown combine mode {mode!r}")
+
+
+def _tensor(sa: Sequence[int], sb: Sequence[int]) -> list[int]:
+    """The power sums of a tensor product from those of its factors."""
+    return [x * y for x, y in zip(sa, sb)]
 
 
 def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> LocalFactor:
@@ -279,7 +296,14 @@ def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> L
     if depth is not None:
         d_out = min(d_out, depth)
     weight = f.weight * _FUNCTOR_WEIGHT[functor]
-    s = (0,) + power_sums(f, d_out * _FUNCTOR_WEIGHT[functor])
+    out = _cycle_index(functor, power_sums(f, d_out * _FUNCTOR_WEIGHT[functor]), d_out)
+    return from_power_sums(f.prime, d_out, out, weight=weight)
+
+
+def _cycle_index(functor: Functor, sums: Sequence[int], d_out: int) -> list[int]:
+    """The power sums s_1..s_(d_out) of ``functor`` applied to the roots of
+    power sums ``sums``, which runs to s_(d_out * weight of the functor)."""
+    s = (0, *sums)
     out: list[int] = []
     for m in range(1, d_out + 1):
         if functor is Functor.SYM2:
@@ -298,7 +322,7 @@ def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> L
                 24,
             )
         out.append(val)
-    return from_power_sums(f.prime, d_out, out, weight=weight)
+    return out
 
 
 def tate_twist(f: LocalFactor, j: int) -> LocalFactor:

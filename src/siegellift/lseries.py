@@ -19,7 +19,11 @@ from .localfactor import (
     CombineMode,
     Functor,
     LocalFactor,
+    _cycle_index,
+    _int_coeffs,
+    _newton,
     _series_div,
+    _tensor,
     combine,
     from_power_sums,
     plethysm,
@@ -78,11 +82,11 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
     return LocalData(p, ramified, eta, ind, _spin(eta, ind), skip)
 
 
-def _spin(eta: LocalFactor, ind: Optional[LocalFactor], depth: Optional[int] = None) -> LocalFactor:
-    """Sym^3 eta (``ind`` None) or eta x ind, stopped after c_depth."""
+def _spin(eta: LocalFactor, ind: Optional[LocalFactor]) -> LocalFactor:
+    """Sym^3 eta (``ind`` None) or eta x ind."""
     if ind is None:
-        return plethysm(eta, Functor.SYM3, depth)
-    return combine(eta, ind, CombineMode.TENSOR, depth)
+        return plethysm(eta, Functor.SYM3)
+    return combine(eta, ind, CombineMode.TENSOR)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,8 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
     log_x = math.log(bound)
     tail = 0.0
     for j in range(d):
-        tail += log_x ** (d - 1 - j) / (math.factorial(d - 1 - j) * (sigma - 1.0) ** (j + 1))
+        # a power of 1/(sigma - 1) underflows to 0 at a huge s, where its inverse overflows
+        tail += log_x ** (d - 1 - j) / math.factorial(d - 1 - j) * (sigma - 1.0) ** -(j + 1)
     tail *= float(bound) ** (1.0 - sigma)
     return EvalResult(value, tail, float(s), bound)
 
@@ -210,15 +215,27 @@ def gl2_object(source: Source, pmax: int) -> LObject:
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 
+def _cut_spin(source: Source, p: int, ind: Optional[LocalFactor], depth: int, weight: int) -> LocalFactor:
+    """:func:`_spin` of ``source`` at p, stopped after c_depth (depth <= 4),
+    from the coefficients of eta: the one factor built is the spin factor."""
+    eta = _int_coeffs(reduction_at(source, p).coeffs(source))
+    if ind is None:
+        sums = _cycle_index(Functor.SYM3, _newton(eta, (), 3 * depth), depth)
+    else:
+        sums = _tensor(_newton(eta, (), depth), power_sums(ind, depth))
+    return from_power_sums(p, depth, sums, weight)
+
+
 def sym3_object(source: Source, pmax: int) -> LObject:
     """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
     ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
     additive primes the trivial factor.  The factor at p stops after c_e,
     p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
     c_1 above sqrt(pmax)."""
-    factors = {p: _spin(reduction_at(source, p).factor(source), None, _exponent(p, pmax))
+    weight = 3 * (source.weight - 1)
+    factors = {p: _cut_spin(source, p, None, min(_exponent(p, pmax), 4), weight)
                for p in primes_upto(pmax)}
-    return LObject(f"sym3({_source_label(source)})", 3 * (source.weight - 1), factors, degree=4)
+    return LObject(f"sym3({_source_label(source)})", weight, factors, degree=4)
 
 
 def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
@@ -241,7 +258,7 @@ def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     for p in primes_upto(pmax):
         depth, ind = min(_exponent(p, pmax), 4), induced_factor(chi, p)  # the spin has degree 4
         if any(power_sums(ind, depth)):
-            factors[p] = _spin(reduction_at(source, p).factor(source), ind, depth)
+            factors[p] = _cut_spin(source, p, ind, depth, weight)
         else:
             checked_regime(source, p)
             factors[p] = from_power_sums(p, depth, (0,) * depth, weight)

@@ -156,13 +156,17 @@ class ReductionData(Record):
         divides the D of a ``delta D`` table whose level has the p-part of D)."""
         from .localfactor import LocalFactor
 
+        return LocalFactor(self.prime, source.weight - 1, self.coeffs(source))
+
+    def coeffs(self, source: Source) -> Tuple[int, int, int]:
+        """The coefficients (1, -a_p, c_2) of :meth:`factor`, built into no factor."""
         p, k = self.prime, source.weight
         c2 = 0
         if self.kind is ReductionKind.GOOD:
             c2 = p ** (k - 1)
             if isinstance(source, NewformData) and source.character is CharacterKind.DELTA:
                 c2 *= kronecker_at_prime(source.character_disc, p)
-        return LocalFactor(p, k - 1, (1, -self.ap, c2))
+        return (1, -self.ap, c2)
 
 
 class NewformData(Record):
@@ -262,16 +266,11 @@ def _ap_charsum(curve: CurveData, p: int) -> int:
     # with g = 4x^3 + b2 x^2 + 2 b4 x + b6, so a_p = -sum_x chi(g(x)).
     b2, b4, b6 = curve.invariants[:3]
     b2, b4x2, b6 = b2 % p, (2 * b4) % p, b6 % p
-    square = bytearray(p)
-    for t in range((p // 2) + 1):
-        square[t * t % p] = 1
-    affine = 0
-    for x in range(p):
-        g = (((4 * x + b2) * x + b4x2) * x + b6) % p
-        if g == 0:
-            affine += 1
-        elif square[g]:
-            affine += 2
+    roots = bytearray(p)  # roots[g] = #{y : y^2 = g} = 1 + chi(g)
+    for t in range(1, (p // 2) + 1):
+        roots[t * t % p] = 2
+    roots[0] = 1
+    affine = sum(roots[(((4 * x + b2) * x + b4x2) * x + b6) % p] for x in range(p))
     return p + 1 - (affine + 1)
 
 
@@ -330,22 +329,23 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
             xm, x = x, (t * t - x - sx) % p
             y = (t * (xm - x) - y) % p
     orders = []
-    while c - m <= high:
+    for c in range(c, high + m + 1, 2 * m + 1):  # each centre c with c - m <= high
+        hit = baby.get(x)
+        if hit:
+            orders.append(c - hit[0] if y == hit[1] else c + hit[0])
         if x is None:
             orders.append(c)
             x, y = sx, sy
-        else:
-            if x in baby:
-                j, yj = baby[x]
-                orders.append(c - j if y == yj else c + j)
-            if x == sx and (y != sy or y == 0):
-                x = None
-            else:
-                t = ((y - sy) * pow(x - sx, -1, p) if x != sx
-                     else (3 * x * x + a) * pow(2 * y, -1, p)) % p
-                xm, x = x, (t * t - x - sx) % p
-                y = (t * (xm - x) - y) % p
-        c += 2 * m + 1
+        elif x != sx:
+            t = (y - sy) * pow(x - sx, -1, p) % p
+            xm, x = x, (t * t - x - sx) % p
+            y = (t * (xm - x) - y) % p
+        elif y != sy or y == 0:
+            x = None
+        else:  # c P = S: double
+            t = (3 * x * x + a) * pow(2 * y, -1, p) % p
+            xm, x = x, (t * t - x - sx) % p
+            y = (t * (xm - x) - y) % p
     return [n for n in orders if low <= n <= high]
 
 

@@ -160,6 +160,14 @@ def test_eval_non_finite_s(capsys, s):
     assert code == 2 and out == "" and "convergence" in err
 
 
+@pytest.mark.parametrize("s, shown", [("1e100", "1e+100"), ("1e308", "1e+308")])
+def test_eval_at_a_huge_s(capsys, s, shown):
+    # every term past n = 1 and the tail estimate underflow to 0
+    code, out, err = run(capsys, "eval", "--curve", CURVE, "--transfer", "sym3", "--X", "10", "-s", s)
+    assert (code, err) == (0, "")
+    assert out == f"sum of 10 terms at s={shown}: 1  (tail estimate 0)\n"
+
+
 @pytest.mark.parametrize(
     "transfer, s, tail",
     # the closed form at X = 1 is (s - w/2 - 1)^-d: 1/2.5^4 for the degree-4
