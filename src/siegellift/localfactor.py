@@ -301,8 +301,8 @@ def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> L
 
 
 def _cycle_index(functor: Functor, sums: Sequence[int], d_out: int) -> list[int]:
-    """The power sums s_1..s_(d_out) of ``functor`` applied to the roots of
-    power sums ``sums``, which runs to s_(d_out * weight of the functor)."""
+    """The power sums s_1..s_(d_out) of ``functor`` applied to the roots
+    whose power sums ``sums`` runs to s_(k d_out), k = _FUNCTOR_WEIGHT."""
     s = (0, *sums)
     out: list[int] = []
     for m in range(1, d_out + 1):

@@ -583,7 +583,7 @@ def test_truncated_objects_match_whole_factors(delta_form, name):
 
 
 def test_tensor_object_splits_each_prime_once(monkeypatch):
-    # induced_factor passes its splitting on to the prime above p
+    # induced_factor splits each prime once, and the trace above p needs no second splitting
     calls = []
     split = heckechar.splitting
     monkeypatch.setattr(heckechar, "splitting", lambda field, p: calls.append(p) or split(field, p))
