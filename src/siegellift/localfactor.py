@@ -255,11 +255,8 @@ def _series_div(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return q
 
 
-def combine(
-    a: LocalFactor, b: LocalFactor, mode: CombineMode, depth: Optional[int] = None
-) -> LocalFactor:
-    """Direct sum (polynomial product) or tensor product (power sums multiply);
-    a tensor product with ``depth`` stops after c_depth, as in :func:`plethysm`."""
+def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
+    """Direct sum (polynomial product) or tensor product (power sums multiply)."""
     if a.prime != b.prime:
         raise PrimeMismatchError(f"primes differ: {a.prime} vs {b.prime}")
     if mode is CombineMode.SUM:
@@ -269,9 +266,9 @@ def combine(
             )
         return LocalFactor(a.prime, a.weight, tuple(_poly_mul(a.coeffs, b.coeffs)))
     if mode is CombineMode.TENSOR:
-        d = a.degree * b.degree if depth is None else min(a.degree * b.degree, depth)
-        return from_power_sums(a.prime, d, _tensor(power_sums(a, d), power_sums(b, d)),
-                               weight=a.weight + b.weight)
+        d = a.degree * b.degree
+        mixed = _tensor(power_sums(a, d), power_sums(b, d))
+        return from_power_sums(a.prime, d, mixed, weight=a.weight + b.weight)
     raise InputError(f"unknown combine mode {mode!r}")
 
 
@@ -280,21 +277,17 @@ def _tensor(sa: Sequence[int], sb: Sequence[int]) -> list[int]:
     return [x * y for x, y in zip(sa, sb)]
 
 
-def plethysm(f: LocalFactor, functor: Functor, depth: Optional[int] = None) -> LocalFactor:
+def plethysm(f: LocalFactor, functor: Functor) -> LocalFactor:
     """Apply Sym^2, Sym^3, Sym^4 or Lambda^2 to the inverse-root multiset.
 
     Sym^3 and Sym^4 are restricted to (nominal) degree-2 inputs, the only
     shape needed here; Sym^2 and Lambda^2 work in any degree.  Degenerate
     inputs are handled transparently because the cycle-index formulas see
     only the actual roots: Sym^3 of a Steinberg line 1 - aT is 1 - a^3 T.
-    With ``depth`` the result stops after c_depth: Newton's identities are
-    triangular, so c_1..c_depth are those of the whole factor.
     """
     if functor in (Functor.SYM3, Functor.SYM4) and f.degree != 2:
         raise DegreeError(f"{functor.value} requires a degree-2 factor, got {f.degree}")
     d_out = _FUNCTOR_DEGREE[functor](f.degree)
-    if depth is not None:
-        d_out = min(d_out, depth)
     weight = f.weight * _FUNCTOR_WEIGHT[functor]
     out = _cycle_index(functor, power_sums(f, d_out * _FUNCTOR_WEIGHT[functor]), d_out)
     return from_power_sums(f.prime, d_out, out, weight=weight)

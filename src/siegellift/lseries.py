@@ -10,13 +10,12 @@ module loads ``heckechar`` only when it builds a factor with a character.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ._primes import primes_upto
 from ._record import Record, Value
 from .errors import ConvergenceDomainError, InputError, MissingPrimeError
 from .localfactor import (
-    CombineMode,
     Functor,
     LocalFactor,
     _cycle_index,
@@ -24,12 +23,10 @@ from .localfactor import (
     _newton,
     _series_div,
     _tensor,
-    combine,
     from_power_sums,
-    plethysm,
     power_sums,
 )
-from .modform import Source, _source_label, checked_regime, reduction_at
+from .modform import Source, _source_label, checked_regime, local_factor_gl2, reduction_at
 
 if TYPE_CHECKING:
     from .heckechar import AntiCycChar
@@ -68,7 +65,7 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
     for ``predict`` and ``verify``.  The spin factor is Sym^3 eta or
     eta x Ind chi_p at every p, bad and ramified ones included."""
     red = reduction_at(source, p)
-    eta = red.factor(source)
+    eta = LocalFactor(p, source.weight - 1, red.coeffs(source))
     ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
     if red.regime != "good":
         skip = f"skipped ({red.regime} reduction)"
@@ -79,14 +76,23 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
         from .heckechar import induced_factor
 
         ind = induced_factor(chi, p)
-    return LocalData(p, ramified, eta, ind, _spin(eta, ind), skip)
+    weight = 3 * eta.weight if ind is None else eta.weight + ind.weight
+    return LocalData(p, ramified, eta, ind, _spin(p, eta.coeffs, ind, 4, weight), skip)
 
 
-def _spin(eta: LocalFactor, ind: Optional[LocalFactor]) -> LocalFactor:
-    """Sym^3 eta (``ind`` None) or eta x ind."""
+def _spin(
+    p: int, eta: Sequence[int], ind: Optional[LocalFactor], depth: int, weight: int
+) -> LocalFactor:
+    """Sym^3 eta (``ind`` None) or eta x ind at p, of ``weight``, from the
+    coefficients of eta (degree 2; ``ind`` has degree 2 too), stopped after
+    c_depth: the whole factor at depth 4.  The one factor built is the
+    spin factor."""
+    eta = _int_coeffs(eta)
     if ind is None:
-        return plethysm(eta, Functor.SYM3)
-    return combine(eta, ind, CombineMode.TENSOR)
+        sums = _cycle_index(Functor.SYM3, _newton(eta, (), 3 * depth), depth)
+    else:
+        sums = _tensor(_newton(eta, (), depth), power_sums(ind, depth))
+    return from_power_sums(p, depth, sums, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +217,8 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
 
 def gl2_object(source: Source, pmax: int) -> LObject:
     """Degree-2 Euler product of the curve/newform, all p <= pmax."""
-    factors = {p: reduction_at(source, p).factor(source) for p in primes_upto(pmax)}
+    factors = {p: local_factor_gl2(source, p) for p in primes_upto(pmax)}
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
-
-
-def _cut_spin(source: Source, p: int, ind: Optional[LocalFactor], depth: int, weight: int) -> LocalFactor:
-    """:func:`_spin` of ``source`` at p, stopped after c_depth (depth <= 4),
-    from the coefficients of eta: the one factor built is the spin factor."""
-    eta = _int_coeffs(reduction_at(source, p).coeffs(source))
-    if ind is None:
-        sums = _cycle_index(Functor.SYM3, _newton(eta, (), 3 * depth), depth)
-    else:
-        sums = _tensor(_newton(eta, (), depth), power_sums(ind, depth))
-    return from_power_sums(p, depth, sums, weight)
 
 
 def sym3_object(source: Source, pmax: int) -> LObject:
@@ -233,8 +228,10 @@ def sym3_object(source: Source, pmax: int) -> LObject:
     p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
     c_1 above sqrt(pmax)."""
     weight = 3 * (source.weight - 1)
-    factors = {p: _cut_spin(source, p, None, min(_exponent(p, pmax), 4), weight)
-               for p in primes_upto(pmax)}
+    factors = {}
+    for p in primes_upto(pmax):  # the spin has degree 4
+        eta = reduction_at(source, p).coeffs(source)
+        factors[p] = _spin(p, eta, None, min(_exponent(p, pmax), 4), weight)
     return LObject(f"sym3({_source_label(source)})", weight, factors, degree=4)
 
 
@@ -258,7 +255,7 @@ def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
     for p in primes_upto(pmax):
         depth, ind = min(_exponent(p, pmax), 4), induced_factor(chi, p)  # the spin has degree 4
         if any(power_sums(ind, depth)):
-            factors[p] = _cut_spin(source, p, ind, depth, weight)
+            factors[p] = _spin(p, reduction_at(source, p).coeffs(source), ind, depth, weight)
         else:
             checked_regime(source, p)
             factors[p] = from_power_sums(p, depth, (0,) * depth, weight)

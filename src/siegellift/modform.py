@@ -148,18 +148,12 @@ class ReductionData(Record):
             return "multiplicative"
         return self.kind.value
 
-    def factor(self, source: Source) -> LocalFactor:
-        """Degree-2 local factor at this prime of ``source``, of weight k-1:
-        1 - a_p T + eps(p) p^(k-1) T^2 when good, eps the character of the
-        source (trivial for a curve, (D/p) for a table's ``delta D``), else
-        1 - a_p T at nominal degree 2 (a_p = 0 when additive, unless p
-        divides the D of a ``delta D`` table whose level has the p-part of D)."""
-        from .localfactor import LocalFactor
-
-        return LocalFactor(self.prime, source.weight - 1, self.coeffs(source))
-
     def coeffs(self, source: Source) -> Tuple[int, int, int]:
-        """The coefficients (1, -a_p, c_2) of :meth:`factor`, built into no factor."""
+        """Coefficients (1, -a_p, c_2) of the degree-2 local factor at this
+        prime of ``source``, of weight k-1: c_2 = eps(p) p^(k-1) when good,
+        eps the character of the source (trivial for a curve, (D/p) for a
+        table's ``delta D``), else c_2 = 0 (a_p = 0 when additive, unless p
+        divides the D of a ``delta D`` table whose level has the p-part of D)."""
         p, k = self.prime, source.weight
         c2 = 0
         if self.kind is ReductionKind.GOOD:
@@ -266,11 +260,16 @@ def _ap_charsum(curve: CurveData, p: int) -> int:
     # with g = 4x^3 + b2 x^2 + 2 b4 x + b6, so a_p = -sum_x chi(g(x)).
     b2, b4, b6 = curve.invariants[:3]
     b2, b4x2, b6 = b2 % p, (2 * b4) % p, b6 % p
-    roots = bytearray(p)  # roots[g] = #{y : y^2 = g} = 1 + chi(g)
-    for t in range(1, (p // 2) + 1):
-        roots[t * t % p] = 2
-    roots[0] = 1
-    affine = sum(roots[(((4 * x + b2) * x + b4x2) * x + b6) % p] for x in range(p))
+    square = bytearray(p)
+    for t in range((p // 2) + 1):
+        square[t * t % p] = 1
+    affine = 0
+    for x in range(p):
+        g = (((4 * x + b2) * x + b4x2) * x + b6) % p
+        if g == 0:
+            affine += 1
+        elif square[g]:
+            affine += 2
     return p + 1 - (affine + 1)
 
 
@@ -329,23 +328,22 @@ def _orders_in(p: int, a: int, x1: int, y1: int, low: int, high: int, m: int):
             xm, x = x, (t * t - x - sx) % p
             y = (t * (xm - x) - y) % p
     orders = []
-    for c in range(c, high + m + 1, 2 * m + 1):  # each centre c with c - m <= high
-        hit = baby.get(x)
-        if hit:
-            orders.append(c - hit[0] if y == hit[1] else c + hit[0])
+    while c - m <= high:
         if x is None:
             orders.append(c)
             x, y = sx, sy
-        elif x != sx:
-            t = (y - sy) * pow(x - sx, -1, p) % p
-            xm, x = x, (t * t - x - sx) % p
-            y = (t * (xm - x) - y) % p
-        elif y != sy or y == 0:
-            x = None
-        else:  # c P = S: double
-            t = (3 * x * x + a) * pow(2 * y, -1, p) % p
-            xm, x = x, (t * t - x - sx) % p
-            y = (t * (xm - x) - y) % p
+        else:
+            if x in baby:
+                j, yj = baby[x]
+                orders.append(c - j if y == yj else c + j)
+            if x == sx and (y != sy or y == 0):
+                x = None
+            else:
+                t = ((y - sy) * pow(x - sx, -1, p) if x != sx
+                     else (3 * x * x + a) * pow(2 * y, -1, p)) % p
+                xm, x = x, (t * t - x - sx) % p
+                y = (t * (xm - x) - y) % p
+        c += 2 * m + 1
     return [n for n in orders if low <= n <= high]
 
 
@@ -542,7 +540,9 @@ def local_factor_gl2(source: Source, p: int) -> LocalFactor:
     Multiplicative p: 1 - a_p T at nominal degree 2.  Additive p: the
     trivial factor.
     """
-    return reduction_at(source, p).factor(source)
+    from .localfactor import LocalFactor
+
+    return LocalFactor(p, source.weight - 1, reduction_at(source, p).coeffs(source))
 
 
 def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformData:

@@ -23,7 +23,7 @@ from siegellift import (
     tate_factor,
     tate_twist,
 )
-from siegellift import localfactor
+from siegellift import localfactor, lseries
 from siegellift.errors import (
     DegreeError,
     InexactDivisionError,
@@ -151,20 +151,20 @@ def test_power_sums_asked_in_any_order_match_a_fresh_factor():
 
 
 def built_factors(rng, f, g, e2):
-    """Factors built from power sums, each with and without a depth."""
-    depth = rng.randrange(1, 6)
+    """Factors built from power sums: whole ones, and spin factors cut at
+    a depth as the L-series builders cut them."""
+    depth = rng.randrange(0, 5)
     # sums beyond the degree, which the result must not take for its own
     cut = rng.randrange(0, f.degree + 1)
     yield from_power_sums(f.prime, cut, power_sums(fresh(f), f.degree + 2), weight=f.weight)
     for functor in (Functor.SYM2, Functor.EXT2):
         yield plethysm(f, functor)
-        yield plethysm(f, functor, depth)
     for functor in (Functor.SYM3, Functor.SYM4):
         yield plethysm(e2, functor)
-        yield plethysm(e2, functor, depth)
     for a, b in ((f, g), (f, f)):
         yield combine(a, b, CombineMode.TENSOR)
-        yield combine(a, b, CombineMode.TENSOR, depth)
+    yield lseries._spin(f.prime, e2.coeffs, None, depth, 3)
+    yield lseries._spin(f.prime, e2.coeffs, fresh(e2), depth, 2)
 
 
 def test_built_factors_carry_the_sums_of_their_coefficients():
@@ -208,14 +208,16 @@ def test_tensor_with_degree_one():
 
 
 def test_tensor_of_nothing_is_the_trivial_factor():
-    # a degree-0 operand or depth 0 leaves no coefficient after c_0
+    # a degree-0 operand, or a spin factor cut at depth 0, leaves no
+    # coefficient after c_0
     eta = LocalFactor(5, 1, (1, -1, 5))
-    for a, b, depth in [(LocalFactor(5, 4, (1,)), eta, None), (eta, LocalFactor(5, 4, (1,)), 3),
-                        (eta, LocalFactor(5, 4, (1, 14, 625)), 0), (eta, eta, 0)]:
-        t = combine(a, b, CombineMode.TENSOR, depth)
+    for a, b in [(LocalFactor(5, 4, (1,)), eta), (eta, LocalFactor(5, 4, (1,)))]:
+        t = combine(a, b, CombineMode.TENSOR)
         assert t == LocalFactor(5, a.weight + b.weight, (1,))
         assert_same(t.coeffs, ref_tensor(a.coeffs, b.coeffs)[:1])
-    assert plethysm(eta, Functor.SYM3, 0) == LocalFactor(5, 3, (1,))
+    for ind in (LocalFactor(5, 4, (1, 14, 625)), eta):
+        assert lseries._spin(5, eta.coeffs, ind, 0, 5) == LocalFactor(5, 5, (1,))
+    assert lseries._spin(5, eta.coeffs, None, 0, 3) == LocalFactor(5, 3, (1,))
 
 
 def test_sum_is_polynomial_product():
@@ -599,14 +601,14 @@ def check_against_oracle(rng, coeff):
         assert_same(plethysm(e2, functor).coeffs, ref_plethysm(e2.coeffs, functor))
     assert_same(combine(f, g, CombineMode.TENSOR).coeffs, ref_tensor(c, g.coeffs))
     assert_same(combine(f, f, CombineMode.TENSOR).coeffs, ref_tensor(c, c))
-    # truncated: c_1..c_depth of the whole result, coefficient by coefficient
-    depth = rng.randrange(1, 6)
-    for functor in (Functor.SYM2, Functor.EXT2):
-        assert_same(plethysm(f, functor, depth).coeffs, ref_plethysm(c, functor)[: depth + 1])
-    for functor in (Functor.SYM3, Functor.SYM4):
-        want = ref_plethysm(e2.coeffs, functor)[: depth + 1]
-        assert_same(plethysm(e2, functor, depth).coeffs, want)
-    assert_same(combine(f, g, CombineMode.TENSOR, depth).coeffs, ref_tensor(c, g.coeffs)[: depth + 1])
+    # the spin factors cut as the L-series builders cut them: c_1..c_depth
+    # of the whole factor, coefficient by coefficient
+    depth = rng.randrange(0, 5)
+    ind = random_factor(rng, p, 2, 1, coeff)
+    want = ref_plethysm(e2.coeffs, Functor.SYM3)[: depth + 1]
+    assert_same(lseries._spin(p, e2.coeffs, None, depth, 3).coeffs, want)
+    want = ref_tensor(e2.coeffs, ind.coeffs)[: depth + 1]
+    assert_same(lseries._spin(p, e2.coeffs, ind, depth, 2).coeffs, want)
     product = combine(f, g, CombineMode.SUM)
     assert_same(product.coeffs, ref_sum(c, g.coeffs))
     assert_same(exact_divide(product, g).coeffs, ref_divide(product.coeffs, g.coeffs))
