@@ -537,8 +537,8 @@ def local_factor_gl2(source: Source, p: int) -> LocalFactor:
     """Degree-2 local factor of the curve/newform at p, weight k-1.
 
     Good p: 1 - a_p T + eps(p) p^(k-1) T^2, eps the source's character.
-    Multiplicative p: 1 - a_p T at nominal degree 2.  Additive p: the
-    trivial factor.
+    Bad p: 1 - a_p T at nominal degree 2, a_p = 0 when additive but at a
+    prime of a ``delta D`` character (:meth:`ReductionData.coeffs`).
     """
     from .localfactor import LocalFactor
 
