@@ -42,8 +42,7 @@ _HOMES = {
     ),
     **dict.fromkeys(
         ("CompareResult", "EvalResult", "LocalData", "LObject", "compare_coeffwise",
-         "dirichlet_coeffs", "eval_partial", "gl2_object", "local_data", "sym3_object",
-         "tensor_object"),
+         "dirichlet_coeffs", "eval_partial", "gl2_object", "local_data", "spin_object"),
         "lseries",
     ),
     **dict.fromkeys(

@@ -98,12 +98,6 @@ def _load_char(args, required: bool = True):
     return AntiCycChar(ImagQuadField(d), m)
 
 
-def _require_prime(value: int, flag: str) -> int:
-    if not is_prime(value):
-        raise InputError(f"{flag} must be prime, got {value}")
-    return value
-
-
 def _require_pmax(pmax: int) -> int:
     if pmax < 2:
         raise InputError(f"--pmax must be at least 2, got {pmax}")
@@ -112,7 +106,9 @@ def _require_pmax(pmax: int) -> int:
 
 def _primes_from(args) -> list[int]:
     if getattr(args, "p", None) is not None:
-        return [_require_prime(args.p, "--p")]
+        if not is_prime(args.p):
+            raise InputError(f"--p must be prime, got {args.p}")
+        return [args.p]
     if getattr(args, "pmax", None) is not None:
         return primes_upto(_require_pmax(args.pmax))
     raise InputError("give --p or --pmax")
@@ -234,15 +230,15 @@ def _cmd_predict(args) -> int:
 
 
 def _build_object(args):
-    from .lseries import gl2_object, sym3_object, tensor_object
+    from .lseries import gl2_object, spin_object
 
     source = _load_source(args)
     if args.transfer == "tensor":
-        return tensor_object(source, _load_char(args), args.X)
+        return spin_object(source, _load_char(args), args.X)
     if args.D is not None or args.m is not None:
         raise InputError(f"--D and --m apply only to --transfer tensor, not {args.transfer}")
     if args.transfer == "sym3":
-        return sym3_object(source, args.X)
+        return spin_object(source, None, args.X)
     return gl2_object(source, args.X)
 
 
@@ -395,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    # a factor may have more than 4300 digits; before Python 3.10.7 int and str have no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if args.format == "csv" and args.command in ("predict", "eval"):
             raise InputError(f"--format csv is not supported by {args.command}; use text or json")
@@ -402,12 +402,12 @@ def main(argv: list[str] | None = None) -> int:
     except NotSymplecticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SiegelLiftError as exc:
+    except (SiegelLiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _observed() -> bool:

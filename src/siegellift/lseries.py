@@ -10,7 +10,7 @@ module loads ``heckechar`` only when it builds a factor with a character.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from ._primes import primes_upto
 from ._record import Record, Value
@@ -71,13 +71,22 @@ def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
         skip = f"skipped ({red.regime} reduction)"
     else:
         skip = _RAMIFIED if ramified else ""
-    ind = None
-    if chi is not None:
-        from .heckechar import induced_factor
+    ind = _induced(chi)(p)
+    return LocalData(p, ramified, eta, ind, _spin(p, eta.coeffs, ind, 4, _spin_weight(source, chi)), skip)
 
-        ind = induced_factor(chi, p)
-    weight = 3 * eta.weight if ind is None else eta.weight + ind.weight
-    return LocalData(p, ramified, eta, ind, _spin(p, eta.coeffs, ind, 4, weight), skip)
+
+def _induced(chi: Optional[AntiCycChar]) -> Callable[[int], Optional[LocalFactor]]:
+    """p -> Ind chi_p, or p -> None without chi."""
+    if chi is None:
+        return lambda p: None
+    from .heckechar import induced_factor
+
+    return lambda p: induced_factor(chi, p)
+
+
+def _spin_weight(source: Source, chi: Optional[AntiCycChar]) -> int:
+    """The weight of the spin factor: 3(k-1), or k-1+2m with chi."""
+    return 3 * (source.weight - 1) if chi is None else source.weight - 1 + chi.weight
 
 
 def _spin(
@@ -101,7 +110,7 @@ def _spin(
 class LObject(Record):
     """Finite-support model of an Euler product: factors at finitely many
     primes, all of the object's weight, and its ``degree``, which a factor
-    cut short (:func:`sym3_object`) or missing does not change; without one
+    cut short (:func:`spin_object`) or missing does not change; without one
     given, the largest factor's (1 if none)."""
 
     __slots__ = ("label", "weight", "factors", "degree")
@@ -200,8 +209,13 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
     coeffs = dirichlet_coeffs(obj, bound)
     value = 0.0
     for n in range(1, bound + 1):
-        if coeffs[n] != 0:
-            value += float(coeffs[n]) * float(n) ** (-float(s))
+        c = coeffs[n]
+        if c != 0:
+            try:
+                value += float(c) * float(n) ** (-float(s))
+            except OverflowError:  # a_n beyond the float range, a_n n^(-s) need not be
+                term = math.exp(math.log(abs(c)) - float(s) * math.log(n))
+                value += term if c > 0 else -term
     d = obj.degree
     log_x = math.log(bound)
     tail = 0.0
@@ -221,42 +235,27 @@ def gl2_object(source: Source, pmax: int) -> LObject:
     return LObject(_source_label(source), source.weight - 1, factors, degree=2)
 
 
-def sym3_object(source: Source, pmax: int) -> LObject:
-    """Symmetric-cube Euler product (degree 4) for the Dirichlet series to
-    ``pmax``; multiplicative primes carry the Steinberg line 1 - a_p T,
-    additive primes the trivial factor.  The factor at p stops after c_e,
-    p^e <= pmax: all that ``dirichlet_coeffs(obj, pmax)`` reads, and only
-    c_1 above sqrt(pmax)."""
-    weight = 3 * (source.weight - 1)
-    factors = {}
-    for p in primes_upto(pmax):  # the spin has degree 4
-        eta = reduction_at(source, p).coeffs(source)
-        factors[p] = _spin(p, eta, None, min(_exponent(p, pmax), 4), weight)
-    return LObject(f"sym3({_source_label(source)})", weight, factors, degree=4)
+def spin_object(source: Source, chi: Optional[AntiCycChar], pmax: int) -> LObject:
+    """Spin Euler product (degree 4) for the Dirichlet series to ``pmax``:
+    Sym^3 eta without ``chi``, eta x Ind chi_p with it, the factor of
+    :func:`local_data` at every p, bad and ramified ones included.  The
+    factor at p stops after c_e, p^e <= pmax: all that
+    ``dirichlet_coeffs(obj, pmax)`` reads, and only c_1 above sqrt(pmax).
 
-
-def tensor_object(source: Source, chi: AntiCycChar, pmax: int) -> LObject:
-    """Tensor Euler product (degree 4) for the Dirichlet series to ``pmax``,
-    its factors cut as in :func:`sym3_object`.  At a bad or ramified prime
-    the factor is still eta x Ind chi_p: Ind chi_p with T -> a_p T at p | N,
-    eta with T -> chi(pi) T at p | D, the product of the two degree-1 lines
-    at p | gcd(N, D).
-
-    The tensor's power sums are s_k(eta) s_k(Ind chi_p), so where those of
-    Ind chi_p that the cut factor reads are all zero, it is built from zeros
-    and eta is never formed: at every inert p above sqrt(pmax), where
+    With ``chi`` the power sums are s_k(eta) s_k(Ind chi_p), so where those
+    of Ind chi_p that the cut factor reads are all zero, it is built from
+    zeros and eta is never formed: at every inert p above sqrt(pmax), where
     c_1 = -a_p tr(Ind chi_p) and the trace is 0, no points are counted.
     Every check that :func:`reduction_at` makes at p still runs there
     (:func:`checked_regime`), in the same order of primes."""
-    from .heckechar import induced_factor
-
-    weight = source.weight - 1 + chi.weight
+    weight, induced = _spin_weight(source, chi), _induced(chi)
     factors = {}
     for p in primes_upto(pmax):
-        depth, ind = min(_exponent(p, pmax), 4), induced_factor(chi, p)  # the spin has degree 4
-        if any(power_sums(ind, depth)):
+        depth, ind = min(_exponent(p, pmax), 4), induced(p)  # the spin has degree 4
+        if ind is None or any(power_sums(ind, depth)):
             factors[p] = _spin(p, reduction_at(source, p).coeffs(source), ind, depth, weight)
         else:
             checked_regime(source, p)
             factors[p] = from_power_sums(p, depth, (0,) * depth, weight)
-    return LObject(f"{_source_label(source)} x chi", weight, factors, degree=4)
+    label = f"sym3({_source_label(source)})" if chi is None else f"{_source_label(source)} x chi"
+    return LObject(label, weight, factors, degree=4)

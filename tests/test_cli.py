@@ -12,7 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from siegellift import AntiCycChar, ImagQuadField, cli, dirichlet_coeffs, induced_factor, sym3_object
+from siegellift import (
+    AntiCycChar,
+    ImagQuadField,
+    char_value,
+    cli,
+    dirichlet_coeffs,
+    induced_factor,
+    prime_above,
+    spin_object,
+)
 from siegellift.cli import main
 from siegellift.modform import CurveData
 from siegellift.predictor import Identity
@@ -133,7 +142,7 @@ def test_lcoeffs_csv(capsys):
     assert lines[0] == "n,a_n"
     assert len(lines) == 101
     # mirror against the library
-    coeffs = dirichlet_coeffs(sym3_object(CurveData(0, -1, 1, 0, 0, conductor=11), 100), 100)
+    coeffs = dirichlet_coeffs(spin_object(CurveData(0, -1, 1, 0, 0, conductor=11), None, 100), 100)
     for row in lines[1:]:
         n, an = row.split(",")
         assert str(coeffs[int(n)]) == an
@@ -182,6 +191,53 @@ def test_eval_tail_estimate_at_one_term(capsys, transfer, s, tail):
     code, out, _ = run(capsys, "eval", "--curve", CURVE, "--transfer", *transfer, "--X", "1", "-s", s)
     assert code == 0
     assert out == f"sum of 1 terms at s={s}: 1  (tail estimate {tail})\n"
+
+
+#: Ind chi_2 of chi(-7, 10000): its c_2 = 2^20000 has more digits than an
+#: int converts to str under the interpreter's default limit (4 300)
+LONG_FACTOR = ["induce", "--D", "-7", "--m", "10000", "--p", "2"]
+#: weight 411: 67 of the a_n to 211 are beyond the float range, a_n n^-300 is not
+PAST_FLOAT = ["eval", "--eigenfile", str(Path(__file__).parent / "data" / "delta_weight12.txt"),
+              "--D", "-4", "--m", "200", "--transfer", "tensor", "--X", "211", "-s", "300"]
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+
+
+def _digits(n: int) -> str:
+    """str(n), past the interpreter's limit on the digits converted."""
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_induce_prints_more_digits_than_str_converts(capsys, fmt):
+    limit = _digit_limit()
+    code, out, err = run(capsys, *LONG_FACTOR, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert _digit_limit() == limit  # main restores it
+    field = ImagQuadField(-7)
+    c1 = -char_value(AntiCycChar(field, 10000), prime_above(field, 2)).trace()
+    c2 = _digits(2**20000)
+    assert len(c2) > 4300
+    if fmt == "json":
+        assert json.loads(out)["2"]["coeffs"] == ["1", _digits(c1), c2]
+    else:
+        sign = "-" if c1 < 0 else "+"
+        assert out == f"p=2: 1 {sign} {_digits(abs(c1))}*T + {c2}*T^2  (weight 20000)\n"
+
+
+def test_eval_sums_coefficients_past_the_float_range(capsys):
+    code, out, err = run(capsys, *PAST_FLOAT)
+    assert (code, err) == (0, "")
+    assert out.startswith("sum of 211 terms at s=300: 1  (tail estimate ")
 
 
 @pytest.mark.parametrize(
@@ -717,8 +773,10 @@ def in_child(*args, stdout=subprocess.PIPE):
           "--pmax", "7"], 1),
         (["ap", "--p", "5"], 2),
         (["ap", "--curve", CURVE, "--bogus"], 2),
+        (LONG_FACTOR, 0),
+        (PAST_FLOAT, 0),
     ],
-    ids=["ok", "fail", "input-error", "usage-error"],
+    ids=["ok", "fail", "input-error", "usage-error", "long-factor", "past-float"],
 )
 def test_process_matches_main(capsys, tmp_path, argv, code):
     path = tmp_path / "corrupt.txt"

@@ -171,6 +171,22 @@ def test_induced_factor_against_char_value(d):
             assert induced_factor(chi, p).coeffs == want, (d, m, p)
 
 
+@pytest.mark.parametrize("d", SUPPORTED_DISCRIMINANTS)
+def test_delta_table_matches_induced_factor(d):
+    # the CM form of chi as a `delta D` table (weight 2m+1, level |D|, a_p
+    # the trace of Ind chi_p) has Ind chi_p as its factor at every p, the
+    # ramified ones included; a Ramanujan warning would fail the test
+    K = ImagQuadField(d)
+    ms = [m for m in range(1, 7) if not ((d == -4 and m % 2) or (d == -3 and m % 3))][:2]
+    for m in ms:
+        chi = AntiCycChar(K, m)
+        induced = {p: induced_factor(chi, p) for p in primes_upto(500)}
+        eigenvalues = {p: -f.coeffs[1] for p, f in induced.items()}
+        table = NewformData(2 * m + 1, -d, CharacterKind.DELTA, d, eigenvalues)
+        for p, f in induced.items():
+            assert local_factor_gl2(table, p) == f, (d, m, p)
+
+
 def test_char_square_examples(chi_gauss):
     chi2 = char_square(chi_gauss)
     assert chi2.m == 4 and chi2.weight == 8

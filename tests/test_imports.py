@@ -132,7 +132,7 @@ EXPORTED = {
     "modform": "CurveData NewformData ReductionData ReductionKind ap_good local_factor_gl2 "
                "parse_eigenfile point_count reduction_bad",
     "lseries": "CompareResult EvalResult LocalData LObject compare_coeffwise dirichlet_coeffs "
-               "eval_partial gl2_object local_data sym3_object tensor_object",
+               "eval_partial gl2_object local_data spin_object",
     "predictor": "Identity LevelRule ReportEntry SiegelPrediction Status VerifyReport "
                  "degree5_factor identity_report lambda2_sym3_objects level predict_siegel "
                  "verify_identity",

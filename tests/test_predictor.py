@@ -4,6 +4,8 @@ Dirichlet expansion."""
 import math
 import pickle
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -36,9 +38,8 @@ from siegellift import (
     local_factor_gl2,
     plethysm,
     predict_siegel,
-    sym3_object,
+    spin_object,
     tate_factor,
-    tensor_object,
     verify_identity,
 )
 from siegellift.errors import (
@@ -304,7 +305,7 @@ def test_dirichlet_zeta():
 
 
 def test_dirichlet_sym3(curve_11a3):
-    obj = sym3_object(curve_11a3, 4)
+    obj = spin_object(curve_11a3, None, 4)
     a = dirichlet_coeffs(obj, 4)
     # 1/(1 + 64 T^4) has no T or T^2 term; a_3 = -(c_1 of the p=3 factor)
     assert a[1] == 1 and a[2] == 0 and a[4] == 0
@@ -411,6 +412,17 @@ def test_eval_self_consistency(curve_11a3):
         eval_partial(obj, 1.5, 100)  # boundary s = w/2 + 1 excluded
 
 
+@pytest.mark.parametrize("s", [300, 210])
+def test_eval_past_the_float_range(delta_form, s):
+    # weight 411: some a_n of delta x chi(-4, 200) overflow a float, their
+    # terms a_n n^(-s) do not
+    obj = spin_object(delta_form, AntiCycChar(ImagQuadField(-4), 200), 211)
+    coeffs = dirichlet_coeffs(obj, 211)
+    assert sum(abs(c) > sys.float_info.max for c in coeffs) == 67
+    exact = float(sum(Fraction(c, n**s) for n, c in enumerate(coeffs) if c))
+    assert eval_partial(obj, s, 211).value == pytest.approx(exact, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue cross-check
 
@@ -477,10 +489,6 @@ _SKIPPED = {
 _NAMES = ["11a3", "delta", "additive, no conductor", *_SKIPPED]
 
 
-def _object(source, chi, bound):
-    return sym3_object(source, bound) if chi is None else tensor_object(source, chi, bound)
-
-
 def _assert_cut(obj, whole, bound):
     """obj's factor at p is whole[p] (the spin factor of local_data) cut
     after c_e, p^e <= bound (at most c_4)."""
@@ -510,7 +518,7 @@ def test_consumers_agree(delta_form, name):
             predict_siegel(source, chi, pmax=pmax)
     else:
         assert predict_siegel(source, chi, pmax=pmax).spin_factors == whole
-    _assert_cut(_object(source, chi, pmax), whole, pmax)
+    _assert_cut(spin_object(source, chi, pmax), whole, pmax)
     if chi is None:
         assert whole == {p: plethysm(etas[p], Functor.SYM3) for p in primes}
         lhs, rhs = lambda2_sym3_objects(source, pmax)
@@ -571,7 +579,7 @@ def test_truncated_objects_match_whole_factors(delta_form, name):
     leaves no factor."""
     source, chi = _sources(delta_form)[name]
     for bound in (1, 2, 10, 30, 211):
-        cut = _object(source, chi, bound)
+        cut = spin_object(source, chi, bound)
         spins = {p: local_data(source, chi, p).spin for p in primes_upto(bound)}
         _assert_cut(cut, spins, bound)
         whole = LObject("", cut.weight, spins, degree=4)
@@ -588,7 +596,7 @@ def test_tensor_object_splits_each_prime_once(monkeypatch):
     split = heckechar.splitting
     monkeypatch.setattr(heckechar, "splitting", lambda field, p: calls.append(p) or split(field, p))
     curve_43a1 = CurveData(0, 1, 1, 0, 0, conductor=43)
-    tensor_object(curve_43a1, AntiCycChar(ImagQuadField(-163), 2), 5000)
+    spin_object(curve_43a1, AntiCycChar(ImagQuadField(-163), 2), 5000)
     assert len(calls) == 669 and calls == primes_upto(5000)
 
 
@@ -598,12 +606,12 @@ def test_tensor_object_counts_points_only_where_the_cut_factor_reads_a_p(monkeyp
     counted = []
     count = modform._ap_good_cached
     monkeypatch.setattr(modform, "_ap_good_cached", lambda curve, p: counted.append(p) or count(curve, p))
-    tensor_object(CurveData(0, -1, 1, 0, 0, conductor=11), AntiCycChar(ImagQuadField(-4), 2), 5000)
+    spin_object(CurveData(0, -1, 1, 0, 0, conductor=11), AntiCycChar(ImagQuadField(-4), 2), 5000)
     assert counted == [p for p in primes_upto(5000) if p != 11 and (p % 4 != 3 or p * p <= 5000)]
 
 
-@pytest.mark.parametrize("build", [lambda form: sym3_object(form, 2),
-                                   lambda form: tensor_object(form, AntiCycChar(ImagQuadField(-4), 2), 2)],
+@pytest.mark.parametrize("build", [lambda form: spin_object(form, None, 2),
+                                   lambda form: spin_object(form, AntiCycChar(ImagQuadField(-4), 2), 2)],
                          ids=["sym3", "tensor"])
 def test_builders_refuse_a_float_eigenvalue(build):
     # a table built in code may hold a float a_p; the builders reject it as

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from siegellift import CurveData, sym3_object
+from siegellift import CurveData, spin_object
 from siegellift import _primes
 from siegellift._primes import factorize, is_prime, primes_upto, sqrt_mod
 
@@ -86,7 +86,7 @@ def test_sieve_answers_the_builders_primes(monkeypatch):
     runs = []
     miller_rabin = _primes._is_prime
     monkeypatch.setattr(_primes, "_is_prime", lambda n: runs.append(n) or miller_rabin(n))
-    sym3_object(CurveData(0, -1, 1, 0, 0), 5000)  # 11a3, 669 primes
+    spin_object(CurveData(0, -1, 1, 0, 0), None, 5000)  # 11a3, 669 primes
     assert runs == []
     assert is_prime(10007) and runs == [10007]  # past the sieve: Miller-Rabin
 
