@@ -234,12 +234,6 @@ def test_induce_prints_more_digits_than_str_converts(capsys, fmt):
         assert out == f"p=2: 1 {sign} {_digits(abs(c1))}*T + {c2}*T^2  (weight 20000)\n"
 
 
-def test_eval_sums_coefficients_past_the_float_range(capsys):
-    code, out, err = run(capsys, *PAST_FLOAT)
-    assert (code, err) == (0, "")
-    assert out.startswith("sum of 211 terms at s=300: 1  (tail estimate ")
-
-
 @pytest.mark.parametrize(
     "curve",
     [CURVE + ",11", '{"a": [0, -1, 1, 0, 0], "conductor": 11}'],
