@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from ._primes import is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
@@ -395,19 +396,21 @@ def main(argv: list[str] | None = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
-    try:
-        if args.format == "csv" and args.command in ("predict", "eval"):
-            raise InputError(f"--format csv is not supported by {args.command}; use text or json")
-        return args.func(args)
-    except NotSymplecticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SiegelLiftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with warnings.catch_warnings():  # a warning is one line, without warn's line of source
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.format == "csv" and args.command in ("predict", "eval"):
+                raise InputError(f"--format csv is not supported by {args.command}; use text or json")
+            return args.func(args)
+        except NotSymplecticError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (SiegelLiftError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def _observed() -> bool:

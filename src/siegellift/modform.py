@@ -26,9 +26,10 @@ The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D (a negative
 fundamental discriminant; any other D is refused); it is the (D/p) in the
 T^2 coefficient of a good prime's factor.  Its conductor |D| must divide
-the level, and as (D/-1) = -1 the weight must be odd.  At p | D the factor
-is 1 - a_p T whatever the exponent of p in the level, with |a_p|^2 =
-p^(k-1) when the level and D have the same p-part and a_p = 0 otherwise.
+the level.  As -I in Gamma_0(N) gives f = chi(-1) (-1)^k f, the weight must
+be even for ``trivial`` and odd for ``delta D``, as (D/-1) = -1.  At p | D
+the factor is 1 - a_p T whatever the exponent of p in the level, with
+|a_p|^2 = p^(k-1) when the level and D have the same p-part, else a_p = 0.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
 table): its label, its conductor N with the one factorization a prediction
@@ -70,11 +71,6 @@ class ReductionKind(Enum):
     SPLIT_MULT = "split multiplicative"
     NONSPLIT_MULT = "nonsplit multiplicative"
     ADDITIVE = "additive"
-
-
-class CharacterKind(Enum):
-    TRIVIAL = "trivial"
-    DELTA = "delta"
 
 
 class CurveData(Value):
@@ -158,43 +154,44 @@ class ReductionData(Record):
         c2 = 0
         if self.kind is ReductionKind.GOOD:
             c2 = p ** (k - 1)
-            if isinstance(source, NewformData) and source.character is CharacterKind.DELTA:
-                c2 *= kronecker_at_prime(source.character_disc, p)
+            if isinstance(source, NewformData) and source.character is not None:
+                c2 *= kronecker_at_prime(source.character, p)
         return (1, -self.ap, c2)
 
 
 class NewformData(Record):
-    __slots__ = ("weight", "level", "character", "character_disc", "eigenvalues")
+    """A newform's eigenvalue table; ``character`` is the D of ``delta D``,
+    or None for ``trivial``, and fixes the parity of the weight."""
+
+    __slots__ = ("weight", "level", "character", "eigenvalues")
 
     def __init__(
         self,
         weight: int,
         level: int,
-        character: CharacterKind = CharacterKind.TRIVIAL,
-        character_disc: Optional[int] = None,
+        character: Optional[int] = None,
         eigenvalues: Optional[Dict[int, int]] = None,
     ):
         if weight < 2:
             raise InputError(f"newform weight must be >= 2, got {weight}")
         if level < 1:
             raise InputError(f"newform level must be positive, got {level}")
-        if character is CharacterKind.DELTA:
-            _check_delta(weight, level, character_disc)
+        if character is not None:
+            _check_delta(weight, level, character)
+        elif weight % 2:
+            raise EigenfileError(f"character trivial is even, so the weight must be even, got {weight}")
         self.weight = weight
         self.level = level
         self.character = character
-        self.character_disc = character_disc
         self.eigenvalues = {} if eigenvalues is None else eigenvalues
         for p, ap in self.eigenvalues.items():
             _warn_ramanujan(p, ap, weight, level)
 
 
-def _check_delta(weight: int, level: int, disc: Optional[int]) -> None:
+def _check_delta(weight: int, level: int, disc: int) -> None:
     """D is the discriminant of an imaginary quadratic field, and a newform
     with the character (D/.) has a level that its conductor |D| divides,
     and (-1)^k = (D/-1) = -1: odd weight."""
-    if disc is None:
-        raise InputError("delta character needs a declared discriminant")
     if not _is_imaginary_discriminant(disc):
         raise EigenfileError(
             f"character delta {disc}: {disc} is not the discriminant of an "
@@ -469,9 +466,9 @@ def checked_regime(source: Source, p: int) -> str:
         raise InputError(f"unsupported source {type(source).__name__}")
     n, table, k = source.level, source.eigenvalues, source.weight
     regime = _regime_at(n, p)
-    if source.character is CharacterKind.DELTA and source.character_disc % p == 0:
+    if source.character is not None and source.character % p == 0:
         # |D| divides N, so the two have the same p-part when p does not divide N/|D|
-        want = p ** (k - 1) if n // -source.character_disc % p else 0
+        want = p ** (k - 1) if n // -source.character % p else 0
     elif regime == "good":
         want = None
     else:
@@ -576,8 +573,8 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
         eigenvalues[p] = ap
     if header is None:
         raise EigenfileError("missing header line 'weight <k> level <N> character <...>'")
-    k, level, character, disc = header
-    return NewformData(k, level, character, disc, eigenvalues)
+    k, level, character = header
+    return NewformData(k, level, character, eigenvalues)
 
 
 def _parse_header(line: str, lineno: int):
@@ -591,10 +588,10 @@ def _parse_header(line: str, lineno: int):
     except ValueError:
         raise EigenfileError(f"line {lineno}: non-integer weight/level") from None
     if parts[5] == "trivial" and len(parts) == 6:
-        return k, level, CharacterKind.TRIVIAL, None
+        return k, level, None
     if parts[5] == "delta" and len(parts) == 7:
         try:
-            return k, level, CharacterKind.DELTA, int(parts[6])
+            return k, level, int(parts[6])
         except ValueError:
             raise EigenfileError(f"line {lineno}: bad delta discriminant") from None
     raise EigenfileError(f"line {lineno}: bad character clause {' '.join(parts[4:])!r}")

@@ -47,7 +47,7 @@ from .localfactor import (
     tate_twist,
 )
 from .lseries import _RAMIFIED, LObject, LocalData, local_data
-from .modform import CharacterKind, CurveData, Factors, NewformData, Source, reduction_at
+from .modform import CurveData, Factors, NewformData, Source, reduction_at
 from .modform import _conductor, _source_label
 
 if TYPE_CHECKING:  # archimedean and heckechar load only where a bundle or a character needs them
@@ -224,9 +224,9 @@ def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -
 
 def _require_trivial_character(source: Optional[Source], what: str) -> None:
     """sym3-ext2 and tensor-ext2 are stated for det = p^(k-1) at good p."""
-    if isinstance(source, NewformData) and source.character is not CharacterKind.TRIVIAL:
+    if isinstance(source, NewformData) and source.character is not None:
         raise InputError(
-            f"{what} needs a trivial character, the table declares delta {source.character_disc}"
+            f"{what} needs a trivial character, the table declares delta {source.character}"
         )
 
 
@@ -455,10 +455,9 @@ def predict_siegel(
 
     k = source.weight
     conductor, factors = _conductor(source)
-    character = source.character if isinstance(source, NewformData) else CharacterKind.TRIVIAL
     notes: List[str] = []
     if chi is None:
-        if k % 2 != 0 or character is not CharacterKind.TRIVIAL:
+        if k % 2 != 0:
             raise InputError("symmetric-cube transfer needs even weight and trivial character")
         transfer, identity = "sym3", Identity.SYM3_EXT2
         m_level = _sym3_level(conductor, factors)
@@ -469,8 +468,6 @@ def predict_siegel(
             raise ParityError(
                 f"newform weight {k} and character weight {chi.weight} have opposite parity"
             )
-        if character is not CharacterKind.TRIVIAL:
-            raise InputError("even-weight tensor transfer needs a trivial character")
         from .heckechar import conductor_ind
 
         transfer, identity = "tensor", Identity.TENSOR_EXT2

@@ -441,6 +441,9 @@ def test_delta_table_factor(capsys, eta7_path):
         # (-7/.) is odd, so no newform of even weight carries it
         ("weight 2 level 7 character delta -7\n2 1\n", "2",
          "character delta -7 is odd, so the weight must be odd, got 2"),
+        # the trivial character is even, so no newform of odd weight carries it
+        ("weight 3 level 11 character trivial\n2 1\n3 2\n5 -1\n7 3\n11 1\n", "7",
+         "character trivial is even, so the weight must be even, got 3"),
         # (-1/.) agrees with (-4/.) at odd primes; factor printed p=2: 1 - 4*T^2 and exited 0
         ("weight 3 level 1 character delta -1\n2 0\n3 0\n5 2\n", "5",
          "character delta -1: -1 is not the discriminant of an imaginary quadratic field"),
@@ -458,7 +461,7 @@ def test_delta_table_factor(capsys, eta7_path):
         ("weight 5 level 8 character delta -4\n2 -4\n", "2",
          "a_2 = -4 contradicts the level 8: a_p^2 must be 0"),
     ],
-    ids=["level", "weight", "discriminant-1", "discriminant5", "discriminant-12",
+    ids=["level", "weight", "trivial-weight", "discriminant-1", "discriminant5", "discriminant-12",
          "ramified-size", "ramified-missing", "ramified-zero"],
 )
 def test_delta_table_that_contradicts_itself_is_rejected(capsys, tmp_path, table, pmax, message):
@@ -779,6 +782,18 @@ def test_process_matches_main(capsys, tmp_path, argv, code):
     expected = in_process(capsys, argv)
     assert expected[0] == code
     assert in_child("-m", "siegellift.cli", *argv) == expected
+
+
+def test_warning_is_one_stderr_line(tmp_path):
+    # warn's own format printed the file:line of modform and a line of its source
+    path = tmp_path / "ram.txt"
+    path.write_text("weight 2 level 11 character trivial\n3 100\n")
+    argv = ["-m", "siegellift.cli", "factor", "--eigenfile", str(path), "--p", "3"]
+    warning = "a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2"
+    out = "p=3: 1 - 100*T + 3*T^2  (weight 1)\n"
+    assert in_child(*argv) == (0, out, f"warning: {warning}\n")
+    code, out, err = in_child("-W", "error", *argv)  # the user's filters still apply
+    assert (code, out) == (1, "") and err.endswith(f"RamanujanBoundWarning: {warning}\n")
 
 
 def test_process_writes_out_file_whole(capsys, tmp_path):

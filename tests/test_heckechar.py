@@ -25,7 +25,7 @@ from siegellift import (
 )
 from siegellift.errors import UnitCompatibilityError, UnsupportedFieldError
 from siegellift.heckechar import SUPPORTED_DISCRIMINANTS
-from siegellift.modform import CharacterKind, NewformData, local_factor_gl2
+from siegellift.modform import NewformData, local_factor_gl2
 from siegellift._primes import primes_upto
 
 
@@ -182,7 +182,7 @@ def test_delta_table_matches_induced_factor(d):
         chi = AntiCycChar(K, m)
         induced = {p: induced_factor(chi, p) for p in primes_upto(500)}
         eigenvalues = {p: -f.coeffs[1] for p, f in induced.items()}
-        table = NewformData(2 * m + 1, -d, CharacterKind.DELTA, d, eigenvalues)
+        table = NewformData(2 * m + 1, -d, d, eigenvalues)
         for p, f in induced.items():
             assert local_factor_gl2(table, p) == f, (d, m, p)
 
@@ -238,7 +238,7 @@ def test_cm_table_of_chi_gives_the_induced_factor(D, m):
     at every p, the ramified primes (|a_p| = p^m) included."""
     chi = AntiCycChar(ImagQuadField(D), m)
     induced = {p: induced_factor(chi, p) for p in primes_upto(500)}
-    table = NewformData(2 * m + 1, -D, CharacterKind.DELTA, D, {p: -f.coeffs[1] for p, f in induced.items()})
+    table = NewformData(2 * m + 1, -D, D, {p: -f.coeffs[1] for p, f in induced.items()})
     assert {p: local_factor_gl2(table, p) for p in induced} == induced
 
 

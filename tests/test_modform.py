@@ -27,7 +27,6 @@ from siegellift.errors import (
 )
 from siegellift.modform import (
     _BSGS_MIN_P,
-    CharacterKind,
     NewformData,
     RamanujanBoundWarning,
     _ap_bsgs,
@@ -332,7 +331,13 @@ def test_ramanujan_warning_channel():
 
 def test_delta_character_header():
     form = parse_eigenfile(io.StringIO("weight 3 level 49 character delta -7\n2 1\n"))
-    assert form.character_disc == -7
+    assert form.character == -7
+
+
+def test_trivial_table_of_odd_weight_is_rejected():
+    # -I in Gamma_0(N) gives f = (-1)^k f: a newform of trivial character has even weight
+    with pytest.raises(EigenfileError, match="^character trivial is even, so the weight must be even, got 3$"):
+        NewformData(3, 11)
 
 
 def test_bad_reduction_matches_point_count():
@@ -434,7 +439,7 @@ def test_newform_square_level_needs_zero_eigenvalue():
 
 def test_delta_character_enters_the_good_factor():
     # eta(z)^3 eta(7z)^3: (-7/2) = 1 and (-7/3) = -1
-    form = NewformData(3, 7, CharacterKind.DELTA, -7, eigenvalues={2: -3, 3: 0, 7: -7})
+    form = NewformData(3, 7, -7, eigenvalues={2: -3, 3: 0, 7: -7})
     assert local_factor_gl2(form, 2).coeffs == (1, 3, 4)
     assert local_factor_gl2(form, 3).coeffs == (1, 0, -9)
     assert local_factor_gl2(form, 7).coeffs == (1, 7, 0)
@@ -443,18 +448,18 @@ def test_delta_character_enters_the_good_factor():
 def test_newform_check_skips_primes_of_the_nebentypus():
     # the delta character of Q(sqrt(-7)) is ramified at 7, where a_7 has
     # absolute value 7^((k-1)/2), not the Steinberg 7^((k-2)/2)
-    form = NewformData(3, 7, CharacterKind.DELTA, -7, eigenvalues={7: -7, 2: 1})
+    form = NewformData(3, 7, -7, eigenvalues={7: -7, 2: 1})
     assert reduction_at(form, 7).ap == -7
     with pytest.raises(EigenfileError, match="a_3"):
-        reduction_at(NewformData(3, 147, CharacterKind.DELTA, -7, eigenvalues={3: 1}), 3)
+        reduction_at(NewformData(3, 147, -7, eigenvalues={3: 1}), 3)
 
 
 def test_newform_at_a_prime_of_the_nebentypus():
     # Miyake, Thm 4.6.17: |a_p|^2 = p^(k-1) where the level and D have the
     # same p-part, else a_p = 0; the factor is 1 - a_p T either way
-    form = NewformData(5, 4, CharacterKind.DELTA, -4, eigenvalues={2: -4})
+    form = NewformData(5, 4, -4, eigenvalues={2: -4})
     red = reduction_at(form, 2)
     assert (red.regime, red.ap, local_factor_gl2(form, 2).coeffs) == ("additive", -4, (1, 4, 0))
-    assert local_factor_gl2(NewformData(3, 49, CharacterKind.DELTA, -7), 7).coeffs == (1, 0, 0)
+    assert local_factor_gl2(NewformData(3, 49, -7), 7).coeffs == (1, 0, 0)
     with pytest.raises(EigenfileError, match="a_7 = 7 .* a_p\\^2 must be 0$"):
-        reduction_at(NewformData(3, 49, CharacterKind.DELTA, -7, eigenvalues={7: 7}), 7)
+        reduction_at(NewformData(3, 49, -7, eigenvalues={7: 7}), 7)

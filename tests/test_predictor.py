@@ -55,7 +55,7 @@ from siegellift import heckechar, modform
 from siegellift.predictor import ap_match_report
 from siegellift._primes import factorize, primes_upto
 from siegellift.lseries import _exponent
-from siegellift.modform import CharacterKind, parse_eigenfile
+from siegellift.modform import parse_eigenfile
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +265,12 @@ def test_predict_tensor(curve_11a3, chi_gauss):
 
 
 def test_predict_parity_gate(curve_11a3):
-    odd_form = NewformData(3, 49)
-    with pytest.raises(InputError):
-        predict_siegel(odd_form)  # odd weight, trivial character: no sym3 path
+    # eta(z)^3 eta(7z)^3: a delta table has odd weight
+    table = NewformData(3, 7, -7, {2: -3, 3: 0, 5: 0, 7: -7})
+    with pytest.raises(InputError, match="symmetric-cube transfer needs even weight"):
+        predict_siegel(table)  # odd weight: no sym3 path
     with pytest.raises(ParityError):
-        predict_siegel(
-            NewformData(3, 5, eigenvalues={2: 1}),
-            chi=AntiCycChar(ImagQuadField(-7), 1),
-            pmax=10,
-        )
+        predict_siegel(table, chi=AntiCycChar(ImagQuadField(-7), 1), pmax=10)
 
 
 def test_predict_unsupported_level():
@@ -377,7 +374,7 @@ def test_lambda2_sym3_cross_check(curve_11a3):
 
 def test_lambda2_sym3_objects_refuse_a_character():
     # the twisted Sym^4 side is stated for det = p^(k-1)
-    table = NewformData(3, 7, CharacterKind.DELTA, -7, {2: -3, 3: 0, 5: 0, 7: -7})
+    table = NewformData(3, 7, -7, {2: -3, 3: 0, 5: 0, 7: -7})
     with pytest.raises(InputError, match="trivial character"):
         lambda2_sym3_objects(table, 5)
 

@@ -32,7 +32,6 @@ from siegellift import (
     VerifyReport,
 )
 from siegellift.localfactor import PurityReport
-from siegellift.modform import CharacterKind
 
 
 def test_cli_import_leaves_out_dataclasses():
@@ -68,7 +67,7 @@ RECORDS = {
     "PurityReport": lambda: PurityReport(False, 1, 2),
     "CurveData": lambda: CurveData(0, -1, 1, 0, 0, conductor=11),
     "ReductionData": lambda: ReductionData(11, ReductionKind.SPLIT_MULT, 1),
-    "NewformData": lambda: NewformData(12, 1, CharacterKind.TRIVIAL, None, {2: -24}),
+    "NewformData": lambda: NewformData(12, 1, None, {2: -24}),
     "ReportEntry": lambda: ReportEntry(5, "sym3-ext2", Status.FAIL, "exact mismatch", _factor(), None),
     "VerifyReport": _report,
     "LocalData": lambda: LocalData(5, False, _factor(), None, _factor(), ""),
