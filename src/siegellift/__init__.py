@@ -16,8 +16,8 @@ import importlib
 #: Exported name -> the module that defines it.
 _HOMES = {
     **dict.fromkeys(
-        ("ArchParam", "Classification", "SiegelKind", "classify", "ext2_arch", "from_newform",
-         "sym3_arch", "tensor_arch"),
+        ("ArchParam", "Classification", "SiegelKind", "classify", "from_newform", "sym3_arch",
+         "tensor_arch"),
         "archimedean",
     ),
     **dict.fromkeys(
@@ -27,7 +27,7 @@ _HOMES = {
     ),
     **dict.fromkeys(
         ("AntiCycChar", "ImagQuadField", "QuadInt", "Splitting", "char_square", "char_value",
-         "conductor_ind", "induced_factor", "prime_above", "restriction_char", "splitting"),
+         "conductor_ind", "induced_factor", "prime_above", "splitting"),
         "heckechar",
     ),
     **dict.fromkeys(

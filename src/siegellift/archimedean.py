@@ -19,7 +19,7 @@ b = 1 (and a odd), vector-valued with raw exponent pair (a, b) otherwise.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from ._record import Record, Value, _set
 from .errors import DegreeError, InputError, NonRegularError
@@ -74,11 +74,6 @@ class Classification(Record):
         return None
 
 
-class Ext2Arch(NamedTuple):
-    pair: ArchParam
-    trivial_summands: int
-
-
 def from_newform(k: int) -> ArchParam:
     """Parameter {k-1} of a holomorphic newform of weight k >= 2."""
     if k < 2:
@@ -106,17 +101,6 @@ def tensor_arch(a: ArchParam, b: ArchParam) -> ArchParam:
     if j == w:
         raise NonRegularError(f"tensor of equal exponents {j} degenerates (zero exponent)")
     return ArchParam((j + w, abs(j - w)), j + w)
-
-
-def ext2_arch(param: ArchParam) -> Ext2Arch:
-    """Exterior square of a size-2 parameter {a, b}, a > b: the induced pair
-    {a+b, a-b} plus one trivial summand (the polarization), doubled weight."""
-    if param.size != 2:
-        raise DegreeError(f"exterior square needs a size-2 parameter, got size {param.size}")
-    a, b = param.exponents
-    if a == b:
-        raise NonRegularError(f"exterior square of repeated exponent {a} degenerates")
-    return Ext2Arch(ArchParam((a + b, a - b), 2 * param.weight), 1)
 
 
 def classify(param: ArchParam) -> Classification:

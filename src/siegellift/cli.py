@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         except NotSymplecticError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (SiegelLiftError, OSError) as exc:
+        except (SiegelLiftError, OSError, Warning) as exc:  # a Warning that a filter raised
             print(f"error: {exc}", file=sys.stderr)
             return 2
         finally:

@@ -58,10 +58,6 @@ class NonRegularError(InputError):
     """Archimedean parameter degenerates (zero or repeated exponent)."""
 
 
-class ParityError(InputError):
-    """Newform weight and character weight of opposite parity."""
-
-
 class UnsupportedLevelError(InputError):
     """No level formula applies to the requested configuration."""
 

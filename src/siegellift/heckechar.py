@@ -57,15 +57,6 @@ class ImagQuadField(Value):
     def _args(self) -> tuple:
         return (self.D,)
 
-    # ring generator w = (D + sqrt(D))/2 has trace D and norm (D^2 - D)/4
-    @property
-    def gen_trace(self) -> int:
-        return self.D
-
-    @property
-    def gen_norm(self) -> int:
-        return (self.D * self.D - self.D) // 4
-
     def element(self, x: int, y: int) -> "QuadInt":
         return QuadInt(self, x, y)
 
@@ -99,10 +90,10 @@ class QuadInt(Value):
 
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._check(other)
-        n, t = self.field.gen_norm, self.field.gen_trace
+        D = self.field.D
+        n = (D * D - D) // 4  # w = (D + sqrt(D))/2 has trace D and norm n: w^2 = D*w - n
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        # w^2 = t*w - n
-        return QuadInt(self.field, x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + t * y1 * y2)
+        return QuadInt(self.field, x1 * x2 - n * y1 * y2, x1 * y2 + x2 * y1 + D * y1 * y2)
 
     def __pow__(self, k: int) -> "QuadInt":
         if k < 0:
@@ -235,18 +226,6 @@ def induced_factor(chi: AntiCycChar, p: int) -> LocalFactor:
 def char_square(chi: AntiCycChar) -> AntiCycChar:
     """chi^2, the character of half-weight 2m (unit-compatible automatically)."""
     return AntiCycChar(chi.field, 2 * chi.m)
-
-
-def restriction_char(chi: AntiCycChar, p: int) -> int:
-    """Arithmetic value at p of the restriction of chi to Q: always p^(2m).
-
-    The unitary restriction is trivial (the w-th power of the quadratic
-    character attached to the field, with w = 2m even); its arithmetic
-    avatar is the Tate value p^(2m).  The same convention is applied at the
-    ramified prime; callers verifying identities skip that prime and flag
-    it in their reports.
-    """
-    return p**chi.weight
 
 
 def conductor_ind(chi: AntiCycChar) -> int:

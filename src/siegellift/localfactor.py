@@ -107,7 +107,9 @@ class LocalFactor(Value):
 
     ``coeffs`` has length degree+1, holds ints only and starts with 1;
     trailing zeros mark a degenerate factor whose honest degree is
-    ``effective_degree``.
+    ``effective_degree``.  ``str`` and ``to_json`` render each coefficient
+    in decimal, so past 4 300 digits the caller lifts
+    ``sys.set_int_max_str_digits`` (only ``cli.main`` does).
     """
 
     # _sums holds the power sums s_1, s_2, ... computed so far; it is

@@ -33,7 +33,6 @@ from .errors import (
     InexactDivisionError,
     InputError,
     NotSymplecticError,
-    ParityError,
     UnsupportedLevelError,
 )
 from .localfactor import (
@@ -171,16 +170,11 @@ def _check_tensor_square(f: LocalFactor, ext2: LocalFactor) -> Tuple[LocalFactor
 
 
 def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
-    # Sym^2(Ind chi) = Ind(chi^2) + restriction of chi, the latter being the
-    # Tate line of arithmetic value p^(2m)
-    from .heckechar import char_square, induced_factor, restriction_char
+    # Sym^2(Ind chi) = Ind(chi^2) + the restriction of chi to Q, whose unitary
+    # part is trivial (2m is even): the Tate line 1 - p^(2m) T
+    from .heckechar import char_square, induced_factor
 
-    chi0 = restriction_char(chi, p)
-    return combine(
-        induced_factor(char_square(chi), p),
-        LocalFactor(p, 2 * chi.weight, (1, -chi0)),
-        CombineMode.SUM,
-    )
+    return combine(induced_factor(char_square(chi), p), tate_factor(p, chi.weight), CombineMode.SUM)
 
 
 def _ext2_sides(
@@ -213,17 +207,26 @@ def _sym2_ind_entry(p: int, ramified: bool, ind: LocalFactor, sym2_ind: LocalFac
     return _compared(Identity.SYM2_IND, p, plethysm(ind, Functor.SYM2), sym2_ind)
 
 
-def _identity_entry(name: Identity, ld: LocalData, chi: Optional[AntiCycChar]) -> ReportEntry:
-    """The row of a source identity at ld.prime, read off the shared record."""
+def _identity_row(
+    name: Identity, p: int, source: Optional[Source], chi: Optional[AntiCycChar]
+) -> ReportEntry:
+    """The row of an identity at p, for inputs already checked; a source
+    identity reads it off the shared record."""
+    if name is Identity.SYM2_IND:
+        from .heckechar import induced_factor
+
+        return _sym2_ind_entry(p, chi.field.D % p == 0, induced_factor(chi, p), _sym2_ind_rhs(chi, p))
+    twist = chi if name is Identity.TENSOR_EXT2 else None
+    ld = local_data(source, twist, p)
     if ld.skip:
-        return ReportEntry(ld.prime, name.value, Status.SKIPPED, ld.skip)
+        return ReportEntry(p, name.value, Status.SKIPPED, ld.skip)
     if name is Identity.TENSOR_SQ:
-        return _compared(name, ld.prime, *_check_tensor_square(ld.eta, plethysm(ld.eta, Functor.EXT2)))
-    return _compared(name, ld.prime, *_ext2_sides(ld, chi))
+        return _compared(name, p, *_check_tensor_square(ld.eta, plethysm(ld.eta, Functor.EXT2)))
+    return _compared(name, p, *_ext2_sides(ld, twist))
 
 
 def _require_trivial_character(source: Optional[Source], what: str) -> None:
-    """sym3-ext2 and tensor-ext2 are stated for det = p^(k-1) at good p."""
+    """The lifts and sym3-ext2, tensor-ext2 are stated for det = p^(k-1) at good p."""
     if isinstance(source, NewformData) and source.character is not None:
         raise InputError(
             f"{what} needs a trivial character, the table declares delta {source.character}"
@@ -231,6 +234,8 @@ def _require_trivial_character(source: Optional[Source], what: str) -> None:
 
 
 def _require_inputs(name: Identity, source: Optional[Source], chi: Optional[AntiCycChar]) -> None:
+    if not isinstance(name, Identity):
+        raise InputError(f"unknown identity {name!r}")
     missing = []
     if source is None and name is not Identity.SYM2_IND:
         missing.append("a curve or newform source")
@@ -257,15 +262,8 @@ def verify_identity(
     """Check one identity at one prime of the source (of chi alone for
     sym2-ind); tensor-square is checked on the degree-2 factor of the
     source.  Failures and skips are report rows."""
-    if not isinstance(name, Identity):
-        raise InputError(f"unknown identity {name!r}")
     _require_inputs(name, source, chi)
-    if name is Identity.SYM2_IND:
-        from .heckechar import induced_factor
-
-        return _sym2_ind_entry(p, chi.field.D % p == 0, induced_factor(chi, p), _sym2_ind_rhs(chi, p))
-    twist = chi if name is Identity.TENSOR_EXT2 else None
-    return _identity_entry(name, local_data(source, twist, p), twist)
+    return _identity_row(name, p, source, chi)
 
 
 def identity_report(
@@ -275,11 +273,9 @@ def identity_report(
     source: Optional[Source] = None,
     chi: Optional[AntiCycChar] = None,
 ) -> VerifyReport:
-    """Run one identity at every prime p <= pmax."""
+    """Run one identity at every prime p <= pmax; the inputs are checked once."""
     _require_inputs(name, source, chi)
-    return VerifyReport(
-        tuple(verify_identity(name, p, source=source, chi=chi) for p in primes_upto(pmax))
-    )
+    return VerifyReport(tuple(_identity_row(name, p, source, chi) for p in primes_upto(pmax)))
 
 
 def ap_match_report(curve: CurveData, newform: NewformData, pmax: Optional[int] = None) -> VerifyReport:
@@ -455,19 +451,14 @@ def predict_siegel(
 
     k = source.weight
     conductor, factors = _conductor(source)
+    _require_trivial_character(source, "predict")
     notes: List[str] = []
     if chi is None:
-        if k % 2 != 0:
-            raise InputError("symmetric-cube transfer needs even weight and trivial character")
         transfer, identity = "sym3", Identity.SYM3_EXT2
         m_level = _sym3_level(conductor, factors)
         once = [p for p, _ in factors]  # M = N is squarefree
         arch = sym3_arch(from_newform(k))
     else:
-        if (k - chi.weight) % 2 != 0:
-            raise ParityError(
-                f"newform weight {k} and character weight {chi.weight} have opposite parity"
-            )
         from .heckechar import conductor_ind
 
         transfer, identity = "tensor", Identity.TENSOR_EXT2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from siegellift import ArchParam, SiegelKind, classify, ext2_arch, from_newform, sym3_arch, tensor_arch
+from siegellift import ArchParam, SiegelKind, classify, from_newform, sym3_arch, tensor_arch
 from siegellift.archimedean import to_json
 from siegellift.errors import DegreeError, InputError, NonRegularError
 
@@ -34,24 +34,6 @@ def test_tensor_symmetric():
     for j, w in [(1, 4), (3, 2), (7, 5)]:
         a, b = ArchParam((j,), j), ArchParam((w,), w)
         assert tensor_arch(a, b) == tensor_arch(b, a)
-
-
-def test_ext2():
-    pair, trivial = ext2_arch(ArchParam((3, 1), 3))
-    assert pair.exponents == (4, 2) and trivial == 1
-    assert pair.weight == 6
-    assert ext2_arch(ArchParam((33, 11), 33)).pair.exponents == (44, 22)
-    with pytest.raises(NonRegularError):
-        ext2_arch(ArchParam((2, 2), 2))
-
-
-def test_ext2_matches_tensor_side():
-    # for size-1 input {j}: ext2(sym3({j})) has exponents {4j, 2j} = {3j+j, 3j-j}
-    for j in range(1, 12):
-        lhs = ext2_arch(sym3_arch(ArchParam((j,), j))).pair.exponents
-        assert lhs == (4 * j, 2 * j)
-        rhs = tensor_arch(ArchParam((3 * j,), 3 * j), ArchParam((j,), j)).exponents
-        assert lhs == rhs
 
 
 def test_classify_examples():

@@ -512,6 +512,14 @@ def test_verify_refuses_a_delta_table(capsys, eta7_path, argv):
     assert err == f"error: {argv[1]} needs a trivial character, the table declares delta -7\n"
 
 
+@pytest.mark.parametrize("argv", [[], ["--D", "-7", "--m", "1"]])
+def test_predict_refuses_a_delta_table(capsys, eta7_path, argv):
+    # the Sym^3 and tensor lifts read the same rule as verify
+    code, out, err = run(capsys, "predict", *argv, "--eigenfile", str(eta7_path), "--pmax", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: predict needs a trivial character, the table declares delta -7\n"
+
+
 @pytest.mark.parametrize("pmax, noted", [("7", False), ("11", True)])
 def test_predict_sym3_note_once_pmax_reaches_the_level(capsys, pmax, noted):
     # the note on the conductor exponent at multiplicative primes needs one p | N up to pmax
@@ -792,8 +800,8 @@ def test_warning_is_one_stderr_line(tmp_path):
     warning = "a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2"
     out = "p=3: 1 - 100*T + 3*T^2  (weight 1)\n"
     assert in_child(*argv) == (0, out, f"warning: {warning}\n")
-    code, out, err = in_child("-W", "error", *argv)  # the user's filters still apply
-    assert (code, out) == (1, "") and err.endswith(f"RamanujanBoundWarning: {warning}\n")
+    # the user's filters still apply; one raised as an error is an input error
+    assert in_child("-W", "error", *argv) == (2, "", f"error: {warning}\n")
 
 
 def test_process_writes_out_file_whole(capsys, tmp_path):

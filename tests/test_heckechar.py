@@ -10,7 +10,6 @@ from siegellift import (
     CombineMode,
     Functor,
     ImagQuadField,
-    LocalFactor,
     Splitting,
     char_square,
     char_value,
@@ -20,8 +19,8 @@ from siegellift import (
     is_selfdual_pure,
     plethysm,
     prime_above,
-    restriction_char,
     splitting,
+    tate_factor,
 )
 from siegellift.errors import UnitCompatibilityError, UnsupportedFieldError
 from siegellift.heckechar import SUPPORTED_DISCRIMINANTS
@@ -223,7 +222,7 @@ def test_sym2_ind_identity(chi_gauss):
         lhs = plethysm(induced_factor(chi_gauss, p), Functor.SYM2)
         rhs = combine(
             induced_factor(char_square(chi_gauss), p),
-            LocalFactor(p, 2 * w, (1, -restriction_char(chi_gauss, p))),
+            tate_factor(p, w),
             CombineMode.SUM,
         )
         assert lhs == rhs
@@ -240,13 +239,6 @@ def test_cm_table_of_chi_gives_the_induced_factor(D, m):
     induced = {p: induced_factor(chi, p) for p in primes_upto(500)}
     table = NewformData(2 * m + 1, -D, D, {p: -f.coeffs[1] for p, f in induced.items()})
     assert {p: local_factor_gl2(table, p) for p in induced} == induced
-
-
-def test_restriction_char(chi_gauss):
-    assert restriction_char(chi_gauss, 5) == 625
-    assert restriction_char(chi_gauss, 3) == 81
-    for p in (3, 5, 7, 13):
-        assert Fraction(restriction_char(chi_gauss, p), p**chi_gauss.weight) == 1
 
 
 def test_conductor_ind():

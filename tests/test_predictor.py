@@ -47,7 +47,6 @@ from siegellift.errors import (
     InputError,
     MissingPrimeError,
     NotSymplecticError,
-    ParityError,
     UnitCompatibilityError,
     UnsupportedLevelError,
 )
@@ -159,6 +158,10 @@ def test_identity_report_needs_inputs_without_primes(curve_11a3, chi_gauss):
     with pytest.raises(InputError):
         identity_report(Identity.TENSOR_EXT2, 1, source=curve_11a3)
     assert identity_report(Identity.SYM2_IND, 1, chi=chi_gauss).entries == ()
+    # the name first: without a source it raised AttributeError, with one it gave an empty report
+    for source in (None, curve_11a3):
+        with pytest.raises(InputError, match="^unknown identity 'bogus'$"):
+            identity_report("bogus", 1, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +267,14 @@ def test_predict_tensor(curve_11a3, chi_gauss):
     assert pred.verification.ok
 
 
-def test_predict_parity_gate(curve_11a3):
-    # eta(z)^3 eta(7z)^3: a delta table has odd weight
+def test_predict_parity_gate():
+    # eta(z)^3 eta(7z)^3: a delta table, refused by verify's trivial-character
+    # rule for both transfers
     table = NewformData(3, 7, -7, {2: -3, 3: 0, 5: 0, 7: -7})
-    with pytest.raises(InputError, match="symmetric-cube transfer needs even weight"):
-        predict_siegel(table)  # odd weight: no sym3 path
-    with pytest.raises(ParityError):
-        predict_siegel(table, chi=AntiCycChar(ImagQuadField(-7), 1), pmax=10)
+    message = "^predict needs a trivial character, the table declares delta -7$"
+    for chi in (None, AntiCycChar(ImagQuadField(-7), 1)):
+        with pytest.raises(InputError, match=message):
+            predict_siegel(table, chi=chi, pmax=10)
 
 
 def test_predict_unsupported_level():
