@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from ._record import Record, Value, _set
-from .errors import DegreeError, InputError, NonRegularError
+from .errors import InputError
 
 
 class ArchParam(Value):
@@ -84,7 +84,7 @@ def from_newform(k: int) -> ArchParam:
 def sym3_arch(param: ArchParam) -> ArchParam:
     """Symmetric cube of a size-1 parameter {j}: {3j, j}, weight 3j."""
     if param.size != 1:
-        raise DegreeError(f"symmetric cube needs a size-1 parameter, got size {param.size}")
+        raise InputError(f"symmetric cube needs a size-1 parameter, got size {param.size}")
     j = param.exponents[0]
     return ArchParam((3 * j, j), 3 * j)
 
@@ -96,10 +96,10 @@ def tensor_arch(a: ArchParam, b: ArchParam) -> ArchParam:
     outside the supported family: rejected.
     """
     if a.size != 1 or b.size != 1:
-        raise DegreeError("tensor needs two size-1 parameters")
+        raise InputError("tensor needs two size-1 parameters")
     j, w = a.exponents[0], b.exponents[0]
     if j == w:
-        raise NonRegularError(f"tensor of equal exponents {j} degenerates (zero exponent)")
+        raise InputError(f"tensor of equal exponents {j} degenerates (zero exponent)")
     return ArchParam((j + w, abs(j - w)), j + w)
 
 

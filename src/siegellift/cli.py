@@ -234,13 +234,14 @@ def _build_object(args):
     from .lseries import gl2_object, spin_object
 
     source = _load_source(args)
-    if args.transfer == "tensor":
-        return spin_object(source, _load_char(args), args.X)
-    if args.D is not None or args.m is not None:
+    if args.transfer != "tensor" and (args.D is not None or args.m is not None):
         raise InputError(f"--D and --m apply only to --transfer tensor, not {args.transfer}")
-    if args.transfer == "sym3":
-        return spin_object(source, None, args.X)
-    return gl2_object(source, args.X)
+    chi = _load_char(args) if args.transfer == "tensor" else None
+    if args.X < 1:
+        raise InputError(f"--X must be at least 1, got {args.X}")
+    if args.transfer == "none":
+        return gl2_object(source, args.X)
+    return spin_object(source, chi, args.X)
 
 
 def _cmd_lcoeffs(args) -> int:

@@ -29,7 +29,7 @@ from math import isqrt
 
 from ._primes import is_prime, kronecker_at_prime, sqrt_mod
 from ._record import Value, _set
-from .errors import InputError, UnitCompatibilityError, UnsupportedFieldError
+from .errors import InputError
 from .localfactor import LocalFactor
 
 SUPPORTED_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -48,7 +48,7 @@ class ImagQuadField(Value):
 
     def __init__(self, D: int):
         if D not in SUPPORTED_DISCRIMINANTS:
-            raise UnsupportedFieldError(
+            raise InputError(
                 f"D={D} is not a class-number-one fundamental discriminant "
                 f"(supported: {list(SUPPORTED_DISCRIMINANTS)})"
             )
@@ -132,9 +132,9 @@ class AntiCycChar(Value):
         if m < 1:
             raise InputError(f"half-weight m must be positive, got {m}")
         if field.D == -4 and m % 2 != 0:
-            raise UnitCompatibilityError("D=-4 has units of order 4: m must be even")
+            raise InputError("D=-4 has units of order 4: m must be even")
         if field.D == -3 and m % 3 != 0:
-            raise UnitCompatibilityError("D=-3 has units of order 6: m must be divisible by 3")
+            raise InputError("D=-3 has units of order 6: m must be divisible by 3")
         _set(self, "field", field)
         _set(self, "m", m)
 

@@ -51,13 +51,7 @@ from typing import Optional, Sequence
 
 from ._primes import is_prime
 from ._record import Record, Value, _set
-from .errors import (
-    DegreeError,
-    InexactDivisionError,
-    InputError,
-    PrimeMismatchError,
-    WeightMismatchError,
-)
+from .errors import InexactDivisionError, InputError
 
 def _div(a: int, k: int) -> int:
     """Exact a / k; a remainder means the input was not integral."""
@@ -223,7 +217,7 @@ def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -
     leaves a remainder).
     """
     if len(sums) < degree:
-        raise DegreeError(f"need {degree} power sums, got {len(sums)}")
+        raise InputError(f"need {degree} power sums, got {len(sums)}")
     c: list[int] = [1]
     for k in range(1, degree + 1):
         acc = sums[k - 1]
@@ -260,12 +254,10 @@ def _series_div(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 def combine(a: LocalFactor, b: LocalFactor, mode: CombineMode) -> LocalFactor:
     """Direct sum (polynomial product) or tensor product (power sums multiply)."""
     if a.prime != b.prime:
-        raise PrimeMismatchError(f"primes differ: {a.prime} vs {b.prime}")
+        raise InputError(f"primes differ: {a.prime} vs {b.prime}")
     if mode is CombineMode.SUM:
         if a.weight != b.weight:
-            raise WeightMismatchError(
-                f"direct sum needs equal weights, got {a.weight} and {b.weight}"
-            )
+            raise InputError(f"direct sum needs equal weights, got {a.weight} and {b.weight}")
         return LocalFactor(a.prime, a.weight, tuple(_poly_mul(a.coeffs, b.coeffs)))
     if mode is CombineMode.TENSOR:
         d = a.degree * b.degree
@@ -288,7 +280,7 @@ def plethysm(f: LocalFactor, functor: Functor) -> LocalFactor:
     only the actual roots: Sym^3 of a Steinberg line 1 - aT is 1 - a^3 T.
     """
     if functor in (Functor.SYM3, Functor.SYM4) and f.degree != 2:
-        raise DegreeError(f"{functor.value} requires a degree-2 factor, got {f.degree}")
+        raise InputError(f"{functor.value} requires a degree-2 factor, got {f.degree}")
     d_out = _FUNCTOR_DEGREE[functor](f.degree)
     weight = f.weight * _FUNCTOR_WEIGHT[functor]
     out = _cycle_index(functor, power_sums(f, d_out * _FUNCTOR_WEIGHT[functor]), d_out)
@@ -334,13 +326,11 @@ def tate_twist(f: LocalFactor, j: int) -> LocalFactor:
 def exact_divide(a: LocalFactor, b: LocalFactor) -> LocalFactor:
     """Exact quotient q with q * b = a; nonzero remainder is a hard failure."""
     if a.prime != b.prime:
-        raise PrimeMismatchError(f"primes differ: {a.prime} vs {b.prime}")
+        raise InputError(f"primes differ: {a.prime} vs {b.prime}")
     if b.weight != a.weight:
-        raise WeightMismatchError(
-            f"divisor weight {b.weight} does not match dividend weight {a.weight}"
-        )
+        raise InputError(f"divisor weight {b.weight} does not match dividend weight {a.weight}")
     if b.degree > a.degree:
-        raise DegreeError("divisor degree exceeds dividend degree")
+        raise InputError("divisor degree exceeds dividend degree")
     q = _series_div(a.coeffs, b.coeffs, a.degree - b.degree + 1)
     if tuple(_poly_mul(q, b.coeffs)) != a.coeffs:
         raise InexactDivisionError(

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
 
 from ._primes import primes_upto
 from ._record import Record, Value
-from .errors import ConvergenceDomainError, InputError, MissingPrimeError
+from .errors import InputError
 from .localfactor import (
     Functor,
     LocalFactor,
@@ -147,7 +147,7 @@ def dirichlet_coeffs(obj: LObject, bound: int):
     needed = primes_upto(bound)
     missing = [p for p in needed if p not in obj.factors]
     if missing:
-        raise MissingPrimeError(missing)
+        raise InputError(f"no local factor stored at primes {missing}")
     a = [0] * (bound + 1)
     a[1] = 1
     for p in needed:
@@ -203,7 +203,7 @@ def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:
     """
     sigma = float(s) - obj.weight / 2.0
     if not (math.isfinite(sigma) and sigma > 1.0):  # NaN compares false
-        raise ConvergenceDomainError(
+        raise InputError(
             f"s = {s} is not a finite point of the convergence region s > {obj.weight / 2.0 + 1}"
         )
     coeffs = dirichlet_coeffs(obj, bound)

@@ -49,14 +49,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple, Union
 
 from ._primes import factorize, is_prime, kronecker_at_prime
 from ._record import Record, Value
-from .errors import (
-    BadPrimeError,
-    EigenfileError,
-    InputError,
-    MissingEigenvalueError,
-    NonMinimalModelError,
-    SingularModelError,
-)
+from .errors import InputError
 
 if TYPE_CHECKING:  # localfactor is imported only where a factor is built, so ap does not load it
     from .localfactor import LocalFactor
@@ -89,7 +82,7 @@ class CurveData(Value):
             raise InputError(f"conductor must be a positive integer, got {conductor}")
         b2, b4, b6, b8, disc = invariants_of_raw(a1, a2, a3, a4, a6)
         if disc == 0:
-            raise SingularModelError(f"singular Weierstrass model {(a1, a2, a3, a4, a6)}")
+            raise InputError(f"singular Weierstrass model {(a1, a2, a3, a4, a6)}")
         c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
         self._fill(a1, a2, a3, a4, a6, conductor, (b2, b4, b6, b8, c4, c6, disc))
 
@@ -179,7 +172,7 @@ class NewformData(Record):
         if character is not None:
             _check_delta(weight, level, character)
         elif weight % 2:
-            raise EigenfileError(f"character trivial is even, so the weight must be even, got {weight}")
+            raise InputError(f"character trivial is even, so the weight must be even, got {weight}")
         self.weight = weight
         self.level = level
         self.character = character
@@ -193,19 +186,17 @@ def _check_delta(weight: int, level: int, disc: int) -> None:
     with the character (D/.) has a level that its conductor |D| divides,
     and (-1)^k = (D/-1) = -1: odd weight."""
     if not _is_imaginary_discriminant(disc):
-        raise EigenfileError(
+        raise InputError(
             f"character delta {disc}: {disc} is not the discriminant of an "
             "imaginary quadratic field"
         )
     if level % disc != 0:
-        raise EigenfileError(
+        raise InputError(
             f"character delta {disc} has conductor {abs(disc)}, "
             f"which does not divide the level {level}"
         )
     if weight % 2 == 0:
-        raise EigenfileError(
-            f"character delta {disc} is odd, so the weight must be odd, got {weight}"
-        )
+        raise InputError(f"character delta {disc} is odd, so the weight must be odd, got {weight}")
 
 
 def _is_imaginary_discriminant(d: int) -> bool:
@@ -396,7 +387,7 @@ def ap_good(curve: CurveData, p: int) -> int:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if curve.discriminant % p == 0:
-        raise BadPrimeError(f"p={p} divides the discriminant; use reduction_bad")
+        raise InputError(f"p={p} divides the discriminant; use reduction_bad")
     return _ap_good_cached(curve, p)
 
 
@@ -413,7 +404,7 @@ def reduction_bad(curve: CurveData, p: int) -> ReductionData:
         raise InputError(f"{p} is not prime")
     _, _, _, _, c4, c6, disc = curve.invariants
     if disc % p != 0:
-        raise BadPrimeError(f"p={p} does not divide the discriminant; reduction is good")
+        raise InputError(f"p={p} does not divide the discriminant; reduction is good")
     if c4 % p == 0:
         return ReductionData(p, ReductionKind.ADDITIVE, 0)
     # p | disc and p does not divide c4, so p does not divide c6 (c4^3 - c6^2 = 1728 disc)
@@ -474,10 +465,10 @@ def checked_regime(source: Source, p: int) -> str:
     else:
         want = p ** (k - 2) if regime == "multiplicative" else 0
     if want != 0 and p not in table:
-        raise MissingEigenvalueError(f"no eigenvalue a_{p} in the table")
+        raise InputError(f"no eigenvalue a_{p} in the table")
     ap = table.get(p, 0)
     if want is not None and ap * ap != want:
-        raise EigenfileError(f"a_{p} = {ap} contradicts the level {n}: a_p^2 must be {want}")
+        raise InputError(f"a_{p} = {ap} contradicts the level {n}: a_p^2 must be {want}")
     return regime
 
 
@@ -495,8 +486,7 @@ def _regime_at(n: int, p: int) -> str:
 
 def _check_conductor(n: int, p: int, regime: str) -> None:
     if regime != _regime_at(n, p):
-        error = InputError if regime == "good" else NonMinimalModelError
-        raise error(f"{regime} reduction at p={p} contradicts the conductor {n}")
+        raise InputError(f"{regime} reduction at p={p} contradicts the conductor {n}")
 
 
 def _conductor(source: Source) -> Tuple[int, Factors]:
@@ -561,18 +551,18 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise EigenfileError(f"line {lineno}: expected '<p> <a_p>', got {line!r}")
+            raise InputError(f"line {lineno}: expected '<p> <a_p>', got {line!r}")
         try:
             p, ap = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EigenfileError(f"line {lineno}: non-integer entry in {line!r}") from None
+            raise InputError(f"line {lineno}: non-integer entry in {line!r}") from None
         if not is_prime(p):
-            raise EigenfileError(f"line {lineno}: {p} is not prime")
+            raise InputError(f"line {lineno}: {p} is not prime")
         if p in eigenvalues:
-            raise EigenfileError(f"line {lineno}: duplicate prime {p}")
+            raise InputError(f"line {lineno}: duplicate prime {p}")
         eigenvalues[p] = ap
     if header is None:
-        raise EigenfileError("missing header line 'weight <k> level <N> character <...>'")
+        raise InputError("missing header line 'weight <k> level <N> character <...>'")
     k, level, character = header
     return NewformData(k, level, character, eigenvalues)
 
@@ -580,18 +570,18 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
 def _parse_header(line: str, lineno: int):
     parts = line.split()
     if len(parts) < 6 or parts[0] != "weight" or parts[2] != "level" or parts[4] != "character":
-        raise EigenfileError(
+        raise InputError(
             f"line {lineno}: header must be 'weight <k> level <N> character <trivial|delta D>'"
         )
     try:
         k, level = int(parts[1]), int(parts[3])
     except ValueError:
-        raise EigenfileError(f"line {lineno}: non-integer weight/level") from None
+        raise InputError(f"line {lineno}: non-integer weight/level") from None
     if parts[5] == "trivial" and len(parts) == 6:
         return k, level, None
     if parts[5] == "delta" and len(parts) == 7:
         try:
             return k, level, int(parts[6])
         except ValueError:
-            raise EigenfileError(f"line {lineno}: bad delta discriminant") from None
-    raise EigenfileError(f"line {lineno}: bad character clause {' '.join(parts[4:])!r}")
+            raise InputError(f"line {lineno}: bad delta discriminant") from None
+    raise InputError(f"line {lineno}: bad character clause {' '.join(parts[4:])!r}")

@@ -284,9 +284,14 @@ def ap_match_report(curve: CurveData, newform: NewformData, pmax: Optional[int] 
     One row per tabulated prime (<= pmax if given): OK when the stored a_p
     equals the recomputed one, FAIL otherwise.  This is the only
     non-formal check in the suite, so it is the one an edited table trips.
+    A curve that gives its conductor must give the table's level.
     """
     if newform.weight != 2:
         raise InputError("eigenvalue/curve comparison needs a weight-2 table")
+    if curve.conductor is not None and curve.conductor != newform.level:
+        raise InputError(
+            f"the curve's conductor {curve.conductor} differs from the table's level {newform.level}"
+        )
     entries = []
     for p in sorted(newform.eigenvalues):
         if pmax is not None and p > pmax:

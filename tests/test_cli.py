@@ -133,6 +133,18 @@ def test_verify_intact_eigenfile(capsys, tmp_path, curve_11a3):
     assert code == 0 and "0 FAIL" in out
 
 
+def test_ap_match_refuses_a_conductor_other_than_the_level(capsys, tmp_path):
+    # 11a3's a_p agree with this table, but 11a3 is not a form of level 37
+    path = tmp_path / "t37.txt"
+    path.write_text("weight 2 level 37 character trivial\n2 -2\n3 -1\n5 1\n7 -2\n")
+    argv = ["verify", "--identity", "ap-match", "--eigenfile", str(path)]
+    code, out, err = run(capsys, *argv, "--curve", CURVE + ",11")
+    assert code == 2 and out == ""
+    assert err == "error: the curve's conductor 11 differs from the table's level 37\n"
+    code, out, _ = run(capsys, *argv, "--curve", CURVE)  # no conductor: nothing to compare
+    assert code == 0 and "total: 4 OK" in out
+
+
 def test_lcoeffs_csv(capsys):
     code, out, _ = run(
         capsys, "lcoeffs", "--curve", CURVE, "--transfer", "sym3", "--X", "100", "--format", "csv"
@@ -332,6 +344,19 @@ def test_pmax_below_two_rejected(capsys, argv, pmax):
     code, out, err = run(capsys, *argv, "--pmax", pmax)
     assert code == 2 and out == ""
     assert err == f"error: --pmax must be at least 2, got {pmax}\n"
+
+
+@pytest.mark.parametrize("x", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["lcoeffs", "--curve", CURVE], ["eval", "--curve", CURVE, "-s", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_x_below_one_rejected(capsys, argv, x):
+    # like --pmax, the bound is refused under the name of its flag
+    code, out, err = run(capsys, *argv, "--X", x)
+    assert code == 2 and out == ""
+    assert err == f"error: --X must be at least 1, got {x}\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "factor"])

@@ -22,7 +22,7 @@ from siegellift import (
     splitting,
     tate_factor,
 )
-from siegellift.errors import UnitCompatibilityError, UnsupportedFieldError
+from siegellift.errors import InputError
 from siegellift.heckechar import SUPPORTED_DISCRIMINANTS
 from siegellift.modform import NewformData, local_factor_gl2
 from siegellift._primes import primes_upto
@@ -32,7 +32,7 @@ def test_supported_discriminants_only():
     for d in (-3, -4, -163):
         ImagQuadField(d)
     for d in (-5, -1, 4, -20, -12):
-        with pytest.raises(UnsupportedFieldError):
+        with pytest.raises(InputError, match=f"^D={d} is not a class-number-one fundamental discriminant "):
             ImagQuadField(d)
 
 
@@ -114,9 +114,9 @@ def test_unit_compatibility():
     AntiCycChar(ImagQuadField(-4), 2)
     AntiCycChar(ImagQuadField(-3), 3)
     AntiCycChar(ImagQuadField(-7), 1)
-    with pytest.raises(UnitCompatibilityError):
+    with pytest.raises(InputError, match="^D=-4 has units of order 4: m must be even$"):
         AntiCycChar(ImagQuadField(-4), 1)
-    with pytest.raises(UnitCompatibilityError):
+    with pytest.raises(InputError, match="^D=-3 has units of order 6: m must be divisible by 3$"):
         AntiCycChar(ImagQuadField(-3), 2)
 
 

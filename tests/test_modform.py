@@ -17,14 +17,7 @@ from siegellift import (
     point_count,
     reduction_bad,
 )
-from siegellift.errors import (
-    BadPrimeError,
-    EigenfileError,
-    InputError,
-    MissingEigenvalueError,
-    NonMinimalModelError,
-    SingularModelError,
-)
+from siegellift.errors import InputError
 from siegellift.modform import (
     _BSGS_MIN_P,
     NewformData,
@@ -61,7 +54,7 @@ def test_invariants_j0_curve():
 
 
 def test_singular_model_rejected():
-    with pytest.raises(SingularModelError):
+    with pytest.raises(InputError, match="singular Weierstrass model"):
         CurveData(0, 0, 0, 0, 0)
 
 
@@ -79,7 +72,7 @@ def test_point_count_matches_definition(curve_11a3):
 
 
 def test_ap_good_rejects_bad_prime(curve_11a3):
-    with pytest.raises(BadPrimeError):
+    with pytest.raises(InputError, match="^p=11 divides the discriminant; use reduction_bad$"):
         ap_good(curve_11a3, 11)
 
 
@@ -87,10 +80,9 @@ def test_charsum_agrees_with_enumeration():
     rng = random.Random(314159)
     curves = []
     while len(curves) < 10:
-        try:
-            curves.append(CurveData(*(rng.randrange(-3, 4) for _ in range(5))))
-        except SingularModelError:
-            continue
+        ainvs = [rng.randrange(-3, 4) for _ in range(5)]
+        if invariants_of_raw(*ainvs)[4] != 0:
+            curves.append(CurveData(*ainvs))
     for curve in curves:
         for p in primes_upto(100):
             if curve.discriminant % p == 0:
@@ -132,10 +124,9 @@ def test_bsgs_agrees_with_charsum_on_random_curves():
     rng = random.Random(271828)
     curves = []
     while len(curves) < 10:
-        try:
-            curves.append(CurveData(*(rng.randrange(-3, 4) for _ in range(5))))
-        except SingularModelError:
-            continue
+        ainvs = [rng.randrange(-3, 4) for _ in range(5)]
+        if invariants_of_raw(*ainvs)[4] != 0:
+            curves.append(CurveData(*ainvs))
     for curve in curves:
         assert_bsgs_matches_charsum(curve, 1500)
 
@@ -272,7 +263,7 @@ def test_reduction_nonsplit():
 
 
 def test_reduction_bad_rejects_good_prime(curve_11a3):
-    with pytest.raises(BadPrimeError):
+    with pytest.raises(InputError, match="^p=7 does not divide the discriminant; reduction is good$"):
         reduction_bad(curve_11a3, 7)
 
 
@@ -304,22 +295,22 @@ def test_parse_eigenfile_roundtrip(delta_form):
 
 
 def test_parse_errors():
-    with pytest.raises(EigenfileError):
+    with pytest.raises(InputError, match="^line 2: 4 is not prime$"):
         parse_eigenfile(io.StringIO("weight 12 level 1 character trivial\n4 5\n"))
-    with pytest.raises(EigenfileError):
+    with pytest.raises(InputError, match="^line 3: duplicate prime 2$"):
         parse_eigenfile(io.StringIO("weight 12 level 1 character trivial\n2 -24\n2 0\n"))
-    with pytest.raises(EigenfileError):
+    with pytest.raises(InputError, match="^line 2: expected '<p> <a_p>', got '2'$"):
         parse_eigenfile(io.StringIO("weight 12 level 1 character trivial\n2\n"))
-    with pytest.raises(EigenfileError):
+    with pytest.raises(InputError, match="^line 1: header must be 'weight <k> level <N> character"):
         parse_eigenfile(io.StringIO("wheight 12 level 1 character trivial\n"))
-    with pytest.raises(EigenfileError):
+    with pytest.raises(InputError, match="^missing header line 'weight <k> level <N> character"):
         parse_eigenfile(io.StringIO("# only a comment\n"))
 
 
 def test_empty_eigenvalue_section():
     form = parse_eigenfile(io.StringIO("weight 12 level 1 character trivial\n"))
     assert form.eigenvalues == {}
-    with pytest.raises(MissingEigenvalueError):
+    with pytest.raises(InputError, match="^no eigenvalue a_2 in the table$"):
         local_factor_gl2(form, 2)
 
 
@@ -336,7 +327,7 @@ def test_delta_character_header():
 
 def test_trivial_table_of_odd_weight_is_rejected():
     # -I in Gamma_0(N) gives f = (-1)^k f: a newform of trivial character has even weight
-    with pytest.raises(EigenfileError, match="^character trivial is even, so the weight must be even, got 3$"):
+    with pytest.raises(InputError, match="^character trivial is even, so the weight must be even, got 3$"):
         NewformData(3, 11)
 
 
@@ -349,11 +340,10 @@ def test_bad_reduction_matches_point_count():
     models = 0
     while models < 2000:
         u = rng.choice((1, 1, 2, 3))
-        ainvs = (rng.randrange(-6, 7) * u**i for i in (1, 2, 3, 4, 6))
-        try:
-            curve = CurveData(*ainvs)
-        except SingularModelError:
+        ainvs = [rng.randrange(-6, 7) * u**i for i in (1, 2, 3, 4, 6)]
+        if invariants_of_raw(*ainvs)[4] == 0:
             continue
+        curve = CurveData(*ainvs)
         models += 1
         for p in primes_upto(60):
             if curve.discriminant % p == 0:
@@ -383,7 +373,7 @@ def test_invariants_raw_consistency():
 def test_curve_json_interface():
     curve = CurveData.from_json({"a": [0, -1, 1, 0, 0], "conductor": 11})
     assert curve.ainvs == (0, -1, 1, 0, 0) and curve.conductor == 11
-    with pytest.raises(SingularModelError):
+    with pytest.raises(InputError, match="singular Weierstrass model"):
         CurveData.from_json({"a": [0, 0, 0, 0, 0]})
 
 
@@ -393,9 +383,9 @@ def test_curve_json_interface():
 def test_scaled_model_with_conductor_rejected():
     # 11a3 scaled by u = 2: not minimal at 2, where it reduces to a cusp
     curve = CurveData(0, -4, 8, 0, 0, conductor=11)
-    with pytest.raises(NonMinimalModelError, match="p=2"):
+    with pytest.raises(InputError, match="^additive reduction at p=2 contradicts the conductor 11$"):
         reduction_at(curve, 2)
-    with pytest.raises(NonMinimalModelError, match="p=2"):
+    with pytest.raises(InputError, match="^additive reduction at p=2 contradicts the conductor 11$"):
         local_factor_gl2(curve, 2)
     # without a conductor there is nothing to contradict
     assert reduction_at(CurveData(0, -4, 8, 0, 0), 2).kind is ReductionKind.ADDITIVE
@@ -403,15 +393,14 @@ def test_scaled_model_with_conductor_rejected():
 
 def test_multiplicative_prime_must_divide_conductor_once():
     for n in (1, 121, 11 * 11 * 3):
-        with pytest.raises(NonMinimalModelError, match="p=11"):
+        with pytest.raises(InputError, match=f"^multiplicative reduction at p=11 contradicts the conductor {n}$"):
             reduction_at(CurveData(0, -1, 1, 0, 0, conductor=n), 11)
 
 
 def test_good_prime_must_not_divide_conductor():
     curve = CurveData(0, -1, 1, 0, 0, conductor=22)
-    with pytest.raises(InputError, match="p=2") as info:
+    with pytest.raises(InputError, match="^good reduction at p=2 contradicts the conductor 22$"):
         reduction_at(curve, 2)
-    assert not isinstance(info.value, NonMinimalModelError)
     assert reduction_at(curve, 11).ap == 1  # the other primes still agree
 
 
@@ -424,16 +413,16 @@ def test_additive_prime_with_square_in_conductor_accepted():
 def test_newform_steinberg_eigenvalue_checked():
     assert reduction_at(NewformData(2, 11, eigenvalues={11: 1}), 11).regime == "multiplicative"
     assert reduction_at(NewformData(4, 5, eigenvalues={5: -5}), 5).ap == -5
-    with pytest.raises(EigenfileError, match="a_11"):
+    with pytest.raises(InputError, match="^a_11 = 2 contradicts the level 11: a_p\\^2 must be 1$"):
         reduction_at(NewformData(2, 11, eigenvalues={11: 2}), 11)
-    with pytest.raises(EigenfileError, match="a_5"):
+    with pytest.raises(InputError, match="^a_5 = 1 contradicts the level 5: a_p\\^2 must be 25$"):
         local_factor_gl2(NewformData(4, 5, eigenvalues={5: 1}), 5)
 
 
 def test_newform_square_level_needs_zero_eigenvalue():
     assert reduction_at(NewformData(2, 49, eigenvalues={7: 0}), 7).regime == "additive"
     assert local_factor_gl2(NewformData(2, 49), 7).coeffs == (1, 0, 0)
-    with pytest.raises(EigenfileError, match="a_7"):
+    with pytest.raises(InputError, match="^a_7 = 1 contradicts the level 49: a_p\\^2 must be 0$"):
         reduction_at(NewformData(2, 49, eigenvalues={7: 1}), 7)
 
 
@@ -450,7 +439,7 @@ def test_newform_check_skips_primes_of_the_nebentypus():
     # absolute value 7^((k-1)/2), not the Steinberg 7^((k-2)/2)
     form = NewformData(3, 7, -7, eigenvalues={7: -7, 2: 1})
     assert reduction_at(form, 7).ap == -7
-    with pytest.raises(EigenfileError, match="a_3"):
+    with pytest.raises(InputError, match="^a_3 = 1 contradicts the level 147: a_p\\^2 must be 3$"):
         reduction_at(NewformData(3, 147, -7, eigenvalues={3: 1}), 3)
 
 
@@ -461,5 +450,5 @@ def test_newform_at_a_prime_of_the_nebentypus():
     red = reduction_at(form, 2)
     assert (red.regime, red.ap, local_factor_gl2(form, 2).coeffs) == ("additive", -4, (1, 4, 0))
     assert local_factor_gl2(NewformData(3, 49, -7), 7).coeffs == (1, 0, 0)
-    with pytest.raises(EigenfileError, match="a_7 = 7 .* a_p\\^2 must be 0$"):
+    with pytest.raises(InputError, match="a_7 = 7 .* a_p\\^2 must be 0$"):
         reduction_at(NewformData(3, 49, -7, eigenvalues={7: 7}), 7)
