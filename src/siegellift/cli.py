@@ -12,9 +12,9 @@ non-symplectic factor; 2 invalid input or I/O failure.
 Each command imports the library modules it calls, so a short command does
 not load (or, without a bytecode cache, compile) the modules it never runs.
 ``--format json`` is written by :mod:`siegellift._jsonwrite`, byte-identical
-to ``json.dumps(indent=2, sort_keys=True)``; ``json`` itself is imported
-only to read a ``--curve '{...}'``.  The parser holds only the subcommand
-that is run, unless help or an unknown command needs them all.
+to ``json.dumps(indent=2, sort_keys=True)``, so no command imports ``json``.
+The parser holds only the subcommand that is run, unless help or an unknown
+command needs them all.
 
 A process ends as cheaply as it starts: :func:`entry` flushes stdout and
 stderr after :func:`main` returns and exits with ``os._exit``, skipping the
@@ -35,52 +35,29 @@ from ._primes import is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
 
 
-def _parse_curve(text: str, conductor: int | None):
-    """The curve of ``--curve``; ``conductor`` (``--conductor``) fills in a
-    conductor it leaves out and must equal one it gives."""
+def _parse_curve(text: str):
+    """The curve of ``--curve a1,a2,a3,a4,a6[,N]``."""
     from .modform import CurveData
 
-    if text.lstrip().startswith("{"):
-        import json
-
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"--curve is not valid JSON: {exc}") from None
-        curve = CurveData.from_json(data)
-    else:
-        parts = [t.strip() for t in text.split(",")]
-        if len(parts) not in (5, 6):
-            raise InputError(f"--curve expects 'a1,a2,a3,a4,a6[,N]', got {text!r}")
-        try:
-            values = [int(t) for t in parts]
-        except ValueError:
-            raise InputError(f"--curve has a non-integer entry in {text!r}") from None
-        curve = CurveData(*values[:5], conductor=values[5] if len(values) == 6 else None)
-    if conductor is None or curve.conductor == conductor:
-        return curve
-    if curve.conductor is not None:
-        raise InputError(f"--curve gives the conductor {curve.conductor}, --conductor gives {conductor}")
-    return CurveData(*curve.ainvs, conductor=conductor)
-
-
-def _parse_table(path: str, conductor: int | None):
-    """The newform table of ``--eigenfile``; ``conductor`` must equal its level."""
-    from .modform import parse_eigenfile
-
-    table = parse_eigenfile(path)
-    if conductor is not None and conductor != table.level:
-        raise InputError(f"--eigenfile gives the level {table.level}, --conductor gives {conductor}")
-    return table
+    parts = [t.strip() for t in text.split(",")]
+    if len(parts) not in (5, 6):
+        raise InputError(f"--curve expects 'a1,a2,a3,a4,a6[,N]', got {text!r}")
+    try:
+        values = [int(t) for t in parts]
+    except ValueError:
+        raise InputError(f"--curve has a non-integer entry in {text!r}") from None
+    return CurveData(*values[:5], conductor=values[5] if len(values) == 6 else None)
 
 
 def _load_source(args):
-    if getattr(args, "curve", None) and getattr(args, "eigenfile", None):
+    if args.curve and args.eigenfile:
         raise InputError("give either --curve or --eigenfile, not both")
-    if getattr(args, "curve", None):
-        return _parse_curve(args.curve, getattr(args, "conductor", None))
-    if getattr(args, "eigenfile", None):
-        return _parse_table(args.eigenfile, getattr(args, "conductor", None))
+    if args.curve:
+        return _parse_curve(args.curve)
+    if args.eigenfile:
+        from .modform import parse_eigenfile
+
+        return parse_eigenfile(args.eigenfile)
     raise InputError("a source is required: --curve or --eigenfile")
 
 
@@ -150,7 +127,7 @@ def _cmd_ap(args) -> int:
 
     if args.curve is None:
         raise InputError("a curve is required: --curve")
-    curve = _parse_curve(args.curve, args.conductor)
+    curve = _parse_curve(args.curve)
     rows = [(p, reduction_at(curve, p)) for p in _primes_from(args)]
     if args.format == "json":
         payload = {str(p): {"ap": r.ap, "kind": r.kind.value} for p, r in rows}
@@ -191,22 +168,21 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .modform import parse_eigenfile
     from .predictor import Identity, ap_match_report, identity_report
 
     name = args.identity
     if name == "ap-match":
-        curve = _parse_curve(args.curve, args.conductor) if args.curve else None
+        curve = _parse_curve(args.curve) if args.curve else None
         if curve is None or not args.eigenfile:
             raise InputError("ap-match needs both --curve and --eigenfile")
         if args.D is not None or args.m is not None:
             raise InputError("ap-match reads no character: drop --D and --m")
-        report = ap_match_report(curve, _parse_table(args.eigenfile, None), args.pmax)
+        report = ap_match_report(curve, parse_eigenfile(args.eigenfile), args.pmax)
     else:
         source = None
         if args.curve or args.eigenfile:
             source = _load_source(args)
-        elif args.conductor is not None:
-            raise InputError("--conductor is given without --curve or --eigenfile")
         chi = _load_char(args, required=False)
         report = identity_report(Identity(name), args.pmax, source=source, chi=chi)
     # after the report, which names a missing input first and has no row below 2
@@ -308,7 +284,6 @@ def _add_output(parser) -> None:
 
 def _add_curve(parser) -> None:
     parser.add_argument("--curve", help="Weierstrass coefficients a1,a2,a3,a4,a6[,N]")
-    parser.add_argument("--conductor", type=int, help="conductor of the curve")
 
 
 def _add_source(parser) -> None:

@@ -10,9 +10,9 @@ come from point enumeration at p = 2, an O(p) quadratic-character sum up
 to p = 229, and Shanks-Mestre baby-step giant-step (about p^(1/4) group
 operations, each one affine addition written out inline: one modular
 inversion, no call) above it, with the character sum as its fallback and
-test oracle.  Curve data must be exact integers; a float, string or bool is
-rejected, never truncated.  At a prime p | discriminant the reduction is
-additive (a_p = 0) when p | c4 and multiplicative otherwise: split
+test oracle.  Curve and newform data must be exact ints: a float, str, bool
+or None is rejected, never truncated.  At a prime p | discriminant the
+reduction is additive (a_p = 0) when p | c4, else multiplicative: split
 (a_p = 1) when -c6 is a square in Z_p, nonsplit (a_p = -1) when it is not.
 
 Newforms of weight k >= 2 arrive as eigenvalue files:
@@ -74,10 +74,7 @@ class CurveData(Value):
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "conductor", "invariants")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, conductor: Optional[int] = None):
-        # exactly int: a float, str or bool is rejected, never truncated
-        bad = [v for v in (a1, a2, a3, a4, a6, conductor) if v is not None and type(v) is not int]
-        if bad:
-            raise InputError(f"curve data must be integers, got {type(bad[0]).__name__} {bad[0]!r}")
+        _require_ints("curve", (a1, a2, a3, a4, a6), conductor)
         if conductor is not None and conductor < 1:
             raise InputError(f"conductor must be a positive integer, got {conductor}")
         b2, b4, b6, b8, disc = invariants_of_raw(a1, a2, a3, a4, a6)
@@ -102,15 +99,11 @@ class CurveData(Value):
     def discriminant(self) -> int:
         return self.invariants[6]
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CurveData":
-        unknown = sorted(set(data) - {"a", "conductor"})
-        if unknown:
-            raise InputError(f'curve JSON has an unknown key {unknown[0]!r} (keys: "a", "conductor")')
-        a = data.get("a")
-        if not isinstance(a, (list, tuple)) or len(a) != 5:
-            raise InputError('curve JSON needs "a": [a1,a2,a3,a4,a6]')
-        return cls(*a, conductor=data.get("conductor"))
+
+def _require_ints(what: str, values: tuple, optional: Optional[int]) -> None:
+    for v in values if optional is None else (*values, optional):
+        if type(v) is not int:
+            raise InputError(f"{what} data must be integers, got {type(v).__name__} {v!r}")
 
 
 def invariants_of_raw(a1, a2, a3, a4, a6):
@@ -165,6 +158,8 @@ class NewformData(Record):
         character: Optional[int] = None,
         eigenvalues: Optional[Dict[int, int]] = None,
     ):
+        eigenvalues = {} if eigenvalues is None else eigenvalues
+        _require_ints("newform", (weight, level, *eigenvalues, *eigenvalues.values()), character)
         if weight < 2:
             raise InputError(f"newform weight must be >= 2, got {weight}")
         if level < 1:
@@ -176,8 +171,8 @@ class NewformData(Record):
         self.weight = weight
         self.level = level
         self.character = character
-        self.eigenvalues = {} if eigenvalues is None else eigenvalues
-        for p, ap in self.eigenvalues.items():
+        self.eigenvalues = eigenvalues
+        for p, ap in eigenvalues.items():
             _warn_ramanujan(p, ap, weight, level)
 
 

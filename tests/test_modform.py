@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 import time
 
 import pytest
@@ -370,11 +371,45 @@ def test_invariants_raw_consistency():
         assert 4 * b8 == b2 * b6 - b4 * b4
 
 
-def test_curve_json_interface():
-    curve = CurveData.from_json({"a": [0, -1, 1, 0, 0], "conductor": 11})
-    assert curve.ainvs == (0, -1, 1, 0, 0) and curve.conductor == 11
-    with pytest.raises(InputError, match="singular Weierstrass model"):
-        CurveData.from_json({"a": [0, 0, 0, 0, 0]})
+@pytest.mark.parametrize(
+    "ainvs, conductor, message",
+    [
+        ((0, -1, 1, 0, 0.7), 11, "curve data must be integers, got float 0.7"),
+        ((0, -1, 1, 0, 0), "11", "curve data must be integers, got str '11'"),
+        ((0, -1, 1, 0, 0), 11.5, "curve data must be integers, got float 11.5"),
+        ((0, -1, True, 0, 0), 11, "curve data must be integers, got bool True"),
+        ((0, -1, 1, 0, "0"), 11, "curve data must be integers, got str '0'"),
+        ((0, -1, 1, 0, 0), -11, "conductor must be a positive integer, got -11"),
+        ((0, -1, 1, 0, 0), 0, "conductor must be a positive integer, got 0"),
+    ],
+    ids=["a6-float", "conductor-str", "conductor-float", "a3-bool", "a6-str", "conductor-negative",
+         "conductor-zero"],
+)
+def test_curve_data_must_be_exact_integers(ainvs, conductor, message):
+    # a float was truncated, a str raised a TypeError: each is refused, never converted
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        CurveData(*ainvs, conductor=conductor)
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        ((12.0, 1, None, {2: -24}), "float 12.0"),
+        ((12, 1.0, None, {2: -24}), "float 1.0"),
+        ((3, 7, -7.0, {2: -3}), "float -7.0"),
+        ((12, 1, None, {2.0: -24}), "float 2.0"),
+        ((12, 1, None, {2: "-24"}), "str '-24'"),
+        ((12, 1, None, {2: None}), "NoneType None"),
+        ((12, 1, None, {2: True}), "bool True"),
+        ((12, 1, None, {2: 24.0}), "float 24.0"),
+    ],
+    ids=["weight", "level", "character", "prime", "ap-str", "ap-none", "ap-bool", "ap-float"],
+)
+def test_newform_data_must_be_exact_integers(args, bad):
+    # a table built in code was taken as given: level 1.0 reached predict's
+    # output, and a_2 = "-24" raised a TypeError in the Ramanujan check
+    with pytest.raises(InputError, match=f"^newform data must be integers, got {re.escape(bad)}$"):
+        NewformData(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -608,9 +608,11 @@ def test_tensor_object_counts_points_only_where_the_cut_factor_reads_a_p(monkeyp
                                    lambda form: spin_object(form, AntiCycChar(ImagQuadField(-4), 2), 2)],
                          ids=["sym3", "tensor"])
 def test_builders_refuse_a_float_eigenvalue(build):
-    # a table built in code may hold a float a_p; the builders reject it as
-    # the coefficient of the curve's factor, never as a float spin factor
-    form = NewformData(12, 1, eigenvalues={2: -24.0})
+    # a table changed after it was built may hold a float a_p; the builders
+    # reject it as the coefficient of the form's factor, never as a float
+    # spin factor
+    form = NewformData(12, 1, eigenvalues={2: -24})
+    form.eigenvalues[2] = -24.0
     with pytest.raises(InputError) as raised:
         build(form)
     assert str(raised.value) == "local factor coefficients must be int, got float 24.0"
