@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 from ._primes import is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
@@ -37,13 +36,13 @@ from .errors import InputError, NotSymplecticError, SiegelLiftError
 
 def _parse_curve(text: str):
     """The curve of ``--curve a1,a2,a3,a4,a6[,N]``."""
-    from .modform import CurveData
+    from .modform import CurveData, _parse_int
 
     parts = [t.strip() for t in text.split(",")]
     if len(parts) not in (5, 6):
         raise InputError(f"--curve expects 'a1,a2,a3,a4,a6[,N]', got {text!r}")
     try:
-        values = [int(t) for t in parts]
+        values = [_parse_int(t) for t in parts]
     except ValueError:
         raise InputError(f"--curve has a non-integer entry in {text!r}") from None
     return CurveData(*values[:5], conductor=values[5] if len(values) == 6 else None)
@@ -92,13 +91,8 @@ def _primes_from(args) -> list[int]:
     raise InputError("give --p or --pmax")
 
 
-def _emit(args, text: str) -> None:
-    data = text if text.endswith("\n") else text + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.write(data)
+def _emit(text: str) -> None:
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _to_json(payload) -> str:
@@ -131,12 +125,12 @@ def _cmd_ap(args) -> int:
     rows = [(p, reduction_at(curve, p)) for p in _primes_from(args)]
     if args.format == "json":
         payload = {str(p): {"ap": r.ap, "kind": r.kind.value} for p, r in rows}
-        _emit(args, _to_json(payload))
+        _emit(_to_json(payload))
     elif args.format == "csv":
         lines = ["p,ap,kind"] + [f"{p},{r.ap},{r.kind.value}" for p, r in rows]
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     else:
-        _emit(args, "\n".join(f"a_{p} = {r.ap}  ({r.kind.value})" for p, r in rows))
+        _emit("\n".join(f"a_{p} = {r.ap}  ({r.kind.value})" for p, r in rows))
     return 0
 
 
@@ -145,7 +139,7 @@ def _cmd_factor(args) -> int:
 
     source = _load_source(args)
     factors = [(p, local_factor_gl2(source, p)) for p in _primes_from(args)]
-    _emit(args, _factor_rows(args, factors))
+    _emit(_factor_rows(args, factors))
     return 0
 
 
@@ -154,7 +148,7 @@ def _cmd_sym3(args) -> int:
 
     source = _load_source(args)
     factors = [(p, local_data(source, None, p).spin) for p in _primes_from(args)]
-    _emit(args, _factor_rows(args, factors))
+    _emit(_factor_rows(args, factors))
     return 0
 
 
@@ -163,7 +157,7 @@ def _cmd_induce(args) -> int:
 
     chi = _load_char(args)
     factors = [(p, induced_factor(chi, p)) for p in _primes_from(args)]
-    _emit(args, _factor_rows(args, factors))
+    _emit(_factor_rows(args, factors))
     return 0
 
 
@@ -188,11 +182,11 @@ def _cmd_verify(args) -> int:
     # after the report, which names a missing input first and has no row below 2
     _require_pmax(args.pmax)
     if args.format == "json":
-        _emit(args, _to_json(report.to_json()))
+        _emit(_to_json(report.to_json()))
     elif args.format == "csv":
-        _emit(args, report.to_csv())
+        _emit(report.to_csv())
     else:
-        _emit(args, report.to_text())
+        _emit(report.to_text())
     return 0 if report.ok else 1
 
 
@@ -202,7 +196,7 @@ def _cmd_predict(args) -> int:
     source = _load_source(args)
     chi = _load_char(args, required=False)
     prediction = predict_siegel(source, chi=chi, pmax=_require_pmax(args.pmax))
-    _emit(args, _to_json(prediction.to_json()) if args.format == "json" else prediction.to_text())
+    _emit(_to_json(prediction.to_json()) if args.format == "json" else prediction.to_text())
     return 0 if prediction.verification.ok else 1
 
 
@@ -226,12 +220,12 @@ def _cmd_lcoeffs(args) -> int:
     obj = _build_object(args)
     coeffs = dirichlet_coeffs(obj, args.X)
     if args.format == "json":
-        _emit(args, _to_json({"label": obj.label, "coeffs": [str(c) for c in coeffs[1:]]}))
+        _emit(_to_json({"label": obj.label, "coeffs": [str(c) for c in coeffs[1:]]}))
     elif args.format == "csv":
         lines = ["n,a_n"] + [f"{n},{coeffs[n]}" for n in range(1, args.X + 1)]
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     else:
-        _emit(args, "\n".join(f"a_{n} = {coeffs[n]}" for n in range(1, args.X + 1)))
+        _emit("\n".join(f"a_{n} = {coeffs[n]}" for n in range(1, args.X + 1)))
     return 0
 
 
@@ -248,13 +242,10 @@ def _cmd_eval(args) -> int:
         "tail_bound": f"{result.tail_bound:.6g}",
     }
     if args.format == "json":
-        _emit(args, _to_json(payload))
+        _emit(_to_json(payload))
     else:
-        _emit(
-            args,
-            f"sum of {result.terms} terms at s={result.s:g}: {result.value:.12g}"
-            f"  (tail estimate {result.tail_bound:.6g})",
-        )
+        _emit(f"sum of {result.terms} terms at s={result.s:g}: {result.value:.12g}"
+              f"  (tail estimate {result.tail_bound:.6g})")
     return 0
 
 
@@ -276,7 +267,6 @@ _IDENTITIES = ("sym2-ind", "sym3-ext2", "tensor-ext2", "tensor-square", "ap-matc
 
 def _add_output(parser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument(
         "--jobs", type=int, default=1, help="accepted for compatibility (N >= 1); runs are serial"
     )
@@ -372,21 +362,19 @@ def main(argv: list[str] | None = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
-    with warnings.catch_warnings():  # a warning is one line, without warn's line of source
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            if args.format == "csv" and args.command in ("predict", "eval"):
-                raise InputError(f"--format csv is not supported by {args.command}; use text or json")
-            return args.func(args)
-        except NotSymplecticError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (SiegelLiftError, OSError, Warning) as exc:  # a Warning that a filter raised
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
+    try:
+        if args.format == "csv" and args.command in ("predict", "eval"):
+            raise InputError(f"--format csv is not supported by {args.command}; use text or json")
+        return args.func(args)
+    except NotSymplecticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (SiegelLiftError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _observed() -> bool:
@@ -401,10 +389,10 @@ def _observed() -> bool:
 
 def entry() -> None:
     """The console script and ``python -m siegellift.cli``.  After :func:`main`
-    nothing is left for the interpreter's teardown to do (``--out`` is
-    closed, no thread runs); skipping it saves about 15 ms of CPU on a
-    2-core host.  A failed flush still goes through ``sys.exit``, which
-    reports it as before."""
+    nothing is left for the interpreter's teardown to do (no file is open,
+    no thread runs); skipping it saves about 15 ms of CPU on a 2-core host.
+    A failed flush still goes through ``sys.exit``, which reports it as
+    before."""
     code = main()
     if not _observed():
         try:

@@ -22,6 +22,9 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
     2 -24
     3 252
 
+A row is a prime and its a_p in ASCII decimals.  A good a_p past Deligne's
+bound |a_p| <= 2 p^((k-1)/2), which every newform obeys, is refused.
+
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D (a negative
 fundamental discriminant; any other D is refused); it is the (D/p) in the
@@ -41,7 +44,6 @@ the level check and the derivation of N all read.
 from __future__ import annotations
 
 import os
-import warnings
 from enum import Enum
 from functools import lru_cache
 from math import isqrt, prod
@@ -53,10 +55,6 @@ from .errors import InputError
 
 if TYPE_CHECKING:  # localfactor is imported only where a factor is built, so ap does not load it
     from .localfactor import LocalFactor
-
-
-class RamanujanBoundWarning(UserWarning):
-    """Eigenvalue exceeding the bound |a_p| <= 2 p^((k-1)/2) at a good prime."""
 
 
 class ReductionKind(Enum):
@@ -104,6 +102,14 @@ def _require_ints(what: str, values: tuple, optional: Optional[int]) -> None:
     for v in values if optional is None else (*values, optional):
         if type(v) is not int:
             raise InputError(f"{what} data must be integers, got {type(v).__name__} {v!r}")
+
+
+def _parse_int(text: str) -> int:
+    """The int of an ASCII decimal [+-]?[0-9]+; int() also reads 1_0 and non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def invariants_of_raw(a1, a2, a3, a4, a6):
@@ -160,6 +166,9 @@ class NewformData(Record):
     ):
         eigenvalues = {} if eigenvalues is None else eigenvalues
         _require_ints("newform", (weight, level, *eigenvalues, *eigenvalues.values()), character)
+        for p in eigenvalues:
+            if not is_prime(p):
+                raise InputError(f"newform eigenvalue key {p} is not prime")
         if weight < 2:
             raise InputError(f"newform weight must be >= 2, got {weight}")
         if level < 1:
@@ -173,7 +182,7 @@ class NewformData(Record):
         self.character = character
         self.eigenvalues = eigenvalues
         for p, ap in eigenvalues.items():
-            _warn_ramanujan(p, ap, weight, level)
+            _check_deligne(p, ap, weight, level)
 
 
 def _check_delta(weight: int, level: int, disc: int) -> None:
@@ -212,14 +221,11 @@ Source = Union[CurveData, NewformData]
 Factors = List[Tuple[int, int]]  # [(p, e), ...] as from factorize
 
 
-def _warn_ramanujan(p: int, ap: int, k: int, level: int) -> None:
-    # exact integer comparison of a_p^2 against 4 p^(k-1), good primes only
+def _check_deligne(p: int, ap: int, k: int, level: int) -> None:
+    """Deligne's bound holds at each good prime of a newform, so a table past
+    it is refused; exact integer comparison of a_p^2 against 4 p^(k-1)."""
     if level % p != 0 and ap * ap > 4 * p ** (k - 1):
-        warnings.warn(
-            f"a_{p} = {ap} violates |a_p| <= 2 p^((k-1)/2) for weight {k}",
-            RamanujanBoundWarning,
-            stacklevel=3,
-        )
+        raise InputError(f"a_{p} = {ap} violates |a_p| <= 2 p^((k-1)/2) for weight {k}")
 
 
 def point_count(curve: CurveData, p: int) -> int:
@@ -531,7 +537,7 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
     """Parse an eigenvalue file (format in the module docstring), given by
     its path or as an open text stream."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             lines = handle.readlines()
     else:
         lines = source.readlines()
@@ -548,7 +554,7 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected '<p> <a_p>', got {line!r}")
         try:
-            p, ap = int(parts[0]), int(parts[1])
+            p, ap = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
             raise InputError(f"line {lineno}: non-integer entry in {line!r}") from None
         if not is_prime(p):
@@ -569,14 +575,14 @@ def _parse_header(line: str, lineno: int):
             f"line {lineno}: header must be 'weight <k> level <N> character <trivial|delta D>'"
         )
     try:
-        k, level = int(parts[1]), int(parts[3])
+        k, level = _parse_int(parts[1]), _parse_int(parts[3])
     except ValueError:
         raise InputError(f"line {lineno}: non-integer weight/level") from None
     if parts[5] == "trivial" and len(parts) == 6:
         return k, level, None
     if parts[5] == "delta" and len(parts) == 7:
         try:
-            return k, level, int(parts[6])
+            return k, level, _parse_int(parts[6])
         except ValueError:
             raise InputError(f"line {lineno}: bad delta discriminant") from None
     raise InputError(f"line {lineno}: bad character clause {' '.join(parts[4:])!r}")

@@ -283,8 +283,10 @@ def ap_match_report(curve: CurveData, newform: NewformData, pmax: Optional[int] 
 
     One row per tabulated prime (<= pmax if given): OK when the stored a_p
     equals the recomputed one, FAIL otherwise.  This is the only
-    non-formal check in the suite, so it is the one an edited table trips.
-    A curve that gives its conductor must give the table's level.
+    non-formal check in the suite, so it is the one an edited table trips
+    while the edit stays inside Deligne's bound; an edit past the bound is
+    refused when the table is read.  A curve that gives its conductor must
+    give the table's level.
     """
     if newform.weight != 2:
         raise InputError("eigenvalue/curve comparison needs a weight-2 table")

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -268,27 +269,86 @@ def test_conflicting_conductors_rejected(capsys, curve, extra, err):
     assert code == 2 and captured.out == "" and captured.err == f"error: {err}\n"
 
 
-def test_predict_json_to_file(capsys, tmp_path):
-    out_path = tmp_path / "pred.json"
-    code, out, _ = run(
-        capsys,
-        "predict",
-        "--curve",
-        CURVE + ",11",
-        "--pmax",
-        "20",
-        "--format",
-        "json",
-        "--out",
-        str(out_path),
-    )
-    assert code == 0 and out == ""
-    payload = json.loads(out_path.read_text())
+def test_predict_json_to_file(capsys):
+    # stdout is the one output channel; a shell redirection writes the file
+    code, out, _ = run(capsys, "predict", "--curve", CURVE + ",11", "--pmax", "20", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
     assert payload["level"] == 11
     assert payload["arch"]["siegel"] == {"scalar": 3}
     assert payload["spin_factors"]["2"]["coeffs"] == ["1", "0", "0", "0", "64"]
     assert payload["flags"] == {"cap": False, "endoscopic": False}
     assert payload["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--curve", CURVE, "--p", "3"],
+        ["factor", "--curve", CURVE, "--p", "3"],
+        ["sym3", "--curve", CURVE, "--p", "3"],
+        ["induce", "--D", "-4", "--m", "2", "--p", "5"],
+        ["verify", "--identity", "sym3-ext2", "--pmax", "5"],
+        ["predict", "--curve", CURVE, "--pmax", "5"],
+        ["lcoeffs", "--curve", CURVE, "--X", "5"],
+        ["eval", "--curve", CURVE, "--X", "5", "-s", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_option_is_gone(capsys, tmp_path, argv):
+    target = tmp_path / "x.json"
+    code, out, err = in_process(capsys, [*argv, "--out", str(target)])
+    assert (code, out, err) == (2, "", f"error: unrecognized arguments: --out {target}\n")
+    assert not target.exists()
+
+
+#: a level-11 table whose a_3 is past Deligne's bound |a_3| <= 2 sqrt(3)
+PAST_BOUND = "weight 2 level 11 character trivial\n2 -2\n3 100\n5 1\n7 -2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--p", "3"],
+        ["lcoeffs", "--transfer", "sym3", "--X", "10"],
+        ["predict", "--pmax", "10"],
+        ["verify", "--identity", "ap-match", "--curve", CURVE + ",11"],
+    ],
+    ids=["factor", "lcoeffs", "predict", "ap-match"],
+)
+def test_table_past_the_bound_is_refused(capsys, tmp_path, argv):
+    # no newform breaks the bound, so no factor or OK row is printed for such a
+    # table; the refusal does not hang on a warnings filter (pytest's raises them)
+    path = tmp_path / "past.txt"
+    path.write_text(PAST_BOUND)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, *argv, "--eigenfile", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2\n"
+
+
+@pytest.mark.parametrize(
+    "curve",
+    ["0,-1,1,0,1_0", "\u0663,-1,1,0,0", "0,-1,1,0,\uff10", "0,-1,1,0,0,1_1", "0,-1,1,0,+-0"],
+    ids=["underscore", "arabic-indic", "fullwidth", "underscored-conductor", "double-sign"],
+)
+def test_curve_integers_are_ascii_decimals(capsys, curve):
+    # int() reads 1_0 as 10 and any Unicode decimal digit as its value
+    code, out, err = run(capsys, "ap", "--curve", curve, "--p", "3")
+    assert (code, out, err) == (2, "", f"error: --curve has a non-integer entry in {curve!r}\n")
+
+
+def test_curve_integers_keep_their_signs_and_spaces(capsys):
+    assert run(capsys, "ap", "--curve", "+0, -1, +1, 0, 0, +11", "--p", "3") == (
+        0, "a_3 = -1  (good)\n", "")
+
+
+def test_predict_reads_a_table_with_a_byte_order_mark(capsys, tmp_path, delta_path):
+    path = tmp_path / "delta_bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + delta_path.read_bytes())
+    argv = ["predict", "--pmax", "50", "--eigenfile"]
+    assert run(capsys, *argv, str(path)) == run(capsys, *argv, str(delta_path))
 
 
 def test_predict_deterministic_bytes(capsys):
@@ -781,37 +841,34 @@ def in_child(*args, stdout=subprocess.PIPE):
           "--pmax", "7"], 1),
         (["ap", "--p", "5"], 2),
         (["ap", "--curve", CURVE, "--bogus"], 2),
+        (["factor", "--eigenfile", "PAST", "--p", "3"], 2),
+        (["predict", "--curve", CURVE, "--pmax", "5", "--out", "OUT"], 2),
         (LONG_FACTOR, 0),
         (PAST_FLOAT, 0),
     ],
-    ids=["ok", "fail", "input-error", "usage-error", "long-factor", "past-float"],
+    ids=["ok", "fail", "input-error", "usage-error", "refused-table", "out-refused",
+         "long-factor", "past-float"],
 )
 def test_process_matches_main(capsys, tmp_path, argv, code):
     path = tmp_path / "corrupt.txt"
     path.write_text("weight 2 level 11 character trivial\n2 2\n3 -1\n5 1\n7 -2\n")
-    argv = [str(path) if a == "TABLE" else a for a in argv]
+    past = tmp_path / "past.txt"
+    past.write_text(PAST_BOUND)
+    places = {"TABLE": str(path), "PAST": str(past), "OUT": str(tmp_path / "x.json")}
+    argv = [places.get(a, a) for a in argv]
     expected = in_process(capsys, argv)
     assert expected[0] == code
     assert in_child("-m", "siegellift.cli", *argv) == expected
 
 
-def test_warning_is_one_stderr_line(tmp_path):
-    # warn's own format printed the file:line of modform and a line of its source
+def test_table_past_the_bound_is_one_error_line_in_a_child(tmp_path):
+    # with or without a warnings filter: the bound is a refusal, not a warning
     path = tmp_path / "ram.txt"
     path.write_text("weight 2 level 11 character trivial\n3 100\n")
     argv = ["-m", "siegellift.cli", "factor", "--eigenfile", str(path), "--p", "3"]
-    warning = "a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2"
-    out = "p=3: 1 - 100*T + 3*T^2  (weight 1)\n"
-    assert in_child(*argv) == (0, out, f"warning: {warning}\n")
-    # the user's filters still apply; one raised as an error is an input error
-    assert in_child("-W", "error", *argv) == (2, "", f"error: {warning}\n")
-
-
-def test_process_writes_out_file_whole(capsys, tmp_path):
-    argv = ["predict", "--curve", CURVE, "--pmax", "100", "--format", "json"]
-    assert in_process(capsys, [*argv, "--out", str(tmp_path / "main.json")]) == (0, "", "")
-    assert in_child("-m", "siegellift.cli", *argv, "--out", str(tmp_path / "child.json")) == (0, "", "")
-    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    refused = (2, "", "error: a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2\n")
+    assert in_child(*argv) == refused
+    assert in_child("-W", "error", *argv) == refused
 
 
 def test_profiled_process_still_reports():

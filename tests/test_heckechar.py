@@ -174,7 +174,7 @@ def test_induced_factor_against_char_value(d):
 def test_delta_table_matches_induced_factor(d):
     # the CM form of chi as a `delta D` table (weight 2m+1, level |D|, a_p
     # the trace of Ind chi_p) has Ind chi_p as its factor at every p, the
-    # ramified ones included; a Ramanujan warning would fail the test
+    # ramified ones included, and NewformData refuses no a_p past Deligne's bound
     K = ImagQuadField(d)
     ms = [m for m in range(1, 7) if not ((d == -4 and m % 2) or (d == -3 and m % 3))][:2]
     for m in ms:

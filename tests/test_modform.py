@@ -22,7 +22,6 @@ from siegellift.errors import InputError
 from siegellift.modform import (
     _BSGS_MIN_P,
     NewformData,
-    RamanujanBoundWarning,
     _ap_bsgs,
     _ap_charsum,
     _orders_in,
@@ -315,10 +314,56 @@ def test_empty_eigenvalue_section():
         local_factor_gl2(form, 2)
 
 
-def test_ramanujan_warning_channel():
+def test_table_past_deligne_bound_is_refused():
+    # every newform obeys |a_p| <= 2 p^((k-1)/2) at a good prime
     text = "weight 2 level 11 character trivial\n3 100\n"
-    with pytest.warns(RamanujanBoundWarning):
+    with pytest.raises(InputError, match=re.escape(
+            "a_3 = 100 violates |a_p| <= 2 p^((k-1)/2) for weight 2") + "$"):
         parse_eigenfile(io.StringIO(text))
+    # an exact integer comparison: at weight 5, a_2 = 8 is on the bound 2 * 2^2
+    assert NewformData(5, 7, -7, {2: -8}).eigenvalues == {2: -8}
+    with pytest.raises(InputError, match="^a_2 = 9 violates"):
+        NewformData(5, 7, -7, {2: 9})
+
+
+@pytest.mark.parametrize("key", [4, 1, 0, -3])
+def test_newform_key_must_be_prime(key):
+    # checked before the bound, which would otherwise name a_-3 as past it
+    with pytest.raises(InputError, match=f"^newform eigenvalue key {key} is not prime$"):
+        NewformData(2, 11, eigenvalues={key: 1})
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("weight 2 level 11 character trivial\n3 1_0\n", "line 2: non-integer entry in '3 1_0'"),
+        ("weight 2 level 11 character trivial\n\u0663 1\n", "line 2: non-integer entry in '\u0663 1'"),
+        ("weight 2 level 11 character trivial\n3 \uff11\n", "line 2: non-integer entry in '3 \uff11'"),
+        ("weight 2 level 11 character trivial\n3 --1\n", "line 2: non-integer entry in '3 --1'"),
+        ("weight 1_2 level 1 character trivial\n", "line 1: non-integer weight/level"),
+        ("weight 12 level \u0661 character trivial\n", "line 1: non-integer weight/level"),
+        ("weight 3 level 7 character delta -\u0667\n", "line 1: bad delta discriminant"),
+        ("weight 3 level 7 character delta -_7\n", "line 1: bad delta discriminant"),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "double-sign", "header-underscore",
+         "header-digit", "delta-digit", "delta-underscore"],
+)
+def test_eigenfile_integers_are_ascii_decimals(text, err):
+    # int() reads 1_0 as 10 and any Unicode decimal digit as its value
+    with pytest.raises(InputError, match=f"^{re.escape(err)}$"):
+        parse_eigenfile(io.StringIO(text))
+
+
+def test_eigenfile_signs_are_read():
+    form = parse_eigenfile(io.StringIO("weight +3 level +7 character delta -7\n2 +1\n3 0\n"))
+    assert (form.weight, form.level, form.character, form.eigenvalues) == (3, 7, -7, {2: 1, 3: 0})
+
+
+def test_eigenfile_with_byte_order_mark(delta_form, delta_path, tmp_path):
+    # an editor may save UTF-8 with a BOM, which a path is read past
+    path = tmp_path / "delta_bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + delta_path.read_bytes())
+    assert repr(parse_eigenfile(path)) == repr(delta_form)
 
 
 def test_delta_character_header():

@@ -431,17 +431,18 @@ def test_ap_match(curve_11a3, delta_path, tmp_path):
     report = ap_match_report(curve_11a3, parse_eigenfile(good))
     assert report.ok
 
-    lines[1] = "2 7"  # corrupt a_2 (also breaks the Hasse bound: warning)
+    lines[1] = "2 2"  # corrupt a_2 = -2, inside Deligne's bound
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
-    from siegellift.modform import RamanujanBoundWarning
-
-    with pytest.warns(RamanujanBoundWarning):
-        corrupted = parse_eigenfile(bad)
-    report = ap_match_report(curve_11a3, corrupted)
+    report = ap_match_report(curve_11a3, parse_eigenfile(bad))
     assert not report.ok
     failing = [e for e in report.entries if e.status is Status.FAIL]
     assert len(failing) == 1 and failing[0].prime == 2
+
+    lines[1] = "2 7"  # past the bound: refused when the table is read, before any check
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="^a_2 = 7 violates"):
+        parse_eigenfile(bad)
 
     with pytest.raises(InputError):
         ap_match_report(curve_11a3, parse_eigenfile(delta_path))  # weight 12 table
