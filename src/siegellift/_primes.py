@@ -1,4 +1,4 @@
-"""Small prime utilities (deterministic, exact)."""
+"""Small prime utilities (deterministic, exact) and the grammar of a user's integers."""
 
 from __future__ import annotations
 
@@ -150,3 +150,11 @@ def sqrt_mod(a: int, p: int) -> int:
         b = pow(c, 1 << (s - i - 1), p)
         s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r
+
+
+def _parse_int(text: str) -> int:
+    """The int of an ASCII decimal [+-]?[0-9]+; int() also reads 1_0 and non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)

@@ -16,12 +16,9 @@ to ``json.dumps(indent=2, sort_keys=True)``, so no command imports ``json``.
 The parser holds only the subcommand that is run, unless help or an unknown
 command needs them all.
 
-A process ends as cheaply as it starts: :func:`entry` flushes stdout and
-stderr after :func:`main` returns and exits with ``os._exit``, skipping the
-interpreter's teardown.  It falls back to ``sys.exit`` when a flush fails
-or when a tracer, profiler or monitoring tool is attached (coverage,
-``python -m cProfile``), which report after the program unwinds.  :func:`main`
-never exits the process, so it can be called in-process.
+A process ends as cheaply as it starts (:func:`entry`); :func:`main` never
+exits the process, so it can be called in-process.  Every number on the
+command line is an ASCII decimal, as a ``--curve`` entry is.
 """
 
 from __future__ import annotations
@@ -30,13 +27,13 @@ import argparse
 import os
 import sys
 
-from ._primes import is_prime, primes_upto
+from ._primes import _parse_int, is_prime, primes_upto
 from .errors import InputError, NotSymplecticError, SiegelLiftError
 
 
 def _parse_curve(text: str):
     """The curve of ``--curve a1,a2,a3,a4,a6[,N]``."""
-    from .modform import CurveData, _parse_int
+    from .modform import CurveData
 
     parts = [t.strip() for t in text.split(",")]
     if len(parts) not in (5, 6):
@@ -251,6 +248,24 @@ def _cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_flag(text: str) -> int:
+    """An int flag's value: an ASCII decimal, as a ``--curve`` entry is."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _float_flag(text: str) -> float:
+    """``-s``: what float() reads ('1.5', '1e5', 'nan') from ASCII without '_'."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error:`` line and exit code 2, as the
     checked input errors are; the subcommand parsers inherit the class."""
@@ -268,7 +283,7 @@ _IDENTITIES = ("sym2-ind", "sym3-ext2", "tensor-ext2", "tensor-square", "ap-matc
 def _add_output(parser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility (N >= 1); runs are serial"
+        "--jobs", type=_int_flag, default=1, help="accepted for compatibility (N >= 1); runs are serial"
     )
 
 
@@ -282,32 +297,32 @@ def _add_source(parser) -> None:
 
 
 def _add_character(parser) -> None:
-    parser.add_argument("--D", type=int, help="imaginary quadratic discriminant")
-    parser.add_argument("--m", type=int, help="character half-weight (weight is 2m)")
+    parser.add_argument("--D", type=_int_flag, help="imaginary quadratic discriminant")
+    parser.add_argument("--m", type=_int_flag, help="character half-weight (weight is 2m)")
 
 
 def _add_primes(parser) -> None:
     one_or_all = parser.add_mutually_exclusive_group()
-    one_or_all.add_argument("--p", type=int, help="a single prime")
-    one_or_all.add_argument("--pmax", type=int, help="all primes up to this bound")
+    one_or_all.add_argument("--p", type=_int_flag, help="a single prime")
+    one_or_all.add_argument("--pmax", type=_int_flag, help="all primes up to this bound")
 
 
 def _add_verify(parser) -> None:
     parser.add_argument("--identity", required=True, choices=_IDENTITIES)
-    parser.add_argument("--pmax", type=int, default=100)
+    parser.add_argument("--pmax", type=_int_flag, default=100)
 
 
 def _add_predict(parser) -> None:
-    parser.add_argument("--pmax", type=int, default=50)
+    parser.add_argument("--pmax", type=_int_flag, default=50)
 
 
 def _add_transfer(parser) -> None:
     parser.add_argument("--transfer", choices=("none", "sym3", "tensor"), default="none")
-    parser.add_argument("--X", type=int, required=True, help="expansion bound")
+    parser.add_argument("--X", type=_int_flag, required=True, help="expansion bound")
 
 
 def _add_point(parser) -> None:
-    parser.add_argument("-s", type=float, required=True, help="evaluation point")
+    parser.add_argument("-s", type=_float_flag, required=True, help="evaluation point")
 
 
 #: Each subcommand: its name, help line, handler and argument groups, in order.

@@ -246,8 +246,8 @@ def spin_object(source: Source, chi: Optional[AntiCycChar], pmax: int) -> LObjec
     of Ind chi_p that the cut factor reads are all zero, it is built from
     zeros and eta is never formed: at every inert p above sqrt(pmax), where
     c_1 = -a_p tr(Ind chi_p) and the trace is 0, no points are counted.
-    Every check that :func:`reduction_at` makes at p still runs there
-    (:func:`checked_regime`), in the same order of primes."""
+    A table's check at p (:func:`checked_regime`: a missing a_p) still runs
+    there, in the same order of primes; a curve's ran when it was built."""
     weight, induced = _spin_weight(source, chi), _induced(chi)
     factors = {}
     for p in primes_upto(pmax):

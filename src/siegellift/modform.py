@@ -2,18 +2,19 @@
 
 Curves are given by integral Weierstrass coefficients (a1,a2,a3,a4,a6),
 assumed minimal at every prime dividing the discriminant (documented input
-contract; no minimalization is performed here).  A supplied conductor is
-checked against the reduction at each prime; this rejects a model that is
-not minimal at a prime of good or multiplicative reduction, where it
-reduces to a cusp.  Good-prime Hecke eigenvalues a_p = p + 1 - #E(F_p)
-come from point enumeration at p = 2, an O(p) quadratic-character sum up
-to p = 229, and Shanks-Mestre baby-step giant-step (about p^(1/4) group
-operations, each one affine addition written out inline: one modular
-inversion, no call) above it, with the character sum as its fallback and
-test oracle.  Curve and newform data must be exact ints: a float, str, bool
-or None is rejected, never truncated.  At a prime p | discriminant the
-reduction is additive (a_p = 0) when p | c4, else multiplicative: split
-(a_p = 1) when -c6 is a square in Z_p, nonsplit (a_p = -1) when it is not.
+contract; no minimalization is performed here).  A supplied conductor N is
+checked when the curve is built, at every prime of N and of the
+discriminant; this rejects a model that is not minimal at a prime of good
+or multiplicative reduction, where it reduces to a cusp.  Good-prime Hecke
+eigenvalues a_p = p + 1 - #E(F_p) come from point enumeration at p = 2, an
+O(p) quadratic-character sum up to p = 229, and Shanks-Mestre baby-step
+giant-step (about p^(1/4) group operations, each one affine addition
+written out inline: one modular inversion, no call) above it, with the
+character sum as its fallback and test oracle.  Curve and newform data
+must be exact ints: a float, str, bool or None is rejected, never
+truncated.  At a prime p | discriminant the reduction is additive (a_p = 0)
+when p | c4, else multiplicative: split (a_p = 1) when -c6 is a square in
+Z_p, nonsplit (a_p = -1) when it is not.
 
 Newforms of weight k >= 2 arrive as eigenvalue files:
 
@@ -22,8 +23,9 @@ Newforms of weight k >= 2 arrive as eigenvalue files:
     2 -24
     3 252
 
-A row is a prime and its a_p in ASCII decimals.  A good a_p past Deligne's
-bound |a_p| <= 2 p^((k-1)/2), which every newform obeys, is refused.
+A row is a prime and its a_p in ASCII decimals.  A table is refused when it
+is built if a good a_p passes Deligne's bound |a_p| <= 2 p^((k-1)/2), which
+every newform obeys, or an a_p at p | level breaks the level rule.
 
 The character line accepts ``trivial`` or ``delta <D>`` for the quadratic
 character of an imaginary quadratic field of discriminant D (a negative
@@ -35,10 +37,10 @@ the factor is 1 - a_p T whatever the exponent of p in the level, with
 |a_p|^2 = p^(k-1) when the level and D have the same p-part, else a_p = 0.
 
 This is the one module that knows a GL(2) source (``Source``, a curve or a
-table): its label, its conductor N with the one factorization a prediction
-makes, and the conductor-exponent rule (p not dividing N, p || N, p^2 | N
-for good, multiplicative, additive reduction) that the conductor check,
-the level check and the derivation of N all read.
+table): its label, its conductor N with its factorization, and the
+conductor-exponent rule (p not dividing N, p || N, p^2 | N for good,
+multiplicative, additive reduction) that the conductor check, the level
+check and the derivation of N all read.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, TextIO, Tuple, Union
 
-from ._primes import factorize, is_prime, kronecker_at_prime
+from ._primes import _parse_int, factorize, is_prime, kronecker_at_prime
 from ._record import Record, Value
 from .errors import InputError
 
@@ -67,7 +69,8 @@ class ReductionKind(Enum):
 class CurveData(Value):
     """An integral Weierstrass model (a1, a2, a3, a4, a6), optionally with
     its conductor.  ``invariants`` holds (b2, b4, b6, b8, c4, c6,
-    discriminant), computed once when the curve is built."""
+    discriminant), computed once when the curve is built.  A conductor N
+    must give the reduction at every prime of N and of the discriminant."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "conductor", "invariants")
 
@@ -80,6 +83,14 @@ class CurveData(Value):
             raise InputError(f"singular Weierstrass model {(a1, a2, a3, a4, a6)}")
         c4, c6 = b2 * b2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
         self._fill(a1, a2, a3, a4, a6, conductor, (b2, b4, b6, b8, c4, c6, disc))
+        if conductor is None:
+            return
+        rest = abs(disc)  # its part prime to N: 1 for a minimal model that agrees with N
+        while (g := gcd(rest, conductor)) > 1:
+            rest //= g
+        for p in sorted(p for p, _ in factorize(conductor) + factorize(rest)):
+            if (regime := checked_regime(self, p)) != _regime_at(conductor, p):
+                raise InputError(f"{regime} reduction at p={p} contradicts the conductor {conductor}")
 
     def _args(self) -> tuple:
         return (self.a1, self.a2, self.a3, self.a4, self.a6, self.conductor)
@@ -104,14 +115,6 @@ def _require_ints(what: str, values: tuple, optional: Optional[int]) -> None:
             raise InputError(f"{what} data must be integers, got {type(v).__name__} {v!r}")
 
 
-def _parse_int(text: str) -> int:
-    """The int of an ASCII decimal [+-]?[0-9]+; int() also reads 1_0 and non-ASCII digits."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def invariants_of_raw(a1, a2, a3, a4, a6):
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -125,9 +128,7 @@ class ReductionData(Record):
     __slots__ = ("prime", "kind", "ap")
 
     def __init__(self, prime: int, kind: ReductionKind, ap: int):
-        self.prime = prime
-        self.kind = kind
-        self.ap = ap
+        self._fill(prime, kind, ap)
 
     @property
     def regime(self) -> str:
@@ -177,12 +178,12 @@ class NewformData(Record):
             _check_delta(weight, level, character)
         elif weight % 2:
             raise InputError(f"character trivial is even, so the weight must be even, got {weight}")
-        self.weight = weight
-        self.level = level
-        self.character = character
-        self.eigenvalues = eigenvalues
+        self._fill(weight, level, character, eigenvalues)
         for p, ap in eigenvalues.items():
-            _check_deligne(p, ap, weight, level)
+            if level % p == 0:
+                checked_regime(self, p)  # the level rule
+            elif ap * ap > 4 * p ** (weight - 1):  # Deligne's bound, which every newform obeys
+                raise InputError(f"a_{p} = {ap} violates |a_p| <= 2 p^((k-1)/2) for weight {weight}")
 
 
 def _check_delta(weight: int, level: int, disc: int) -> None:
@@ -219,13 +220,6 @@ def _is_imaginary_discriminant(d: int) -> bool:
 
 Source = Union[CurveData, NewformData]
 Factors = List[Tuple[int, int]]  # [(p, e), ...] as from factorize
-
-
-def _check_deligne(p: int, ap: int, k: int, level: int) -> None:
-    """Deligne's bound holds at each good prime of a newform, so a table past
-    it is refused; exact integer comparison of a_p^2 against 4 p^(k-1)."""
-    if level % p != 0 and ap * ap > 4 * p ** (k - 1):
-        raise InputError(f"a_{p} = {ap} violates |a_p| <= 2 p^((k-1)/2) for weight {k}")
 
 
 def point_count(curve: CurveData, p: int) -> int:
@@ -422,14 +416,14 @@ def reduction_at(source: Source, p: int) -> ReductionData:
     c6 decide (:func:`reduction_bad`).  A newform's level decides by the
     rule in :data:`_REGIMES`, split multiplicative when a_p > 0; at a prime
     of its ``delta D`` character it keeps the table's a_p (0 if absent), so
-    its factor is 1 - a_p T at any exponent of p in the level.  The checks
-    are those of :func:`checked_regime`.
+    its factor is 1 - a_p T at any exponent of p in the level, after the
+    checks of :func:`checked_regime` (a curve's ran when it was built).
     """
-    regime = checked_regime(source, p)
     if isinstance(source, CurveData):
-        if regime == "good":
+        if source.discriminant % p:
             return ReductionData(p, ReductionKind.GOOD, ap_good(source, p))
         return reduction_bad(source, p)
+    regime = checked_regime(source, p)
     ap = source.eigenvalues.get(p, 0)
     if regime == "multiplicative":
         return ReductionData(p, ReductionKind.SPLIT_MULT if ap > 0 else ReductionKind.NONSPLIT_MULT, ap)
@@ -437,11 +431,10 @@ def reduction_at(source: Source, p: int) -> ReductionData:
 
 
 def checked_regime(source: Source, p: int) -> str:
-    """The reduction at p ("good", "multiplicative" or "additive") after
-    every check that :func:`reduction_at` makes there, with no point count:
-    a supplied conductor must agree with a curve's reduction, and a table
-    must give a_p wherever the level asks for a nonzero one, of the size
-    the level rule asks:
+    """The reduction at p ("good", "multiplicative" or "additive") with no
+    point count.  A table must give a_p wherever the level asks for a
+    nonzero one (checked where a command reaches p), of the size the level
+    rule asks (checked at every p | N in the table when it is built):
 
     - at p || N, a_p^2 = p^(k-2) (Steinberg twisted by an unramified
       character); at p^2 | N, a_p = 0;
@@ -450,12 +443,7 @@ def checked_regime(source: Source, p: int) -> str:
       have the same p-part, else a_p = 0.
     """
     if isinstance(source, CurveData):
-        regime = reduction_bad(source, p).regime if source.discriminant % p == 0 else "good"
-        if source.conductor is not None:
-            _check_conductor(source.conductor, p, regime)
-        return regime
-    if not isinstance(source, NewformData):
-        raise InputError(f"unsupported source {type(source).__name__}")
+        return reduction_bad(source, p).regime if source.discriminant % p == 0 else "good"
     n, table, k = source.level, source.eigenvalues, source.weight
     regime = _regime_at(n, p)
     if source.character is not None and source.character % p == 0:
@@ -485,29 +473,15 @@ def _regime_at(n: int, p: int) -> str:
     return _REGIMES[0 if n % p else 1 if n % (p * p) else 2]
 
 
-def _check_conductor(n: int, p: int, regime: str) -> None:
-    if regime != _regime_at(n, p):
-        raise InputError(f"{regime} reduction at p={p} contradicts the conductor {n}")
-
-
 def _conductor(source: Source) -> Tuple[int, Factors]:
-    """Conductor N of the source and its factorization, the one factorization
-    a prediction makes.  A curve's supplied N, and a table's level at each
-    p | N whose a_p it gives, are checked at every p | N (the level uses
-    every prime of N, not only those up to pmax); without a supplied N,
-    :data:`_REGIMES` reads N off the reduction at each p | discriminant."""
-    if isinstance(source, NewformData):
-        factors = factorize(source.level)
-        for p, _ in factors:  # a missing a_p is reported where a command reaches p
-            if p in source.eigenvalues:
-                checked_regime(source, p)
-        return source.level, factors
-    n = source.conductor
-    factors = factorize(abs(source.discriminant) if n is None else n)
-    # checked_regime checks a supplied N at each of its primes
-    derived = [(p, _REGIMES.index(checked_regime(source, p))) for p, _ in factors]
+    """Conductor N of the source and its factorization: a table's level, a
+    curve's supplied N (both checked when the source was built), or, without
+    one, N read off the reduction at each p | discriminant by :data:`_REGIMES`."""
+    n = source.level if isinstance(source, NewformData) else source.conductor
     if n is not None:
-        return n, factors
+        return n, factorize(n)
+    derived = [(p, _REGIMES.index(checked_regime(source, p)))
+               for p, _ in factorize(abs(source.discriminant))]
     for p, e in derived:
         if e > 1:  # additive: the exponent is at least 2, and the model does not say which
             raise InputError(f"conductor required: additive reduction at {p} prevents deriving it "
@@ -537,10 +511,12 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
     """Parse an eigenvalue file (format in the module docstring), given by
     its path or as an open text stream."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
+        with open(source, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     else:
         lines = source.readlines()
+    if lines:  # an editor may save UTF-8 with a byte-order mark
+        lines[0] = lines[0].removeprefix("\ufeff")
     header = None
     eigenvalues: Dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -495,7 +495,7 @@ def predict_siegel(
         entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 
     # once is empty for the tensor; for Sym^3 it holds the primes of the squarefree N,
-    # each multiplicative (reduction_at checked it)
+    # each multiplicative (a source is checked against N when it is built)
     if any(p <= pmax for p in once):
         notes.append(
             "level at multiplicative primes follows the squarefree rule (exponent 1); the "

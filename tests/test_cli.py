@@ -451,6 +451,69 @@ def test_level_checked_beyond_pmax(capsys, tmp_path):
     assert err == "error: a_13 = 5 contradicts the level 143: a_p^2 must be 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["factor", "--p", "2"], ["lcoeffs", "--X", "7"]],
+    ids=["factor", "lcoeffs"],
+)
+def test_level_is_checked_when_the_table_is_read(capsys, tmp_path, argv):
+    # the table of test_level_checked_beyond_pmax, refused by commands that never reach 13
+    path = tmp_path / "level143.txt"
+    path.write_text("weight 2 level 143 character trivial\n2 0\n3 1\n5 -1\n7 2\n13 5\n")
+    assert run(capsys, *argv, "--eigenfile", str(path)) == (
+        2, "", "error: a_13 = 5 contradicts the level 143: a_p^2 must be 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ap", "--p", "5"],
+        ["factor", "--p", "5"],
+        ["sym3", "--pmax", "7"],
+        ["verify", "--identity", "sym3-ext2", "--pmax", "7"],
+        ["predict", "--pmax", "7"],
+        ["predict", "--D", "-4", "--m", "2", "--pmax", "7"],
+        ["lcoeffs", "--X", "7"],
+        ["eval", "--X", "7", "-s", "3"],
+    ],
+    ids=["ap", "factor", "sym3", "verify", "predict", "predict-tensor", "lcoeffs", "eval"],
+)
+def test_conductor_is_checked_when_the_curve_is_read(capsys, argv):
+    # N = 1 leaves out 11 | disc; no command reaches 11, and predict printed level 1 (16 with chi)
+    assert run(capsys, *argv, "--curve", CURVE + ",1") == (
+        2, "", "error: multiplicative reduction at p=11 contradicts the conductor 1\n")
+
+
+def test_conductor_is_checked_at_a_good_prime_of_the_discriminant(capsys):
+    # y^2 = x^3 + x has discriminant -64 and good reduction at 3 | 36
+    assert run(capsys, "ap", "--curve", "0,0,0,1,0,36", "--p", "5") == (
+        2, "", "error: good reduction at p=3 contradicts the conductor 36\n")
+
+
+#: A command for each number flag, with {} where the flag's value goes.
+NUMBER_FLAGS = {
+    "--p": ["ap", "--curve", CURVE, "--p", "{}"],
+    "--pmax": ["ap", "--curve", CURVE, "--pmax", "{}"],
+    "--D": ["induce", "--D", "{}", "--m", "2", "--p", "5"],
+    "--m": ["induce", "--D", "-4", "--m", "{}", "--p", "5"],
+    "--X": ["lcoeffs", "--curve", CURVE, "--X", "{}"],
+    "--jobs": ["ap", "--curve", CURVE, "--p", "5", "--jobs", "{}"],
+    "-s": ["eval", "--curve", CURVE, "--X", "10", "-s", "{}"],
+}
+
+
+@pytest.mark.parametrize("flag", NUMBER_FLAGS)
+@pytest.mark.parametrize("value", ["1_1", "\u0663", "\uff13"], ids=["underscore", "arabic-indic", "fullwidth"])
+def test_number_flags_are_ascii_decimals(capsys, flag, value):
+    # int() and float() read 1_1 as 11 and any Unicode decimal digit as its value
+    argv = [value if a == "{}" else a for a in NUMBER_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    kind = "float" if flag == "-s" else "int"
+    assert (exc.value.code, *capsys.readouterr()) == (
+        2, "", f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+
+
 def test_verify_missing_inputs_without_primes(capsys):
     # the check fires before any prime, so also when --pmax leaves none
     code, _, err = run(capsys, "verify", "--identity", "tensor-ext2", "--curve", CURVE, "--pmax", "1")
@@ -723,7 +786,8 @@ def test_conductor_and_level_messages(capsys, argv, message):
 )
 def test_tensor_expansion_checks_inert_primes_above_the_root(capsys, argv, message):
     # 19 and 223 are inert in Q(i) and their squares exceed X, so the cut
-    # factor there needs no a_p; the checks at p still run
+    # factor there needs no a_p; the curve row now fails when the curve is
+    # read, and the table row still needs the check at the inert prime
     code, out, err = run(capsys, "lcoeffs", *argv, "--D", "-4", "--m", "2", "--transfer", "tensor")
     assert code == 2 and out == "" and err == f"error: {message}\n"
 

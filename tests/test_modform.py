@@ -366,6 +366,12 @@ def test_eigenfile_with_byte_order_mark(delta_form, delta_path, tmp_path):
     assert repr(parse_eigenfile(path)) == repr(delta_form)
 
 
+def test_eigenfile_stream_with_byte_order_mark(delta_form, delta_path):
+    # a stream is read past a BOM as a path is
+    text = "\ufeff" + delta_path.read_text(encoding="utf-8")
+    assert repr(parse_eigenfile(io.StringIO(text))) == repr(delta_form)
+
+
 def test_delta_character_header():
     form = parse_eigenfile(io.StringIO("weight 3 level 49 character delta -7\n2 1\n"))
     assert form.character == -7
@@ -458,30 +464,52 @@ def test_newform_data_must_be_exact_integers(args, bad):
 
 
 # ---------------------------------------------------------------------------
-# a supplied conductor or level must agree with the local data
+# a supplied conductor or level must agree with the local data; it is
+# checked when the curve or table is built
 
 def test_scaled_model_with_conductor_rejected():
     # 11a3 scaled by u = 2: not minimal at 2, where it reduces to a cusp
-    curve = CurveData(0, -4, 8, 0, 0, conductor=11)
     with pytest.raises(InputError, match="^additive reduction at p=2 contradicts the conductor 11$"):
-        reduction_at(curve, 2)
-    with pytest.raises(InputError, match="^additive reduction at p=2 contradicts the conductor 11$"):
-        local_factor_gl2(curve, 2)
+        CurveData(0, -4, 8, 0, 0, conductor=11)
     # without a conductor there is nothing to contradict
     assert reduction_at(CurveData(0, -4, 8, 0, 0), 2).kind is ReductionKind.ADDITIVE
 
 
 def test_multiplicative_prime_must_divide_conductor_once():
-    for n in (1, 121, 11 * 11 * 3):
+    # the smallest offending prime is named, so the cofactor of 11^2 is 13, not 3
+    for n in (1, 121, 11 * 11 * 13):
         with pytest.raises(InputError, match=f"^multiplicative reduction at p=11 contradicts the conductor {n}$"):
-            reduction_at(CurveData(0, -1, 1, 0, 0, conductor=n), 11)
+            CurveData(0, -1, 1, 0, 0, conductor=n)
 
 
 def test_good_prime_must_not_divide_conductor():
-    curve = CurveData(0, -1, 1, 0, 0, conductor=22)
     with pytest.raises(InputError, match="^good reduction at p=2 contradicts the conductor 22$"):
-        reduction_at(curve, 2)
-    assert reduction_at(curve, 11).ap == 1  # the other primes still agree
+        CurveData(0, -1, 1, 0, 0, conductor=22)
+    assert reduction_at(CurveData(0, -1, 1, 0, 0, conductor=11), 11).ap == 1
+
+
+def test_conductor_is_checked_at_the_primes_of_the_discriminant():
+    # N = 1 leaves out 11 | disc, and N = 36 the prime 3, where y^2 = x^3 + x + 36 is good
+    with pytest.raises(InputError, match="^multiplicative reduction at p=11 contradicts the conductor 1$"):
+        CurveData(0, -1, 1, 0, 0, conductor=1)
+    with pytest.raises(InputError, match="^good reduction at p=3 contradicts the conductor 36$"):
+        CurveData(0, 0, 0, 1, 0, conductor=36)
+
+
+def test_conductor_check_names_the_smallest_offending_prime():
+    # 11a3 with N = 5 * 7: good at 5 and 7, multiplicative at 11
+    with pytest.raises(InputError, match="^good reduction at p=5 contradicts the conductor 35$"):
+        CurveData(0, -1, 1, 0, 0, conductor=35)
+
+
+def test_level_is_checked_when_the_table_is_built():
+    # a_13 = 5 at 13 || 143 is refused before any prime is asked for
+    with pytest.raises(InputError, match="^a_13 = 5 contradicts the level 143: a_p\\^2 must be 1$"):
+        NewformData(2, 143, eigenvalues={2: 0, 3: 1, 5: -1, 7: 2, 13: 5})
+    # a missing a_p is reported where a command reaches p, as a table is finite
+    form = NewformData(2, 143, eigenvalues={2: 0})
+    with pytest.raises(InputError, match="^no eigenvalue a_13 in the table$"):
+        reduction_at(form, 13)
 
 
 def test_additive_prime_with_square_in_conductor_accepted():
