@@ -7,7 +7,7 @@ fixed inputs (prime-ascending ordering everywhere, sorted JSON keys).
 is serial.
 
 Exit codes: 0 success / all checks OK; 1 any verification FAIL or a
-non-symplectic factor; 2 invalid input or I/O failure.
+``VerificationError``; 2 invalid input or I/O failure.
 
 Each command imports the library modules it calls, so a short command does
 not load (or, without a bytecode cache, compile) the modules it never runs.
@@ -28,7 +28,7 @@ import os
 import sys
 
 from ._primes import _parse_int, is_prime, primes_upto
-from .errors import InputError, NotSymplecticError, SiegelLiftError
+from .errors import InputError, SiegelLiftError, VerificationError
 
 
 def _parse_curve(text: str):
@@ -381,12 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "csv" and args.command in ("predict", "eval"):
             raise InputError(f"--format csv is not supported by {args.command}; use text or json")
         return args.func(args)
-    except NotSymplecticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SiegelLiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -1,8 +1,8 @@
 """The package's six exception classes, all under ``SiegelLiftError``.
 
 ``InputError`` and its subclass ``UnsupportedLevelError`` mean bad input
-(CLI exit code 2); ``VerificationError``, ``InexactDivisionError`` and
-``NotSymplecticError`` mean a failed exactness prediction (exit code 1).
+(CLI exit code 2); ``VerificationError`` and its subclasses, ``InexactDivisionError``
+and ``NotSymplecticError``, mean a failed exactness prediction (exit code 1).
 """
 
 

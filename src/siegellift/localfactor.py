@@ -17,11 +17,10 @@ negative Tate twist whose power of p does not divide the coefficients.
 
 The single internal intermediate is the plain tuple of power sums
 (s_1, ..., s_n), s_m = sum_j alpha_j^m; with n = 0 it is (), which
-converts back to the trivial factor 1.  Each factor carries the power
-sums computed from it so far, so they are worked out once per factor: a
-factor built from power sums starts with the s_1..s_degree it was given,
-and :func:`power_sums` extends them only past the longest prefix asked
-for before.  Newton's identities convert both ways:
+converts back to the trivial factor 1.  A factor is a plain value and
+keeps no sums: :func:`_squares` gives Lambda^2 f, Sym^2 f and f x f from
+one pass of f's sums, where the spin factor is squared all three ways.
+Newton's identities convert both ways:
 
     s_k = -k c_k - sum_{i=1}^{k-1} c_i s_{k-i}
     c_k = -(s_k + sum_{i=1}^{k-1} c_i s_{k-i}) / k
@@ -47,7 +46,7 @@ reports the honest polynomial degree.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ._primes import is_prime
 from ._record import Record, Value, _set
@@ -106,15 +105,12 @@ class LocalFactor(Value):
     ``sys.set_int_max_str_digits`` (only ``cli.main`` does).
     """
 
-    # _sums holds the power sums s_1, s_2, ... computed so far; it is
-    # derived from coeffs, so ==, hash, pickle and repr leave it out
-    __slots__ = ("prime", "weight", "coeffs", "_sums")
+    __slots__ = ("prime", "weight", "coeffs")
 
     def __init__(self, prime: int, weight: int, coeffs: Sequence[int]):
         _set(self, "prime", prime)
         _set(self, "weight", weight)
         _set(self, "coeffs", coeffs)
-        _set(self, "_sums", ())
         self.__post_init__()
 
     def _args(self) -> tuple:
@@ -182,25 +178,18 @@ def tate_factor(p: int, j: int) -> LocalFactor:
 
 
 def power_sums(f: LocalFactor, count: int) -> tuple:
-    """The power sums s_1..s_count of the inverse roots (Newton identities),
-    extending those ``f`` carries."""
+    """The power sums s_1..s_count of the inverse roots (Newton identities)."""
     if count < 0:
         raise InputError("power_sums needs count >= 0")
-    known = f._sums
-    if count <= len(known):
-        return known[:count]
-    known = _newton(f.coeffs, known, count)
-    _set(f, "_sums", known)
-    return known
+    return _newton(f.coeffs, count)
 
 
-def _newton(c: Sequence[int], known: tuple, count: int) -> tuple:
-    """The power sums s_1..s_count of the polynomial with coefficients
-    ``c``, extending its first sums ``known`` (fewer than ``count``)."""
+def _newton(c: Sequence[int], count: int) -> tuple:
+    """The power sums s_1..s_count of the polynomial with coefficients ``c``."""
     d = len(c) - 1
     terms = tuple(enumerate(c[1:], start=1))  # (i, c_i), i = 1..d
-    s = list(known)
-    for k in range(len(known) + 1, count + 1):
+    s: list[int] = []
+    for k in range(1, count + 1):
         acc = 0
         for i, ci in terms[: k - 1]:
             acc -= ci * s[-i]  # s holds s_1..s_(k-1), so s[-i] is s_(k-i)
@@ -209,12 +198,10 @@ def _newton(c: Sequence[int], known: tuple, count: int) -> tuple:
 
 
 def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -> LocalFactor:
-    """Inverse of :func:`power_sums`; needs at least ``degree`` power sums.
+    """Inverse of :func:`power_sums`; reads the first ``degree`` power sums.
 
-    The factor carries s_1..s_degree: Newton's identities are a bijection,
-    so they are the sums its coefficients give.  Raises ``InputError`` when
-    the sums are not those of an integral polynomial (a division by k
-    leaves a remainder).
+    Raises ``InputError`` when the sums are not those of an integral
+    polynomial (a division by k leaves a remainder).
     """
     if len(sums) < degree:
         raise InputError(f"need {degree} power sums, got {len(sums)}")
@@ -224,9 +211,7 @@ def from_power_sums(p: int, degree: int, sums: Sequence[int], weight: int = 0) -
         for i in range(1, k):
             acc += c[i] * sums[k - i - 1]
         c.append(_div(-acc, k))
-    f = LocalFactor(p, weight, tuple(c))
-    _set(f, "_sums", tuple(sums[:degree]))
-    return f
+    return LocalFactor(p, weight, tuple(c))
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -310,6 +295,19 @@ def _cycle_index(functor: Functor, sums: Sequence[int], d_out: int) -> list[int]
             )
         out.append(val)
     return out
+
+
+def _squares(f: LocalFactor) -> Tuple[LocalFactor, LocalFactor, LocalFactor]:
+    """Lambda^2 f, Sym^2 f and f x f, from one pass of f's power sums
+    (Sym^2 reads the most: s_1..s_(d(d+1)) for f of degree d)."""
+    d, p, w = f.degree, f.prime, 2 * f.weight
+    s = power_sums(f, d * (d + 1))
+    ext2, sym2 = d * (d - 1) // 2, d * (d + 1) // 2
+    return (
+        from_power_sums(p, ext2, _cycle_index(Functor.EXT2, s, ext2), w),
+        from_power_sums(p, sym2, _cycle_index(Functor.SYM2, s, sym2), w),
+        from_power_sums(p, d * d, _tensor(s, s), w),
+    )
 
 
 def tate_twist(f: LocalFactor, j: int) -> LocalFactor:

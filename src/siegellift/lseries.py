@@ -98,9 +98,9 @@ def _spin(
     spin factor."""
     eta = _int_coeffs(eta)
     if ind is None:
-        sums = _cycle_index(Functor.SYM3, _newton(eta, (), 3 * depth), depth)
+        sums = _cycle_index(Functor.SYM3, _newton(eta, 3 * depth), depth)
     else:
-        sums = _tensor(_newton(eta, (), depth), power_sums(ind, depth))
+        sums = _tensor(_newton(eta, depth), power_sums(ind, depth))
     return from_power_sums(p, depth, sums, weight)
 
 

@@ -67,10 +67,10 @@ class ReductionKind(Enum):
 
 
 class CurveData(Value):
-    """An integral Weierstrass model (a1, a2, a3, a4, a6), optionally with
-    its conductor.  ``invariants`` holds (b2, b4, b6, b8, c4, c6,
-    discriminant), computed once when the curve is built.  A conductor N
-    must give the reduction at every prime of N and of the discriminant."""
+    """An integral Weierstrass model (a1, a2, a3, a4, a6), optionally with its
+    conductor N, which must give the reduction at every prime of N and of the
+    discriminant (a prime of one only offends, so that part is not factored).
+    ``invariants`` holds (b2, b4, b6, b8, c4, c6, discriminant)."""
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "conductor", "invariants")
 
@@ -85,12 +85,20 @@ class CurveData(Value):
         self._fill(a1, a2, a3, a4, a6, conductor, (b2, b4, b6, b8, c4, c6, disc))
         if conductor is None:
             return
-        rest = abs(disc)  # its part prime to N: 1 for a minimal model that agrees with N
-        while (g := gcd(rest, conductor)) > 1:
-            rest //= g
-        for p in sorted(p for p, _ in factorize(conductor) + factorize(rest)):
-            if (regime := checked_regime(self, p)) != _regime_at(conductor, p):
-                raise InputError(f"{regime} reduction at p={p} contradicts the conductor {conductor}")
+        n, good, bad = conductor, conductor, abs(disc)  # good, bad: the parts prime to disc, to N
+        while (g := gcd(good, disc)) > 1:
+            good //= g
+        while (g := gcd(bad, n)) > 1:
+            bad //= g
+        rest = good * bad  # each of its primes offends, so it is not factored: its least
+        # prime is sought below 1000 and a prime part taken whole, or else it is named whole
+        small = [d for d in range(2, min(rest + 1, 1000)) if rest % d == 0][:1]  # the least is prime
+        known = [p for p, _ in factorize(n // good)] + [m for m in (good, bad) if is_prime(m)]
+        for p in sorted(known + small):
+            if (regime := checked_regime(self, p)) != _regime_at(n, p):
+                raise InputError(f"{regime} reduction at p={p} contradicts the conductor {n}")
+        if rest > 1:
+            raise InputError(f"the conductor {n} and the discriminant {disc} differ at the primes of {rest}")
 
     def _args(self) -> tuple:
         return (self.a1, self.a2, self.a3, self.a4, self.a6, self.conductor)

@@ -39,6 +39,7 @@ from .localfactor import (
     CombineMode,
     Functor,
     LocalFactor,
+    _squares,
     combine,
     exact_divide,
     plethysm,
@@ -164,9 +165,10 @@ class VerifyReport(Value):
 # ---------------------------------------------------------------------------
 # the identities
 
-def _check_tensor_square(f: LocalFactor, ext2: LocalFactor) -> Tuple[LocalFactor, LocalFactor]:
-    """The two sides of tensor-square on f, given ext2 = Lambda^2 f."""
-    return combine(f, f, CombineMode.TENSOR), combine(ext2, plethysm(f, Functor.SYM2), CombineMode.SUM)
+def _tensor_square_entry(p: int, ext2: LocalFactor, sym2: LocalFactor, square: LocalFactor) -> ReportEntry:
+    """The tensor-square row of f at p from Lambda^2 f, Sym^2 f and f x f
+    (:func:`~siegellift.localfactor._squares`)."""
+    return _compared(Identity.TENSOR_SQ, p, square, combine(ext2, sym2, CombineMode.SUM))
 
 
 def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
@@ -177,22 +179,21 @@ def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     return combine(induced_factor(char_square(chi), p), tate_factor(p, chi.weight), CombineMode.SUM)
 
 
-def _ext2_sides(
+def _ext2_rhs(
     ld: LocalData, chi: Optional[AntiCycChar], sym2_ind: Optional[LocalFactor] = None
-) -> Tuple[LocalFactor, LocalFactor]:
-    """Lambda^2 of the spin factor and what sym3-ext2 (no chi) or
-    tensor-ext2 predicts for it; ``sym2_ind`` is the sym2-ind side at
-    ld.prime, if built already."""
-    lhs = plethysm(ld.spin, Functor.EXT2)
+) -> LocalFactor:
+    """What sym3-ext2 (no chi) or tensor-ext2 predicts for Lambda^2 of the
+    spin factor, which the caller builds; ``sym2_ind`` is the sym2-ind side
+    at ld.prime, if built already."""
     if chi is None:
         j = ld.eta.weight  # = k - 1
         twisted_sym4 = tate_twist(plethysm(ld.eta, Functor.SYM4), j)
-        return lhs, combine(twisted_sym4, tate_factor(ld.prime, 3 * j), CombineMode.SUM)
+        return combine(twisted_sym4, tate_factor(ld.prime, 3 * j), CombineMode.SUM)
     if sym2_ind is None:
         sym2_ind = _sym2_ind_rhs(chi, ld.prime)
     piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
     piece2 = combine(plethysm(ld.eta, Functor.EXT2), sym2_ind, CombineMode.TENSOR)
-    return lhs, combine(piece1, piece2, CombineMode.SUM)
+    return combine(piece1, piece2, CombineMode.SUM)
 
 
 def _compared(name: Identity, p: int, lhs: LocalFactor, rhs: LocalFactor) -> ReportEntry:
@@ -221,8 +222,8 @@ def _identity_row(
     if ld.skip:
         return ReportEntry(p, name.value, Status.SKIPPED, ld.skip)
     if name is Identity.TENSOR_SQ:
-        return _compared(name, p, *_check_tensor_square(ld.eta, plethysm(ld.eta, Functor.EXT2)))
-    return _compared(name, p, *_ext2_sides(ld, twist))
+        return _tensor_square_entry(p, *_squares(ld.eta))
+    return _compared(name, p, plethysm(ld.spin, Functor.EXT2), _ext2_rhs(ld, twist))
 
 
 def _require_trivial_character(source: Optional[Source], what: str) -> None:
@@ -488,10 +489,10 @@ def predict_siegel(
             entries.append(ReportEntry(p, identity.value, Status.SKIPPED, ld.skip))
             entries.append(ReportEntry(p, "r5-extract", Status.SKIPPED, ld.skip))
             continue
-        ext2, rhs = _ext2_sides(ld, chi, sym2_ind)  # ext2 feeds three rows
+        ext2, sym2, square = _squares(ld.spin)  # ext2 feeds three rows
         std[p] = degree5_factor(ld.spin, ext2)
-        entries.append(_compared(identity, p, ext2, rhs))
-        entries.append(_compared(Identity.TENSOR_SQ, p, *_check_tensor_square(ld.spin, ext2)))
+        entries.append(_compared(identity, p, ext2, _ext2_rhs(ld, chi, sym2_ind)))
+        entries.append(_tensor_square_entry(p, ext2, sym2, square))
         entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 
     # once is empty for the tensor; for Sym^3 it holds the primes of the squarefree N,
@@ -530,8 +531,8 @@ def lambda2_sym3_objects(source: Source, bound: int) -> Tuple[LObject, LObject]:
     rhs_factors = {}
     for p in primes_upto(bound):
         ld = local_data(source, None, p)
-        lhs, rhs = _ext2_sides(ld, None)
-        lhs_factors[p], rhs_factors[p] = lhs, (lhs if ld.skip else rhs)
+        lhs = plethysm(ld.spin, Functor.EXT2)
+        lhs_factors[p], rhs_factors[p] = lhs, (lhs if ld.skip else _ext2_rhs(ld, None))
     label = _source_label(source)
     weight = 6 * (source.weight - 1)
     return (

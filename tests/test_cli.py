@@ -20,10 +20,13 @@ from siegellift import (
     cli,
     dirichlet_coeffs,
     induced_factor,
+    predictor,
     prime_above,
     spin_object,
 )
 from siegellift.cli import main
+from siegellift.errors import InexactDivisionError
+from siegellift.localfactor import LocalFactor, tate_twist
 from siegellift.modform import CurveData
 from siegellift.predictor import Identity
 
@@ -103,6 +106,61 @@ def test_verify_corrupted_eigenfile(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert out.index("FAIL") < out.index("\n", out.index("2 ")) or "table a_2" in out
+
+
+def _off_by_one_at_5(f, j):
+    """tate_twist with 1 added to c_1 at p = 5."""
+    g = tate_twist(f, j)
+    if g.prime != 5:
+        return g
+    return LocalFactor(5, g.weight, (1, g.coeffs[1] + 1, *g.coeffs[2:]))
+
+
+def test_verify_renders_a_failed_identity(capsys, monkeypatch):
+    monkeypatch.setattr(predictor, "tate_twist", _off_by_one_at_5)
+    argv = ["verify", "--identity", "sym3-ext2", "--curve", CURVE, "--pmax", "7"]
+    code, out, err = run(capsys, *argv)
+    lhs = "1 - 180*T - 5500*T^2 + 3093750*T^3 - 85937500*T^4 - 43945312500*T^5 + 3814697265625*T^6"
+    rhs = "1 - 179*T - 5625*T^2 + 3093750*T^3 - 85937500*T^4 - 43945312500*T^5 + 3814697265625*T^6"
+    assert (code, err) == (1, "")
+    assert out.splitlines()[3:] == [
+        f"sym3-ext2  5  FAIL    lhs = {lhs} ; rhs = {rhs}",
+        "sym3-ext2  7  OK",
+        "total: 3 OK, 1 FAIL, 0 SKIPPED",
+    ]
+    assert run(capsys, *argv, "--format", "csv") == (1, (
+        "p,identity,status,reason\n2,sym3-ext2,OK,\n3,sym3-ext2,OK,\n"
+        "5,sym3-ext2,FAIL,exact mismatch\n7,sym3-ext2,OK,\n"), "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert (code, err, report["ok"], report["counts"]) == (1, "", False, {"OK": 3, "FAIL": 1, "SKIPPED": 0})
+    row = report["entries"][2]
+    assert (row["p"], row["status"], row["reason"]) == (5, "FAIL", "exact mismatch")
+    assert row["lhs"]["coeffs"][:3] == ["1", "-180", "-5500"]
+    assert row["rhs"]["coeffs"][:3] == ["1", "-179", "-5625"]
+
+
+def _raise(exc):
+    def raising(*args):
+        raise exc
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "name, exc, message",
+    [
+        ("exact_divide", InexactDivisionError("nonzero remainder dividing degree-6 factor at p=2"),
+         "exterior square at p=2 is not divisible by the polarization factor"),
+        ("degree5_factor", InexactDivisionError("nonzero remainder dividing degree-6 factor at p=2"),
+         "nonzero remainder dividing degree-6 factor at p=2"),
+    ],
+    ids=["not-symplectic", "inexact-division"],
+)
+def test_verification_errors_exit_one(capsys, monkeypatch, name, exc, message):
+    # every VerificationError means a failed prediction, not bad input
+    monkeypatch.setattr(predictor, name, _raise(exc))
+    assert run(capsys, "predict", "--curve", CURVE, "--pmax", "7") == (1, "", f"error: {message}\n")
 
 
 def test_verify_csv_quotes_a_reason_with_a_comma(capsys, tmp_path):
@@ -488,6 +546,22 @@ def test_conductor_is_checked_at_a_good_prime_of_the_discriminant(capsys):
     # y^2 = x^3 + x has discriminant -64 and good reduction at 3 | 36
     assert run(capsys, "ap", "--curve", "0,0,0,1,0,36", "--p", "5") == (
         2, "", "error: good reduction at p=3 contradicts the conductor 36\n")
+
+
+@pytest.mark.parametrize(
+    "n, part",
+    [
+        ("11000000000001408000000000037037", "1000000000000128000000000003367"),
+        ("11000000000000000132000000000000000297", "1000000000000000012000000000000000027"),
+    ],
+    ids=["two-16-digit-primes", "two-19-digit-primes"],
+)
+def test_wrong_conductor_is_refused_without_factoring_it(capsys, n, part):
+    # N = 11 * P * Q for 11a3: P * Q is prime to the discriminant -11, so it offends unfactored
+    start = time.perf_counter()
+    assert run(capsys, "ap", "--curve", f"{CURVE},{n}", "--p", "5") == (
+        2, "", f"error: the conductor {n} and the discriminant -11 differ at the primes of {part}\n")
+    assert time.perf_counter() - start < 1
 
 
 #: A command for each number flag, with {} where the flag's value goes.

@@ -1,6 +1,5 @@
 """Euler-factor algebra against brute-force root-multiset oracles."""
 
-import pickle
 import random
 import subprocess
 import sys
@@ -120,10 +119,10 @@ def test_power_sums_against_root_multisets():
 
 
 # ---------------------------------------------------------------------------
-# the power sums a factor carries
+# power sums asked for again
 
 def fresh(f):
-    """An equal factor that carries no power sums yet."""
+    """An equal factor built anew."""
     return LocalFactor(f.prime, f.weight, f.coeffs)
 
 
@@ -144,50 +143,12 @@ def test_power_sums_asked_in_any_order_match_a_fresh_factor():
             assert power_sums(f, count) == power_sums(fresh(f), count), (f, count)
 
 
-def built_factors(rng, f, g, e2):
-    """Factors built from power sums: whole ones, and spin factors cut at
-    a depth as the L-series builders cut them."""
-    depth = rng.randrange(0, 5)
-    # sums beyond the degree, which the result must not take for its own
-    cut = rng.randrange(0, f.degree + 1)
-    yield from_power_sums(f.prime, cut, power_sums(fresh(f), f.degree + 2), weight=f.weight)
-    for functor in (Functor.SYM2, Functor.EXT2):
-        yield plethysm(f, functor)
-    for functor in (Functor.SYM3, Functor.SYM4):
-        yield plethysm(e2, functor)
-    for a, b in ((f, g), (f, f)):
-        yield combine(a, b, CombineMode.TENSOR)
-    yield lseries._spin(f.prime, e2.coeffs, None, depth, 3)
-    yield lseries._spin(f.prime, e2.coeffs, fresh(e2), depth, 2)
-
-
-def test_built_factors_carry_the_sums_of_their_coefficients():
-    rng = random.Random(141421)
+def test_squares_match_plethysm_and_tensor():
+    rng = random.Random(314159)
     for _ in range(60):
-        f = random_integral_factor(rng, rng.randrange(0, 7))
-        g = LocalFactor(f.prime, 1, [1] + [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 4))])
-        e2 = LocalFactor(f.prime, 1, (1, rng.randrange(-9, 10), rng.choice([0, f.prime])))
-        for h in built_factors(rng, f, g, e2):
-            # seeded with s_1..s_degree, which its coefficients give
-            assert h._sums == power_sums(fresh(h), h.degree), h
-            counts = list(range(3 * h.degree + 1))
-            rng.shuffle(counts)
-            for count in counts:
-                assert power_sums(h, count) == power_sums(fresh(h), count), (h, count)
-
-
-def test_power_sum_memo_stays_out_of_equality_hash_pickle_and_repr():
-    f = LocalFactor(5, 1, (1, -2, 5))
-    e = plethysm(f, Functor.SYM3)  # seeded by from_power_sums
-    for g in (f, e):
-        bare = fresh(g)
-        power_sums(g, 9)
-        assert g._sums and not bare._sums
-        assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
-        assert "_sums" not in repr(g)
-        back = pickle.loads(pickle.dumps(g))
-        assert back == g and back._sums == ()
-        assert pickle.dumps(g) == pickle.dumps(bare)
+        f = random_integral_factor(rng, rng.randrange(0, 6))
+        want = (plethysm(f, Functor.EXT2), plethysm(f, Functor.SYM2), combine(f, f, CombineMode.TENSOR))
+        assert localfactor._squares(f) == want, f
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,17 @@ def test_conductor_check_names_the_smallest_offending_prime():
     # 11a3 with N = 5 * 7: good at 5 and 7, multiplicative at 11
     with pytest.raises(InputError, match="^good reduction at p=5 contradicts the conductor 35$"):
         CurveData(0, -1, 1, 0, 0, conductor=35)
+    # the part of N prime to the discriminant is not factored: a prime part is named,
+    # and so is a prime below 1000 beside two primes past the reach of rho
+    p, q = 10**18 + 3, 10**18 + 9
+    with pytest.raises(InputError, match=f"^good reduction at p={p} contradicts the conductor {11 * p}$"):
+        CurveData(0, -1, 1, 0, 0, conductor=11 * p)
+    with pytest.raises(InputError, match=f"^good reduction at p=7 contradicts the conductor {77 * p * q}$"):
+        CurveData(0, -1, 1, 0, 0, conductor=77 * p * q)
+    # nor is the part of |disc| prime to N: y^2 = x^3 + pq has disc -432 p^2 q^2, additive at 2, 3
+    disc, part = -432 * (p * q) ** 2, (p * q) ** 2
+    with pytest.raises(InputError, match=f"^the conductor 36 and the discriminant {disc} differ at the primes of {part}$"):
+        CurveData(0, 0, 0, 0, p * q, conductor=36)
 
 
 def test_level_is_checked_when_the_table_is_built():

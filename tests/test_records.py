@@ -102,6 +102,13 @@ def test_record_is_a_slots_class(name):
     assert name in repr(record)
 
 
+def test_local_factor_is_its_three_fields():
+    # nothing derived is kept beside them, so repr, ==, hash and pickle see one state
+    f = _factor()
+    assert LocalFactor.__slots__ == ("prime", "weight", "coeffs")
+    assert repr(f) == "LocalFactor(prime=5, weight=1, coeffs=(1, -2, 5))"
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_pickle_round_trip(name):
     record = RECORDS[name]()
