@@ -1,14 +1,14 @@
 """Base classes of the package's records.
 
-A record is a plain class with ``__slots__`` and a hand-written
-``__init__`` that checks and normalises its arguments.  ``Record`` gives
-the field-by-field repr, and ``_fill``, which sets the slots in order
-for the wider records.  ``Value`` is for the records that are compared
-or hashed (cache keys, factors checked for equality): it is immutable,
-equal to a record of the same class with the same constructor arguments
-``_args()``, hashed by them, and pickled by them, since the raising
-``__setattr__`` rules out the default unpickling of slot classes.
-``Value.__init__`` methods set their fields through ``_set`` or ``_fill``.
+A record is a plain class whose ``__slots__`` is its one field list: its
+``__init__`` checks and normalises the arguments and sets the slots, in
+order, through ``Record._fill``, and ``Record`` gives the repr.  ``Value``
+is for the records that are compared or hashed: it is immutable, and its
+equality, hash and pickling read ``_args()``, the slots in order, which are
+the constructor arguments (the raising ``__setattr__`` rules out the default
+unpickling of slot classes).  Two exceptions: ``CurveData`` spells out its
+``_args`` without its derived slot, and ``LocalFactor``, built most often,
+sets its slots through ``_set``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ class Value(Record):
     __slots__ = ()
 
     def _args(self) -> tuple:
-        """The constructor arguments, spelt out by each subclass (a generic
-        loop over the slots costs six times as much, and equality and
-        hashing run in inner loops)."""
-        raise NotImplementedError
+        """The slots, in order: the constructor arguments."""
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if type(other) is type(self):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Tuple
 
-from ._record import Record, Value, _set
+from ._record import Record, Value
 from .errors import InputError
 
 
@@ -32,11 +32,7 @@ class ArchParam(Value):
         exps = tuple(sorted(exponents, reverse=True))  # stored descending
         if any(e <= 0 for e in exps):
             raise InputError(f"exponents must be positive, got {exps}")
-        _set(self, "exponents", exps)
-        _set(self, "weight", weight)
-
-    def _args(self) -> tuple:
-        return (self.exponents, self.weight)
+        self._fill(exps, weight)
 
     @property
     def size(self) -> int:
@@ -60,11 +56,7 @@ class Classification(Record):
         scalar_weight: Optional[int] = None,
         vector_weight: Optional[Tuple[int, int]] = None,
     ):
-        self.regular = regular
-        self.algebraic = algebraic
-        self.siegel_kind = siegel_kind
-        self.scalar_weight = scalar_weight
-        self.vector_weight = vector_weight
+        self._fill(regular, algebraic, siegel_kind, scalar_weight, vector_weight)
 
     def siegel_json(self):
         if self.siegel_kind is SiegelKind.SCALAR:

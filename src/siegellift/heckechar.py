@@ -28,7 +28,7 @@ from enum import Enum
 from math import isqrt
 
 from ._primes import is_prime, kronecker_at_prime, sqrt_mod
-from ._record import Value, _set
+from ._record import Value
 from .errors import InputError
 from .localfactor import LocalFactor
 
@@ -52,10 +52,7 @@ class ImagQuadField(Value):
                 f"D={D} is not a class-number-one fundamental discriminant "
                 f"(supported: {list(SUPPORTED_DISCRIMINANTS)})"
             )
-        _set(self, "D", D)
-
-    def _args(self) -> tuple:
-        return (self.D,)
+        self._fill(D)
 
     def element(self, x: int, y: int) -> "QuadInt":
         return QuadInt(self, x, y)
@@ -78,12 +75,7 @@ class QuadInt(Value):
     __slots__ = ("field", "x", "y")
 
     def __init__(self, field: ImagQuadField, x: int, y: int):
-        _set(self, "field", field)
-        _set(self, "x", x)
-        _set(self, "y", y)
-
-    def _args(self) -> tuple:
-        return (self.field, self.x, self.y)
+        self._fill(field, x, y)
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(self.field, -self.x, -self.y)
@@ -135,11 +127,7 @@ class AntiCycChar(Value):
             raise InputError("D=-4 has units of order 4: m must be even")
         if field.D == -3 and m % 3 != 0:
             raise InputError("D=-3 has units of order 6: m must be divisible by 3")
-        _set(self, "field", field)
-        _set(self, "m", m)
-
-    def _args(self) -> tuple:
-        return (self.field, self.m)
+        self._fill(field, m)
 
     @property
     def weight(self) -> int:

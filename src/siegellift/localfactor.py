@@ -108,13 +108,11 @@ class LocalFactor(Value):
     __slots__ = ("prime", "weight", "coeffs")
 
     def __init__(self, prime: int, weight: int, coeffs: Sequence[int]):
+        # direct sets, not _fill: a factor is built some 1 300 times per predict
         _set(self, "prime", prime)
         _set(self, "weight", weight)
         _set(self, "coeffs", coeffs)
         self.__post_init__()
-
-    def _args(self) -> tuple:
-        return (self.prime, self.weight, self.coeffs)
 
     # the checks live in their own method, which perfbench/tracer.py wraps
     # to count and size every factor built
@@ -164,9 +162,7 @@ class PurityReport(Record):
     __slots__ = ("ok", "sign", "failing_index")
 
     def __init__(self, ok: bool, sign: Optional[int] = None, failing_index: Optional[int] = None):
-        self.ok = ok
-        self.sign = sign
-        self.failing_index = failing_index
+        self._fill(ok, sign, failing_index)
 
     def __bool__(self):
         return self.ok

@@ -10,7 +10,7 @@ module loads ``heckechar`` only when it builds a factor with a character.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ._primes import primes_upto
 from ._record import Record, Value
@@ -55,24 +55,25 @@ class LocalData(Value):
     ):
         self._fill(prime, ramified, eta, ind, spin, skip)
 
-    def _args(self) -> tuple:
-        return (self.prime, self.ramified, self.eta, self.ind, self.spin, self.skip)
-
 
 def local_data(source: Source, chi: Optional[AntiCycChar], p: int) -> LocalData:
     """Local data at p of the symmetric cube of ``source`` (no character)
     or of its tensor product with the induction of ``chi``, whole factors
     for ``predict`` and ``verify``.  The spin factor is Sym^3 eta or
     eta x Ind chi_p at every p, bad and ramified ones included."""
-    red = reduction_at(source, p)
-    eta = LocalFactor(p, source.weight - 1, red.coeffs(source))
+    eta, skip = _eta(source, p)
     ramified = chi is not None and chi.field.D % p == 0  # D is a fundamental discriminant
-    if red.regime != "good":
-        skip = f"skipped ({red.regime} reduction)"
-    else:
-        skip = _RAMIFIED if ramified else ""
+    skip = skip or (_RAMIFIED if ramified else "")
     ind = _induced(chi)(p)
     return LocalData(p, ramified, eta, ind, _spin(p, eta.coeffs, ind, 4, _spin_weight(source, chi)), skip)
+
+
+def _eta(source: Source, p: int) -> Tuple[LocalFactor, str]:
+    """The degree-2 factor of ``source`` at p, and the reason a row at p is
+    skipped for its reduction: "" when good."""
+    red = reduction_at(source, p)
+    skip = "" if red.regime == "good" else f"skipped ({red.regime} reduction)"
+    return LocalFactor(p, source.weight - 1, red.coeffs(source)), skip
 
 
 def _induced(chi: Optional[AntiCycChar]) -> Callable[[int], Optional[LocalFactor]]:
@@ -123,10 +124,9 @@ class LObject(Record):
                 raise InputError(f"factor stored at {p} has prime {f.prime}")
             if f.weight != weight:
                 raise InputError(f"factor at p={p} has weight {f.weight}, object has {weight}")
-        self.label = label
-        self.weight = weight
-        self.factors = factors
-        self.degree = max((f.degree for f in factors.values()), default=1) if degree is None else degree
+        if degree is None:
+            degree = max((f.degree for f in factors.values()), default=1)
+        self._fill(label, weight, factors, degree)
 
 
 def _exponent(p: int, bound: int) -> int:
@@ -166,8 +166,7 @@ class CompareResult(Record):
     __slots__ = ("equal", "first_mismatch")
 
     def __init__(self, equal: bool, first_mismatch: Optional[int] = None):
-        self.equal = equal
-        self.first_mismatch = first_mismatch
+        self._fill(equal, first_mismatch)
 
 
 def compare_coeffwise(a: LObject, b: LObject, bound: int) -> CompareResult:
@@ -184,10 +183,7 @@ class EvalResult(Record):
     __slots__ = ("value", "tail_bound", "s", "terms")
 
     def __init__(self, value: float, tail_bound: float, s: float, terms: int):
-        self.value = value
-        self.tail_bound = tail_bound
-        self.s = s
-        self.terms = terms
+        self._fill(value, tail_bound, s, terms)
 
 
 def eval_partial(obj: LObject, s: float, bound: int) -> EvalResult:

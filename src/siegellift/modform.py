@@ -100,7 +100,7 @@ class CurveData(Value):
         if rest > 1:
             raise InputError(f"the conductor {n} and the discriminant {disc} differ at the primes of {rest}")
 
-    def _args(self) -> tuple:
+    def _args(self) -> tuple:  # not the slots: invariants is derived; hashed once per a_p
         return (self.a1, self.a2, self.a3, self.a4, self.a6, self.conductor)
 
     @property
@@ -519,7 +519,7 @@ def parse_eigenfile(source: Union[str, "os.PathLike[str]", TextIO]) -> NewformDa
     """Parse an eigenvalue file (format in the module docstring), given by
     its path or as an open text stream."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="replace") as handle:
             lines = handle.readlines()
     else:
         lines = source.readlines()

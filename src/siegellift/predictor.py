@@ -28,7 +28,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ._primes import factorize, primes_upto
-from ._record import Record, Value, _set
+from ._record import Record, Value
 from .errors import (
     InexactDivisionError,
     InputError,
@@ -46,7 +46,7 @@ from .localfactor import (
     tate_factor,
     tate_twist,
 )
-from .lseries import _RAMIFIED, LObject, LocalData, local_data
+from .lseries import _RAMIFIED, LObject, LocalData, _eta, local_data
 from .modform import CurveData, Factors, NewformData, Source, reduction_at
 from .modform import _conductor, _source_label
 
@@ -86,9 +86,6 @@ class ReportEntry(Value):
     ):
         self._fill(prime, identity, status, reason, lhs, rhs)
 
-    def _args(self) -> tuple:
-        return (self.prime, self.identity, self.status, self.reason, self.lhs, self.rhs)
-
     def to_json(self) -> dict:
         """The row as JSON.  Sides that are one object (``_compared`` gives
         an OK row its lhs twice) share one dict, so each coefficient is
@@ -112,10 +109,7 @@ class VerifyReport(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Tuple[ReportEntry, ...]):
-        _set(self, "entries", tuple(sorted(entries, key=lambda e: e.prime)))
-
-    def _args(self) -> tuple:
-        return (self.entries,)
+        self._fill(tuple(sorted(entries, key=lambda e: e.prime)))
 
     @property
     def ok(self) -> bool:
@@ -179,18 +173,14 @@ def _sym2_ind_rhs(chi: AntiCycChar, p: int) -> LocalFactor:
     return combine(induced_factor(char_square(chi), p), tate_factor(p, chi.weight), CombineMode.SUM)
 
 
-def _ext2_rhs(
-    ld: LocalData, chi: Optional[AntiCycChar], sym2_ind: Optional[LocalFactor] = None
-) -> LocalFactor:
+def _ext2_rhs(ld: LocalData, sym2_ind: Optional[LocalFactor]) -> LocalFactor:
     """What sym3-ext2 (no chi) or tensor-ext2 predicts for Lambda^2 of the
     spin factor, which the caller builds; ``sym2_ind`` is the sym2-ind side
-    at ld.prime, if built already."""
-    if chi is None:
+    at ld.prime with chi, None without."""
+    if ld.ind is None:
         j = ld.eta.weight  # = k - 1
         twisted_sym4 = tate_twist(plethysm(ld.eta, Functor.SYM4), j)
         return combine(twisted_sym4, tate_factor(ld.prime, 3 * j), CombineMode.SUM)
-    if sym2_ind is None:
-        sym2_ind = _sym2_ind_rhs(chi, ld.prime)
     piece1 = combine(plethysm(ld.eta, Functor.SYM2), plethysm(ld.ind, Functor.EXT2), CombineMode.TENSOR)
     piece2 = combine(plethysm(ld.eta, Functor.EXT2), sym2_ind, CombineMode.TENSOR)
     return combine(piece1, piece2, CombineMode.SUM)
@@ -212,18 +202,22 @@ def _identity_row(
     name: Identity, p: int, source: Optional[Source], chi: Optional[AntiCycChar]
 ) -> ReportEntry:
     """The row of an identity at p, for inputs already checked; a source
-    identity reads it off the shared record."""
+    identity reads it off the shared record, tensor-square off eta alone."""
     if name is Identity.SYM2_IND:
         from .heckechar import induced_factor
 
         return _sym2_ind_entry(p, chi.field.D % p == 0, induced_factor(chi, p), _sym2_ind_rhs(chi, p))
+    if name is Identity.TENSOR_SQ:  # reads eta only: no spin factor is built
+        eta, skip = _eta(source, p)
+        if skip:
+            return ReportEntry(p, name.value, Status.SKIPPED, skip)
+        return _tensor_square_entry(p, *_squares(eta))
     twist = chi if name is Identity.TENSOR_EXT2 else None
     ld = local_data(source, twist, p)
     if ld.skip:
         return ReportEntry(p, name.value, Status.SKIPPED, ld.skip)
-    if name is Identity.TENSOR_SQ:
-        return _tensor_square_entry(p, *_squares(ld.eta))
-    return _compared(name, p, plethysm(ld.spin, Functor.EXT2), _ext2_rhs(ld, twist))
+    sym2_ind = None if twist is None else _sym2_ind_rhs(chi, p)
+    return _compared(name, p, plethysm(ld.spin, Functor.EXT2), _ext2_rhs(ld, sym2_ind))
 
 
 def _require_trivial_character(source: Optional[Source], what: str) -> None:
@@ -491,7 +485,7 @@ def predict_siegel(
             continue
         ext2, sym2, square = _squares(ld.spin)  # ext2 feeds three rows
         std[p] = degree5_factor(ld.spin, ext2)
-        entries.append(_compared(identity, p, ext2, _ext2_rhs(ld, chi, sym2_ind)))
+        entries.append(_compared(identity, p, ext2, _ext2_rhs(ld, sym2_ind)))
         entries.append(_tensor_square_entry(p, ext2, sym2, square))
         entries.append(ReportEntry(p, "r5-extract", Status.OK, "", std[p]))
 

@@ -116,6 +116,21 @@ def _off_by_one_at_5(f, j):
     return LocalFactor(5, g.weight, (1, g.coeffs[1] + 1, *g.coeffs[2:]))
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_tensor_square_builds_no_spin_factor(capsys, monkeypatch, jobs):
+    # the identity reads the degree-2 factor alone; the golden fixes its bytes
+    from siegellift import lseries
+
+    calls, spin = [], lseries._spin
+    monkeypatch.setattr(lseries, "_spin", lambda p, *rest: calls.append(p) or spin(p, *rest))
+    golden = (Path(__file__).parent / "data" / "golden" / "verify_11a3_tensor-square.txt").read_text()
+    argv = ["verify", "--curve", CURVE, "--jobs", jobs, "--identity"]
+    assert run(capsys, *argv, "tensor-square", "--pmax", "50") == (0, golden, "")
+    assert calls == []
+    assert run(capsys, *argv, "sym3-ext2", "--pmax", "5")[0] == 0
+    assert sorted(calls) == [2, 3, 5]  # the rows that read the spin factor are counted
+
+
 def test_verify_renders_a_failed_identity(capsys, monkeypatch):
     monkeypatch.setattr(predictor, "tate_twist", _off_by_one_at_5)
     argv = ["verify", "--identity", "sym3-ext2", "--curve", CURVE, "--pmax", "7"]
@@ -176,6 +191,21 @@ def test_verify_csv_quotes_a_reason_with_a_comma(capsys, tmp_path):
         ["2", "ap-match", "FAIL", "table a_2 = 2, curve gives -2"],
         ["3", "ap-match", "OK", ""],
     ]
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"weight 2 level 11 character trivial\n2 -2\n3 \xff1\n", 3),
+    ("weight 2 level 11 character trivial\n2 -2\n".encode("utf-16"), 1),
+], ids=["ff-byte", "utf-16"])
+@pytest.mark.parametrize("command", [
+    ["factor", "--p", "2"], ["verify", "--identity", "ap-match", "--curve", CURVE],
+], ids=["factor", "ap-match"])
+def test_undecodable_eigenfile_is_an_input_error(capsys, tmp_path, data, line, command):
+    path = tmp_path / "table.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *command, "--eigenfile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
 
 def test_verify_intact_eigenfile(capsys, tmp_path, curve_11a3):

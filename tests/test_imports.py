@@ -97,7 +97,7 @@ def _run_child(argv):
 
 #: The most source lines ``ap`` may load.  Without a bytecode cache each is
 #: compiled at every run, so the bound only comes down as code is deleted.
-AP_LINE_BUDGET = 1308
+AP_LINE_BUDGET = 1306
 
 
 def test_ap_loads_at_most_its_line_budget():

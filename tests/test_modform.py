@@ -372,6 +372,29 @@ def test_eigenfile_stream_with_byte_order_mark(delta_form, delta_path):
     assert repr(parse_eigenfile(io.StringIO(text))) == repr(delta_form)
 
 
+def test_eigenfile_undecodable_byte_names_its_line(tmp_path):
+    # a byte that is not UTF-8 is read as U+FFFD, which no integer accepts
+    path = tmp_path / "bad_byte.txt"
+    path.write_bytes(b"weight 2 level 11 character trivial\n2 -\xff2\n")
+    with pytest.raises(InputError, match=r"^line 2: non-integer entry"):
+        parse_eigenfile(path)
+
+
+def test_eigenfile_in_utf16_fails_at_its_header(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes("weight 2 level 11 character trivial\n2 -2\n".encode("utf-16"))
+    with pytest.raises(InputError, match=r"^line 1: "):
+        parse_eigenfile(path)
+
+
+def test_eigenfile_undecodable_byte_in_a_comment_is_ignored(tmp_path):
+    path = tmp_path / "latin1_comment.txt"
+    path.write_bytes("# table of 11a3, r\u00e9vis\u00e9\nweight 2 level 11 character trivial\n"
+                     "2 -2  # \u00e9\n".encode("latin-1"))
+    form = parse_eigenfile(path)
+    assert (form.weight, form.level, form.eigenvalues) == (2, 11, {2: -2})
+
+
 def test_delta_character_header():
     form = parse_eigenfile(io.StringIO("weight 3 level 49 character delta -7\n2 1\n"))
     assert form.character == -7

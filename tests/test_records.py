@@ -2,7 +2,9 @@
 where records are compared or hashed, immutability of hashed records, and
 pickling; and the import floor they exist for."""
 
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +94,22 @@ def _state(x):
     if type(x).__module__.startswith("siegellift.") and hasattr(type(x), "__slots__"):
         return (type(x).__name__, {n: _state(getattr(x, n)) for n in type(x).__slots__})
     return x
+
+
+def test_every_record_class_is_fenced():
+    # the checks below cover each class that the generic _args and _fill serve
+    from siegellift._record import Record, Value
+
+    for module in pkgutil.iter_modules(siegellift.__path__):
+        importlib.import_module(f"siegellift.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls)
+            todo.append(cls)
+    records = {c.__name__ for c in found if c.__module__.startswith("siegellift.")} - {"Value"}
+    assert records == set(RECORDS)
+    assert {c.__name__ for c in found if issubclass(c, Value)} - {"Value"} == set(HASHED)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
