@@ -20,8 +20,8 @@ class Record:
     __slots__ = ()
 
     def _fill(self, *values) -> None:
-        """Set the slots, in order, to ``values``."""
-        for name, value in zip(self.__slots__, values):
+        """Set the slots, in order, to ``values``, one for each."""
+        for name, value in zip(self.__slots__, values, strict=True):
             _set(self, name, value)
 
     def __repr__(self):

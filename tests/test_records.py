@@ -112,6 +112,13 @@ def test_every_record_class_is_fenced():
     assert {c.__name__ for c in found if issubclass(c, Value)} - {"Value"} == set(HASHED)
 
 
+@pytest.mark.parametrize("values", [(True,), (True, None, 3)])
+def test_a_record_is_filled_slot_for_slot(values):
+    # a slot left out of an __init__'s _fill, or a value too many, is an error
+    with pytest.raises(ValueError):
+        CompareResult(True, None)._fill(*values)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_is_a_slots_class(name):
     record = RECORDS[name]()
